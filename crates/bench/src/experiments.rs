@@ -3,8 +3,9 @@
 //! Every function that sweeps independent points (message sizes, transfer
 //! notations, `xQy` operations) fans them out across the process-default
 //! worker count via [`memcomm_util::par::par_map_auto`]. Results come back
-//! in input order and basic-transfer measurements are memoized
-//! process-wide, so output is bit-identical whatever the worker count.
+//! in input order, and measurements memoized in the installed cache are
+//! pure functions of their points, so output is bit-identical whatever the
+//! worker count.
 
 use memcomm_util::par::par_map_auto;
 

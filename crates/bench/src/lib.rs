@@ -5,8 +5,8 @@
 //! same tables/series the paper prints; the benches under `benches/` wrap
 //! the same functions. The [`runner`] module is the parallel, memoized
 //! sweep engine tying them together: it fans points across workers, routes
-//! every measurement through the process-wide cache, and splits its output
-//! into a byte-deterministic report plus separate run metrics.
+//! every deterministic measurement through the run's memo cache, and splits
+//! its output into a byte-deterministic report plus separate run metrics.
 //!
 //! | Function | Reproduces |
 //! |---|---|

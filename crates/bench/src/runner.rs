@@ -3,11 +3,12 @@
 //! [`run_sweep`] evaluates every selected experiment of the reproduction,
 //! fanning independent points across a configurable worker count
 //! ([`SweepOptions::jobs`]) while an installed measurement cache
-//! ([`memcomm_machines::memo`]) guarantees each distinct
-//! `(machine, transfer, words)` point simulates exactly once per cache:
-//! the run adopts the caller's installed [`memcomm_machines::memo::MemoHandle`]
-//! (the serving process shares one across requests) or installs a fresh
-//! one of its own.
+//! ([`memcomm_machines::memo`]) guarantees each distinct measurement point
+//! — a basic transfer, a pattern or get exchange, a library message, on
+//! one machine — simulates exactly once per cache: the run adopts the
+//! caller's installed [`memcomm_machines::memo::MemoHandle`] (the serving
+//! process shares one across requests) or installs a fresh one of its own.
+//! Only the faults section's resilient transfers always simulate.
 //!
 //! The engine returns two artifacts with deliberately different contracts:
 //!

@@ -2,14 +2,18 @@
 //! the chosen implementation style running against one shared memory path
 //! per node.
 
+use memcomm_machines::memo::{self, ExchangeKey, Point};
 use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::engines::{Cpu, CpuReceiver, CpuSender, DepositEngine, DepositMode, Step};
 use memcomm_memsim::node::Watchdog;
-use memcomm_memsim::{Measurement, Node, SimError, SimResult};
+use memcomm_memsim::{Node, SimError, SimResult};
 use memcomm_model::AccessPattern;
 use memcomm_netsim::Link;
 
+pub use memcomm_memsim::stats::{ExchangeResult, PhaseTimeline};
+
+use crate::agenda::Agenda;
 use crate::layout::{ExchangeLayout, WalkSpec};
 use crate::roles::{CpuDuties, DmaChunkQueue, PipelinedCpu};
 
@@ -55,6 +59,32 @@ pub struct ExchangeConfig {
     pub max_cycles: Option<Cycle>,
 }
 
+impl ExchangeConfig {
+    /// The memo key of these parameters. The destructuring names every
+    /// field, so a field added later does not compile until the key covers
+    /// it.
+    pub(crate) fn memo_key(&self) -> ExchangeKey {
+        let ExchangeConfig {
+            words,
+            chunk_words,
+            congestion,
+            full_duplex,
+            elide_contiguous_copies,
+            seed,
+            max_cycles,
+        } = *self;
+        ExchangeKey {
+            words,
+            chunk_words,
+            congestion_bits: congestion.map(f64::to_bits),
+            full_duplex,
+            elide_contiguous_copies,
+            seed,
+            max_cycles,
+        }
+    }
+}
+
 impl Default for ExchangeConfig {
     fn default() -> Self {
         ExchangeConfig {
@@ -66,74 +96,6 @@ impl Default for ExchangeConfig {
             seed: 0x5EED,
             max_cycles: None,
         }
-    }
-}
-
-/// Per-stage completion cycles of one exchange, in pipeline order. This is
-/// pure simulation data (deterministic, independent of observability), so
-/// it may enter byte-deterministic reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PhaseTimeline {
-    /// Cycle each stage *finished*, indexed by [`PhaseTimeline::STAGES`].
-    /// `0` means the stage did not occur in this configuration (e.g. no
-    /// pack stage in a chained transfer).
-    pub completion: [Cycle; 5],
-}
-
-impl PhaseTimeline {
-    /// Stage names, in pipeline order: pack the send buffer, feed the NIC,
-    /// cross the wire, deposit into the receive side, unpack into place.
-    pub const STAGES: [&'static str; 5] = ["pack", "send", "wire", "deposit", "unpack"];
-
-    /// Telescoped per-stage marginal cycles: each present stage is charged
-    /// the cycles between the previous present stage's completion and its
-    /// own (clamped monotone), and the last present stage absorbs any tail
-    /// up to `end_cycle` — so the marginals always sum to exactly
-    /// `end_cycle`. Absent stages get zero.
-    pub fn marginals(&self, end_cycle: Cycle) -> [Cycle; 5] {
-        let mut out = [0; 5];
-        let mut running = 0;
-        let mut last_present = None;
-        for (i, &completion) in self.completion.iter().enumerate() {
-            if completion == 0 {
-                continue;
-            }
-            let c = completion.clamp(running, end_cycle);
-            out[i] = c - running;
-            running = c;
-            last_present = Some(i);
-        }
-        // Attribute the tail (agents idling out the clock, or an exchange
-        // with no stage markers at all) to the last stage that ran — or to
-        // the wire, which every exchange crosses.
-        out[last_present.unwrap_or(2)] += end_cycle - running;
-        out
-    }
-}
-
-/// Result of a symmetric exchange.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExchangeResult {
-    /// Payload words each node moved in each direction.
-    pub words: u64,
-    /// Cycle at which the last agent finished.
-    pub end_cycle: Cycle,
-    /// Whether both destinations hold exactly the peer's data.
-    pub verified: bool,
-    /// Per-stage completion cycles in the A→B direction.
-    pub phases: PhaseTimeline,
-}
-
-impl ExchangeResult {
-    /// Per-node throughput: one direction's payload over the total time —
-    /// the paper's "MB/s per node" metric.
-    pub fn per_node(&self, clock: memcomm_memsim::Clock) -> memcomm_model::Throughput {
-        self.measurement().throughput(clock)
-    }
-
-    /// The raw measurement (words, cycles).
-    pub fn measurement(&self) -> Measurement {
-        Measurement::new(self.words, self.end_cycle)
     }
 }
 
@@ -418,6 +380,10 @@ fn build_side(
 /// given style and returns the per-node measurement, with end-to-end data
 /// verification.
 ///
+/// The result is memoized through the installed cache handle (see
+/// [`memcomm_machines::memo`]): a repeated point is a lookup, and with no
+/// handle installed every call simulates.
+///
 /// # Errors
 ///
 /// Returns [`SimError::Deadlock`] if the co-simulation wedges with work
@@ -430,18 +396,27 @@ pub fn run_exchange(
     style: Style,
     cfg: &ExchangeConfig,
 ) -> SimResult<ExchangeResult> {
-    run_exchange_specs(
-        machine,
-        &WalkSpec::Pattern(x),
-        &WalkSpec::Pattern(y),
-        style,
-        cfg,
-    )
+    let point = Point::Exchange {
+        x,
+        y,
+        style: style as u8,
+        cfg: cfg.memo_key(),
+    };
+    memo::cached(machine, point, || {
+        run_exchange_specs(
+            machine,
+            &WalkSpec::Pattern(x),
+            &WalkSpec::Pattern(y),
+            style,
+            cfg,
+        )
+    })
 }
 
 /// Like [`run_exchange`], but with explicit walk specifications — the entry
 /// point for datatype-driven transfers whose element offsets are not a
-/// plain pattern.
+/// plain pattern. Never memoized: the key would have to hold the whole
+/// offset list.
 ///
 /// # Errors
 ///
@@ -486,24 +461,23 @@ pub fn run_exchange_specs(
         }
         // Candidates: (local time, agent id). 0-3 node A, 4-7 node B,
         // 8/9 links.
-        let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(10);
+        let mut order = Agenda::<10>::new();
         for k in 0..4 {
             if let Some(t) = a.time_of(k) {
-                order.push((t, k));
+                order.push(t, k);
             }
             if let Some(t) = b.time_of(k) {
-                order.push((t, 4 + k));
+                order.push(t, 4 + k);
             }
         }
-        order.push((link_ab.time(), 8));
-        order.push((link_ba.time(), 9));
-        order.sort_unstable();
+        order.push(link_ab.time(), 8);
+        order.push(link_ba.time(), 9);
 
         let now = a.end_time().max(b.end_time());
         watchdog.tick("exchange driver", now)?;
 
         let mut progressed = false;
-        for &(_, id) in &order {
+        for &(_, id) in order.sorted() {
             let step = match id {
                 0..=3 => a.step_agent(id)?,
                 4..=7 => b.step_agent(id - 4)?,

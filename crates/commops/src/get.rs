@@ -9,6 +9,7 @@
 //! back; the local annex deposits it. Every element crosses the wire twice
 //! (request + reply) instead of once.
 
+use memcomm_machines::memo::{self, Point};
 use memcomm_machines::Machine;
 use memcomm_memsim::engines::{AnnexEngine, Cpu, CpuReceiver, DepositEngine, DepositMode, Step};
 use memcomm_memsim::nic::{NetWord, TimedFifo};
@@ -19,7 +20,8 @@ use memcomm_memsim::{Node, SimError, SimResult};
 use memcomm_model::AccessPattern;
 use memcomm_netsim::Link;
 
-use crate::exchange::{ExchangeConfig, ExchangeResult};
+use crate::agenda::Agenda;
+use crate::exchange::{ExchangeConfig, ExchangeResult, PhaseTimeline};
 use crate::layout::ExchangeLayout;
 
 /// A processor issuing remote-load requests: for each element it computes
@@ -175,7 +177,7 @@ fn build_get_side(
 /// pattern `x` from its peer into pattern `y` locally. The counterpart of
 /// [`run_exchange`](crate::run_exchange) with
 /// [`Style::Chained`](crate::Style::Chained), built on remote loads instead
-/// of remote stores.
+/// of remote stores. Memoized like [`run_exchange`](crate::run_exchange).
 ///
 /// # Errors
 ///
@@ -183,6 +185,20 @@ fn build_get_side(
 /// [`SimError::CycleBudget`] past `cfg.max_cycles`, and propagates
 /// allocation and engine protocol errors.
 pub fn run_get_exchange(
+    machine: &Machine,
+    x: AccessPattern,
+    y: AccessPattern,
+    cfg: &ExchangeConfig,
+) -> SimResult<ExchangeResult> {
+    let point = Point::Get {
+        x,
+        y,
+        cfg: cfg.memo_key(),
+    };
+    memo::cached(machine, point, || simulate_get_exchange(machine, x, y, cfg))
+}
+
+fn simulate_get_exchange(
     machine: &Machine,
     x: AccessPattern,
     y: AccessPattern,
@@ -207,26 +223,25 @@ pub fn run_get_exchange(
         if side_done(&a) && side_done(&b) {
             break;
         }
-        let mut order: Vec<(u64, usize)> = Vec::with_capacity(10);
+        let mut order = Agenda::<10>::new();
         for (base_id, side) in [(0usize, &a), (3, &b)] {
             if !side.requester_done {
-                order.push((side.cpu.t, base_id));
+                order.push(side.cpu.t, base_id);
             }
             if !side.responder_done {
-                order.push((side.responder.t, base_id + 1));
+                order.push(side.responder.t, base_id + 1);
             }
             if !side.deposit_done {
-                order.push((side.deposit.time(), base_id + 2));
+                order.push(side.deposit.time(), base_id + 2);
             }
         }
-        order.push((req_ab.time(), 6));
-        order.push((req_ba.time(), 7));
-        order.push((rep_ab.time(), 8));
-        order.push((rep_ba.time(), 9));
-        order.sort_unstable();
+        order.push(req_ab.time(), 6);
+        order.push(req_ba.time(), 7);
+        order.push(rep_ab.time(), 8);
+        order.push(rep_ba.time(), 9);
 
         let mut progressed = false;
-        for &(_, id) in &order {
+        for &(_, id) in order.sorted() {
             let step = match id {
                 0 | 3 => {
                     let s = if id == 0 { &mut a } else { &mut b };
@@ -289,7 +304,7 @@ pub fn run_get_exchange(
         words: cfg.words,
         end_cycle,
         verified,
-        phases: crate::exchange::PhaseTimeline::default(),
+        phases: PhaseTimeline::default(),
     })
 }
 

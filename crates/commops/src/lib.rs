@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod agenda;
 pub mod collectives;
 pub mod datatype;
 pub mod exchange;

@@ -7,6 +7,7 @@
 //! both sides); both are implemented here on the simulated machines, not
 //! assumed.
 
+use memcomm_machines::memo::{self, Point};
 use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::engines::{CpuSender, DepositEngine, DepositMode, LocalCopier, Step};
@@ -14,6 +15,8 @@ use memcomm_memsim::node::Watchdog;
 use memcomm_memsim::{Node, SimError, SimResult};
 use memcomm_model::{AccessPattern, Throughput};
 use memcomm_netsim::Link;
+
+use crate::agenda::Agenda;
 
 /// A message-passing library's cost profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +56,8 @@ impl LibraryProfile {
 /// Sends one contiguous message of `words` 64-bit words from node A to
 /// node B through the library and returns the end-to-end throughput
 /// (message bytes over total one-way time) — one point of Figure 1.
+/// Memoized through the installed cache handle (see
+/// [`memcomm_machines::memo`]).
 ///
 /// # Errors
 ///
@@ -60,6 +65,25 @@ impl LibraryProfile {
 /// [`SimError::Deadlock`] if the co-simulation wedges, and
 /// [`SimError::Protocol`] if the delivered message differs from the source.
 pub fn measure_message(
+    machine: &Machine,
+    profile: LibraryProfile,
+    words: u64,
+) -> SimResult<Throughput> {
+    let LibraryProfile {
+        name,
+        per_message_cycles,
+        system_buffering,
+    } = profile;
+    let point = Point::Message {
+        library: name,
+        per_message_cycles,
+        system_buffering,
+        words,
+    };
+    memo::cached(machine, point, || simulate_message(machine, profile, words))
+}
+
+fn simulate_message(
     machine: &Machine,
     profile: LibraryProfile,
     words: u64,
@@ -105,16 +129,16 @@ pub fn measure_message(
     let mut watchdog = Watchdog::new(64 * words + 100_000);
     while !(sender_done && deposit_done) {
         watchdog.tick("message driver", cpu_a.t.max(deposit.t))?;
-        let mut order = vec![(link.time(), 2usize)];
+        let mut order = Agenda::<3>::new();
+        order.push(link.time(), 2);
         if !sender_done {
-            order.push((cpu_a.t, 0));
+            order.push(cpu_a.t, 0);
         }
         if !deposit_done {
-            order.push((deposit.t, 1));
+            order.push(deposit.t, 1);
         }
-        order.sort_unstable();
         let mut progressed = false;
-        for &(_, id) in &order {
+        for &(_, id) in order.sorted() {
             let s = match id {
                 0 => {
                     let s = sender.step(&mut cpu_a, &mut a.path, &a.mem, &mut a.tx)?;

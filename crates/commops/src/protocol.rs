@@ -36,6 +36,7 @@ use memcomm_model::{AccessPattern, Throughput};
 use memcomm_netsim::link::Step as LinkStep;
 use memcomm_netsim::Link;
 
+use crate::agenda::Agenda;
 use crate::exchange::Style;
 use crate::layout::ExchangeLayout;
 
@@ -573,17 +574,16 @@ pub fn run_resilient_transfer(
         watchdog.tick("resilient transfer", sender.t.max(receiver.t))?;
         let mut progressed = false;
         // Earliest-first across the four agents.
-        let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(4);
+        let mut order = Agenda::<4>::new();
         if !sender_done {
-            order.push((sender.t, 0));
+            order.push(sender.t, 0);
         }
         if !receiver.done() {
-            order.push((receiver.t, 1));
+            order.push(receiver.t, 1);
         }
-        order.push((fwd.time(), 2));
-        order.push((rev.time(), 3));
-        order.sort_unstable();
-        for &(_, id) in &order {
+        order.push(fwd.time(), 2);
+        order.push(rev.time(), 3);
+        for &(_, id) in order.sorted() {
             let moved = match id {
                 0 => sender.step(&mut a, cfg)?,
                 1 => receiver.step(&mut b),

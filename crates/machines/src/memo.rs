@@ -1,12 +1,27 @@
-//! Memoization of basic-transfer measurements behind an *injected* cache
-//! handle.
+//! Memoization of deterministic co-simulated measurement points behind an
+//! *injected* cache handle.
 //!
-//! Every experiment, calibration report and test that needs a basic-transfer
-//! rate funnels through [`microbench::measure_basic`](crate::microbench::measure_basic),
-//! and identical `(machine, transfer, words)` points recur across Tables
-//! 1–3, the calibration report, the rate tables behind Section 5 and the
-//! test tier. A [`MemoCache`] makes each distinct point simulate exactly
-//! once per cache.
+//! The reproduction measures a few kinds of point, and identical points
+//! recur across its tables and figures:
+//!
+//! * basic transfers ([`microbench::measure_basic`](crate::microbench::measure_basic)),
+//!   shared by Tables 1–3, the calibration report and the rate tables
+//!   behind Section 5;
+//! * pattern exchanges (`commops::run_exchange`, which the Table 6 kernels
+//!   also call per round) and get exchanges (`commops::run_get_exchange`),
+//!   shared by Figures 7/8, Table 5, the accuracy grid and put/get;
+//! * library messages (`commops::measure_message`), behind Figure 1.
+//!
+//! A [`MemoCache`] makes each distinct point simulate exactly once per
+//! cache. A key is the machine's fingerprint plus a [`Point`]: a closed enum
+//! with one variant per kind, holding as plain data every input that
+//! determines the result. Callers build a point by destructuring their
+//! configuration without `..`, so a field added later does not compile
+//! until the key covers it. Two entry points stay uncached:
+//! `commops::run_resilient_transfer`, whose fault counters and protocol
+//! histograms land in the run's metrics registry and would be lost on a
+//! hit, and `commops::run_exchange_specs`, whose explicit offset lists
+//! would have to be keyed in full.
 //!
 //! ## The handle model
 //!
@@ -18,7 +33,10 @@
 //! downstream picks it up via [`current`], and a
 //! [`memcomm_util::par`] propagator re-installs it inside every `par_map`
 //! worker, mirroring how `memcomm_obs::Obs` handles travel. With no handle
-//! installed, [`cached`] simply simulates — correct, just uncached.
+//! installed, [`cached`] simply simulates — correct, just uncached — and
+//! traces exactly as an uncached run does. A hit skips the simulation, so
+//! it also emits no trace process: a trace shows exactly the simulations
+//! that actually ran.
 //!
 //! ## Sharding, eviction, admission
 //!
@@ -30,7 +48,7 @@
 //! Per-shard capacities sum exactly to the configured capacity, so the
 //! bound is never exceeded, not even transiently. An admission threshold
 //! ([`MemoConfig::admit_min_words`]) can keep cheap-to-recompute small
-//! points out of a bounded cache entirely.
+//! points ([`Point::words`]) out of a bounded cache entirely.
 //!
 //! Keys include a fingerprint of the *entire* machine configuration (hashed
 //! from its `Debug` rendering), so mutated machines — the ablation studies
@@ -47,32 +65,180 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex, Once};
 
-use memcomm_memsim::{Measurement, SimResult};
-use memcomm_model::BasicTransfer;
+use memcomm_memsim::stats::ExchangeResult;
+use memcomm_memsim::{Cycle, Measurement, SimResult};
+use memcomm_model::{AccessPattern, BasicTransfer, Throughput};
 
 use crate::Machine;
 
-/// Cache key: machine fingerprint, transfer, payload words.
-pub type MemoKey = (u64, BasicTransfer, u64);
+/// One deterministic measurement point, minus the machine: every input
+/// that determines its result, as plain data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Point {
+    /// A basic transfer (`microbench::measure_basic`).
+    Basic {
+        /// The transfer.
+        transfer: BasicTransfer,
+        /// Payload words.
+        words: u64,
+    },
+    /// A symmetric pattern exchange (`commops::run_exchange`).
+    Exchange {
+        /// Source access pattern.
+        x: AccessPattern,
+        /// Destination access pattern.
+        y: AccessPattern,
+        /// The `commops::Style` discriminant.
+        style: u8,
+        /// The exchange parameters.
+        cfg: ExchangeKey,
+    },
+    /// A get-based exchange (`commops::run_get_exchange`).
+    Get {
+        /// Remote source access pattern.
+        x: AccessPattern,
+        /// Local destination access pattern.
+        y: AccessPattern,
+        /// The exchange parameters.
+        cfg: ExchangeKey,
+    },
+    /// One library message (`commops::measure_message`).
+    Message {
+        /// The `commops::LibraryProfile` name.
+        library: &'static str,
+        /// The profile's per-message software cycles.
+        per_message_cycles: Cycle,
+        /// Whether the profile forces system buffering.
+        system_buffering: bool,
+        /// Message words.
+        words: u64,
+    },
+}
 
-/// Cached value: a measurement, `None` for transfers the machine does not
-/// offer, or the deterministic simulation error.
-pub type Cached = SimResult<Option<Measurement>>;
+/// Every field of a `commops::ExchangeConfig`, with the congestion factor
+/// keyed by its bit pattern so the key hashes and compares exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ExchangeKey {
+    /// Payload words each node sends.
+    pub words: u64,
+    /// Buffer-packing pipeline chunk.
+    pub chunk_words: Option<u64>,
+    /// `f64::to_bits` of the congestion factor.
+    pub congestion_bits: Option<u64>,
+    /// Whether both nodes send simultaneously.
+    pub full_duplex: bool,
+    /// Whether contiguous gather/scatter copies are elided.
+    pub elide_contiguous_copies: bool,
+    /// Seed for indexed patterns.
+    pub seed: u64,
+    /// Simulated-cycle budget.
+    pub max_cycles: Option<Cycle>,
+}
+
+impl Point {
+    /// The payload words the point moves — what the admission threshold
+    /// ([`MemoConfig::admit_min_words`]) compares against.
+    pub fn words(&self) -> u64 {
+        match *self {
+            Point::Basic { words, .. } | Point::Message { words, .. } => words,
+            Point::Exchange { cfg, .. } | Point::Get { cfg, .. } => cfg.words,
+        }
+    }
+}
+
+/// A point's result, one variant per result type of the [`Point`] kinds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A basic transfer's measurement; `None` for transfers the machine
+    /// does not offer.
+    Basic(Option<Measurement>),
+    /// A pattern or get exchange.
+    Exchange(ExchangeResult),
+    /// A library message's end-to-end throughput.
+    Message(Throughput),
+}
+
+/// A result type stored as a [`Value`]; [`cached`] converts through it.
+pub trait PointValue: Sized {
+    /// Wraps the result for storage.
+    fn into_value(self) -> Value;
+    /// Unwraps a stored result.
+    ///
+    /// # Panics
+    ///
+    /// Panics on another kind's value, which only a caller pairing a
+    /// [`Point`] kind with the wrong result type can produce.
+    fn from_value(value: Value) -> Self;
+}
+
+impl PointValue for Option<Measurement> {
+    fn into_value(self) -> Value {
+        Value::Basic(self)
+    }
+    fn from_value(value: Value) -> Self {
+        match value {
+            Value::Basic(m) => m,
+            other => unreachable!("basic point holds {other:?}"),
+        }
+    }
+}
+
+impl PointValue for ExchangeResult {
+    fn into_value(self) -> Value {
+        Value::Exchange(self)
+    }
+    fn from_value(value: Value) -> Self {
+        match value {
+            Value::Exchange(r) => r,
+            other => unreachable!("exchange point holds {other:?}"),
+        }
+    }
+}
+
+impl PointValue for Throughput {
+    fn into_value(self) -> Value {
+        Value::Message(self)
+    }
+    fn from_value(value: Value) -> Self {
+        match value {
+            Value::Message(t) => t,
+            other => unreachable!("message point holds {other:?}"),
+        }
+    }
+}
+
+/// Cache key: machine fingerprint and point.
+pub type MemoKey = (u64, Point);
+
+/// Cached value: a point's result, or its deterministic simulation error.
+pub type Cached = SimResult<Value>;
 
 /// FNV-1a over the machine's complete `Debug` rendering. Every calibrated
 /// parameter shows up in the rendering, so any mutation changes the
-/// fingerprint.
+/// fingerprint. The rendering streams straight into the hash; no string is
+/// built.
 pub fn machine_fingerprint(machine: &Machine) -> u64 {
-    let text = format!("{machine:?}");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
+    let mut sink = Fnv1a(0xcbf2_9ce4_8422_2325);
+    // Derived `Debug` output fails only if the sink does, and it never does.
+    let _ = fmt::Write::write_fmt(&mut sink, format_args!("{machine:?}"));
+    sink.0
+}
+
+/// An FNV-1a hasher that formatted text can be written into.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
+        }
+        Ok(())
     }
-    h
 }
 
 /// Sizing and admission knobs of a [`MemoCache`].
@@ -108,7 +274,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by the CLOCK hand to stay within capacity.
     pub evictions: u64,
-    /// Distinct `(machine, transfer, words)` points currently stored.
+    /// Distinct `(machine, point)` keys currently stored.
     pub entries: u64,
 }
 
@@ -292,7 +458,7 @@ impl MemoCache {
             shard.misses += 1;
         }
         let value = simulate();
-        if key.2 >= self.config.admit_min_words {
+        if key.1.words() >= self.config.admit_min_words {
             let mut shard = self.lock(si);
             if !shard.map.contains_key(&key) {
                 let cap = self.caps[si];
@@ -405,22 +571,23 @@ pub fn reset() {
     }
 }
 
-/// Looks up a measurement point in the current thread's cache, simulating
+/// Looks up `point` of `machine` in the current thread's cache, simulating
 /// it with `simulate` on a miss; with no handle installed it simulates
-/// directly. `None` results (transfers the machine does not offer) and
-/// errors are cached too — re-deciding that a T3D has no DMA, or that a
-/// point fails deterministically, costs a lookup, not a simulation.
-pub fn cached(
+/// directly. Errors are cached like values, and so are `None` basic results
+/// (transfers the machine does not offer) — re-deciding that a T3D has no
+/// DMA, or that a point fails deterministically, costs a lookup, not a
+/// simulation.
+pub fn cached<T: PointValue>(
     machine: &Machine,
-    transfer: BasicTransfer,
-    words: u64,
-    simulate: impl FnOnce() -> Cached,
-) -> Cached {
+    point: Point,
+    simulate: impl FnOnce() -> SimResult<T>,
+) -> SimResult<T> {
     match current() {
-        Some(cache) => {
-            let key = (machine_fingerprint(machine), transfer, words);
-            cache.get_or_insert(key, simulate)
-        }
+        Some(cache) => cache
+            .get_or_insert((machine_fingerprint(machine), point), || {
+                simulate().map(T::into_value)
+            })
+            .map(T::from_value),
         None => simulate(),
     }
 }
@@ -428,6 +595,29 @@ pub fn cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn basic(transfer: &str, words: u64) -> Point {
+        Point::Basic {
+            transfer: BasicTransfer::parse(transfer).unwrap(),
+            words,
+        }
+    }
+
+    #[test]
+    fn fingerprint_is_fnv1a_of_the_debug_rendering() {
+        let reference = |m: &Machine| {
+            format!("{m:?}")
+                .bytes()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
+                })
+        };
+        let mut ablated = Machine::t3d();
+        ablated.node.path.readahead.enabled = false;
+        for m in [Machine::t3d(), Machine::paragon(), ablated] {
+            assert_eq!(machine_fingerprint(&m), reference(&m), "{}", m.name);
+        }
+    }
 
     #[test]
     fn second_lookup_hits() {
@@ -498,12 +688,11 @@ mod tests {
     fn without_a_handle_every_call_simulates() {
         assert!(current().is_none(), "test threads start with no handle");
         let m = Machine::t3d();
-        let t = BasicTransfer::parse("1C1").unwrap();
         let mut runs = 0;
         for _ in 0..3 {
-            let _ = cached(&m, t, 64, || {
+            let _ = cached(&m, basic("1C1", 64), || {
                 runs += 1;
-                Ok(None)
+                Ok(None::<Measurement>)
             });
         }
         assert_eq!(runs, 3, "no handle means no caching");
@@ -517,9 +706,8 @@ mod tests {
             capacity: 4,
             admit_min_words: 0,
         });
-        let t = BasicTransfer::parse("1C1").unwrap();
         for i in 0..32u64 {
-            let _ = cache.get_or_insert((i, t, 1), || Ok(None));
+            let _ = cache.get_or_insert((i, basic("1C1", 1)), || Ok(Value::Basic(None)));
             assert!(cache.stats().entries <= 4, "bound violated at {i}");
         }
         let s = cache.stats();
@@ -535,20 +723,19 @@ mod tests {
             capacity: 0,
             admit_min_words: 1024,
         });
-        let t = BasicTransfer::parse("1C1").unwrap();
         let mut runs = 0;
         for _ in 0..2 {
-            let _ = cache.get_or_insert((1, t, 512), || {
+            let _ = cache.get_or_insert((1, basic("1C1", 512)), || {
                 runs += 1;
-                Ok(None)
+                Ok(Value::Basic(None))
             });
         }
         assert_eq!(runs, 2, "512-word point must bypass admission");
         assert_eq!(cache.stats().entries, 0);
         for _ in 0..2 {
-            let _ = cache.get_or_insert((1, t, 2048), || {
+            let _ = cache.get_or_insert((1, basic("1C1", 2048)), || {
                 runs += 1;
-                Ok(None)
+                Ok(Value::Basic(None))
             });
         }
         assert_eq!(runs, 3, "2048-word point is admitted and then hits");
@@ -563,9 +750,8 @@ mod tests {
             admit_min_words: 0,
         });
         assert_eq!(cache.shard_count(), 3);
-        let t = BasicTransfer::parse("1C1").unwrap();
         for i in 0..64u64 {
-            let _ = cache.get_or_insert((i, t, 1), || Ok(None));
+            let _ = cache.get_or_insert((i, basic("1C1", 1)), || Ok(Value::Basic(None)));
         }
         assert!(cache.stats().entries <= 3);
     }

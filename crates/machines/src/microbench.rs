@@ -90,9 +90,11 @@ pub fn measure_basic(
     transfer: BasicTransfer,
     words: u64,
 ) -> SimResult<Option<Measurement>> {
-    crate::memo::cached(machine, transfer, words, || {
-        simulate_basic(machine, transfer, words)
-    })
+    crate::memo::cached(
+        machine,
+        crate::memo::Point::Basic { transfer, words },
+        || simulate_basic(machine, transfer, words),
+    )
 }
 
 /// Runs one basic-transfer simulation unconditionally, bypassing the memo

@@ -10,9 +10,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use memcomm_machines::memo::{self, CacheStats, MemoCache, MemoConfig};
+use memcomm_machines::memo::{self, CacheStats, MemoCache, MemoConfig, MemoKey, Point, Value};
 use memcomm_machines::{microbench, Machine};
-use memcomm_memsim::Measurement;
+use memcomm_memsim::{Measurement, SimResult};
 use memcomm_model::BasicTransfer;
 use memcomm_util::rng::Rng;
 
@@ -20,13 +20,22 @@ fn transfer() -> BasicTransfer {
     BasicTransfer::parse("1C1").expect("static transfer parses")
 }
 
-/// A synthetic cache value that is a pure function of its key, mirroring
+fn basic(transfer: BasicTransfer, words: u64) -> Point {
+    Point::Basic { transfer, words }
+}
+
+/// A synthetic measurement that is a pure function of its key, mirroring
 /// the simulator's determinism without its cost.
-fn synth(key: u64) -> memcomm_machines::memo::Cached {
+fn synth(key: u64) -> SimResult<Option<Measurement>> {
     Ok(Some(Measurement {
         words: key,
         cycles: key.wrapping_mul(3) + 7,
     }))
+}
+
+/// A basic-transfer key under a synthetic machine fingerprint.
+fn key(fingerprint: u64, transfer: BasicTransfer, words: u64) -> MemoKey {
+    (fingerprint, Point::Basic { transfer, words })
 }
 
 #[test]
@@ -50,12 +59,14 @@ fn hammered_accounting_is_exact_and_capacity_holds() {
                 for _ in 0..OPS {
                     let key = rng.range_u64(0, KEYS);
                     let got = cache
-                        .get_or_insert((key, t, key), || {
+                        .get_or_insert(self::key(key, t, key), || {
                             simulations.fetch_add(1, Ordering::Relaxed);
-                            synth(key)
+                            synth(key).map(Value::Basic)
                         })
-                        .expect("synthetic values never fail")
-                        .expect("synthetic values are Some");
+                        .expect("synthetic values never fail");
+                    let Value::Basic(Some(got)) = got else {
+                        panic!("synthetic values are basic and Some: {got:?}");
+                    };
                     assert_eq!(got.words, key, "a lookup must return its key's value");
                     assert_eq!(got.cycles, key.wrapping_mul(3) + 7);
                     // The capacity bound must hold at every instant, not
@@ -158,11 +169,11 @@ fn handles_do_not_bleed_between_runs() {
     let b = MemoCache::unbounded();
     {
         let _ga = memo::install(&a);
-        let _ = memo::cached(&Machine::t3d(), t, 64, || synth(64));
+        let _ = memo::cached(&Machine::t3d(), basic(t, 64), || synth(64));
         {
             let _gb = memo::install(&b);
             // Inner run: its lookups land in b, not a.
-            let _ = memo::cached(&Machine::t3d(), t, 96, || synth(96));
+            let _ = memo::cached(&Machine::t3d(), basic(t, 96), || synth(96));
             assert_eq!(memo::stats(), b.stats(), "inner run sees b");
         }
         assert_eq!(memo::stats(), a.stats(), "guard drop restores a");
@@ -184,7 +195,7 @@ fn par_map_workers_inherit_the_installed_handle() {
     let machine = Machine::t3d();
     let keys: Vec<u64> = (0..64).map(|i| 64 + i).collect();
     let results = memcomm_util::par::par_map(8, &keys, |&k| {
-        memo::cached(&machine, t, k, || synth(k))
+        memo::cached(&machine, basic(t, k), || synth(k))
             .expect("synthetic values never fail")
             .expect("synthetic values are Some")
     });
@@ -196,7 +207,11 @@ fn par_map_workers_inherit_the_installed_handle() {
     );
     // Re-running serially must hit every key.
     for &k in &keys {
-        let _ = memo::cached(&machine, t, k, || panic!("must hit, not simulate"));
+        let _ = memo::cached(
+            &machine,
+            basic(t, k),
+            || -> SimResult<Option<Measurement>> { panic!("must hit, not simulate") },
+        );
     }
     assert_eq!(cache.stats().hits, 64, "{:?}", cache.stats());
 }
@@ -212,11 +227,11 @@ fn admission_and_clamping_hold_under_load() {
     });
     let t = transfer();
     for i in 0..100u64 {
-        let _ = strict.get_or_insert((i, t, i % 512), || synth(i));
+        let _ = strict.get_or_insert(key(i, t, i % 512), || synth(i).map(Value::Basic));
     }
     assert_eq!(strict.stats().entries, 0, "sub-threshold points stay out");
     for i in 0..100u64 {
-        let _ = strict.get_or_insert((i, t, 2048), || synth(i));
+        let _ = strict.get_or_insert(key(i, t, 2048), || synth(i).map(Value::Basic));
     }
     let stats = strict.stats();
     assert!(stats.entries > 0 && stats.entries <= 16, "{stats:?}");
@@ -229,7 +244,7 @@ fn admission_and_clamping_hold_under_load() {
     });
     assert_eq!(tiny.shard_count(), 2);
     for i in 0..50u64 {
-        let _ = tiny.get_or_insert((i, t, i), || synth(i));
+        let _ = tiny.get_or_insert(key(i, t, i), || synth(i).map(Value::Basic));
         assert!(tiny.stats().entries <= 2);
     }
 }

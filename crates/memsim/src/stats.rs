@@ -154,6 +154,75 @@ impl Measurement {
     }
 }
 
+/// Per-stage completion cycles of one two-node exchange, in pipeline order.
+/// This is pure simulation data (deterministic, independent of
+/// observability), so it may enter byte-deterministic reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PhaseTimeline {
+    /// Cycle each stage *finished*, indexed by [`PhaseTimeline::STAGES`].
+    /// `0` means the stage did not occur in this configuration (e.g. no
+    /// pack stage in a chained transfer).
+    pub completion: [Cycle; 5],
+}
+
+impl PhaseTimeline {
+    /// Stage names, in pipeline order: pack the send buffer, feed the NIC,
+    /// cross the wire, deposit into the receive side, unpack into place.
+    pub const STAGES: [&'static str; 5] = ["pack", "send", "wire", "deposit", "unpack"];
+
+    /// Telescoped per-stage marginal cycles: each present stage is charged
+    /// the cycles between the previous present stage's completion and its
+    /// own (clamped monotone), and the last present stage absorbs any tail
+    /// up to `end_cycle` — so the marginals always sum to exactly
+    /// `end_cycle`. Absent stages get zero.
+    pub fn marginals(&self, end_cycle: Cycle) -> [Cycle; 5] {
+        let mut out = [0; 5];
+        let mut running = 0;
+        let mut last_present = None;
+        for (i, &completion) in self.completion.iter().enumerate() {
+            if completion == 0 {
+                continue;
+            }
+            let c = completion.clamp(running, end_cycle);
+            out[i] = c - running;
+            running = c;
+            last_present = Some(i);
+        }
+        // Attribute the tail (agents idling out the clock, or an exchange
+        // with no stage markers at all) to the last stage that ran — or to
+        // the wire, which every exchange crosses.
+        out[last_present.unwrap_or(2)] += end_cycle - running;
+        out
+    }
+}
+
+/// Result of a symmetric two-node exchange (put- or get-based), as the
+/// communication layer's co-simulation measures it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExchangeResult {
+    /// Payload words each node moved in each direction.
+    pub words: u64,
+    /// Cycle at which the last agent finished.
+    pub end_cycle: Cycle,
+    /// Whether both destinations hold exactly the peer's data.
+    pub verified: bool,
+    /// Per-stage completion cycles in the A→B direction.
+    pub phases: PhaseTimeline,
+}
+
+impl ExchangeResult {
+    /// Per-node throughput: one direction's payload over the total time —
+    /// the paper's "MB/s per node" metric.
+    pub fn per_node(&self, clock: Clock) -> Throughput {
+        self.measurement().throughput(clock)
+    }
+
+    /// The raw measurement (words, cycles).
+    pub fn measurement(&self) -> Measurement {
+        Measurement::new(self.words, self.end_cycle)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -152,11 +152,10 @@ impl Json {
     ///
     /// Returns a human-readable description of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(value)
@@ -225,7 +224,8 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
@@ -239,7 +239,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
+                let key = match parse_value(text, pos)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -248,7 +248,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -270,7 +270,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -321,12 +321,15 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar.
-                        let rest =
-                            std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                        let c = rest.chars().next().expect("non-empty");
-                        s.push(c);
-                        *pos += c.len_utf8();
+                        // Copy the run up to the next quote or escape in one
+                        // step. Both are ASCII, which never occurs inside a
+                        // multi-byte UTF-8 sequence, so the run ends on a
+                        // character boundary.
+                        let start = *pos;
+                        while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                            *pos += 1;
+                        }
+                        s.push_str(&text[start..*pos]);
                     }
                 }
             }
@@ -406,6 +409,44 @@ mod tests {
         let arr = v.get("a").and_then(Json::as_arr).expect("array");
         assert_eq!(arr[0].as_f64(), Some(1.0));
         assert_eq!(arr[1].as_f64(), Some(2.5));
+    }
+
+    #[test]
+    fn round_trips_escapes_unicode_and_multibyte_text() {
+        let text = "quote \" backslash \\ slash / nl \n cr \r tab \t \
+                    bell \u{7} nul \u{0} unit-sep \u{1f} del \u{7f} \
+                    é ß 漢字 🦀 \u{10ffff}";
+        let v = Json::obj([
+            (text, Json::str(text)),
+            ("k", Json::Arr(vec![Json::str("")])),
+        ]);
+        let rendered = v.render();
+        assert!(rendered.contains("\\u0007") && rendered.contains("\\u0000"));
+        assert_eq!(Json::parse(&rendered).expect("parses"), v);
+        // `\u` escapes the renderer never writes decode as well.
+        assert_eq!(
+            Json::parse(r#""\u00e9\u6f22\/\b\f""#).expect("parses"),
+            Json::str("é漢/\u{8}\u{c}")
+        );
+        assert!(Json::parse(r#""\ud800""#).is_err(), "lone surrogate");
+        assert!(Json::parse(r#""\u12""#).is_err(), "truncated escape");
+        assert!(Json::parse("\"open").is_err(), "unterminated string");
+    }
+
+    #[test]
+    fn parses_a_one_mebibyte_string_in_one_pass() {
+        let big = "é0123456789abcdef".repeat(1 << 16);
+        assert!(big.len() >= 1 << 20);
+        let doc = Json::Arr(vec![Json::str(&big), Json::Int(1)]).render();
+        let parsed = Json::parse(&doc).expect("parses");
+        assert_eq!(parsed.as_arr().expect("array")[0].as_str(), Some(&*big));
+    }
+
+    #[test]
+    fn parses_a_hundred_thousand_short_strings() {
+        let items: Vec<Json> = (0..100_000).map(|i| Json::str(&format!("s{i}"))).collect();
+        let doc = Json::Arr(items.clone()).render();
+        assert_eq!(Json::parse(&doc).expect("parses"), Json::Arr(items));
     }
 
     #[test]
