@@ -11,7 +11,6 @@
 //!       [--engine-transpose-n N] [--engine-sor-n N]
 //!       [--collectives] [--collective KIND] [--collective-words N]
 //!       [--trace-out PATH] [--profile PATH]
-//!       [--bench-out PATH] [--bench-n N] [--bench-nodes N] [--bench-smoke]
 //!       [--adversary KIND] [--adversary-bytes N] [--flow-latency]
 //!       [--sample-every N] [--heatmap] [--metrics-out PATH]
 //! ```
@@ -53,18 +52,6 @@
 //! scale and shard it like `--engine event`. The rows appear in the text
 //! output and in `--json` under `collectives`; default reports keep their
 //! exact pre-collectives bytes.
-//!
-//! `--bench-out PATH` runs the deterministic perf-regression suite instead
-//! of a sweep and writes its canonical JSON report (validate it with the
-//! `benchcheck` binary). The suite times the hot paths — the full `--all`
-//! sweep memo-cold and memo-warm at 1 and 4 workers, the six Table 6
-//! kernel × machine engine runs plus the retired heap-scheduler baseline
-//! on the saturated transpose, and a protocol retry storm under a seeded
-//! fault plan — reporting median-of-N wall times, simulated cycles per
-//! second, and peak event-queue depths. `--bench-n N` overrides the
-//! repetition count, `--bench-nodes N` the simulated node count, and
-//! `--bench-smoke` selects the small CI preset (1 rep, 4 nodes, shrunken
-//! payloads).
 //!
 //! `--adversary KIND` runs an adversarial-resilience scenario instead of a
 //! sweep: a seeded traffic generator (`heavy-tail`, `incast`, `hotspot`,
@@ -109,7 +96,6 @@
 
 use memcomm_bench::collectives::CollectiveSettings;
 use memcomm_bench::experiments::EngineSettings;
-use memcomm_bench::perfsuite;
 use memcomm_bench::report::TextTable;
 use memcomm_bench::runner::{self, SweepOptions};
 use memcomm_obs::Obs;
@@ -317,10 +303,6 @@ fn main() {
     let mut engine_sor_n: Option<u64> = None;
     let mut collective_kinds: Vec<memcomm_commops::Collective> = Vec::new();
     let mut collective_words: Option<u64> = None;
-    let mut bench_out: Option<String> = None;
-    let mut bench_n: Option<usize> = None;
-    let mut bench_nodes: Option<usize> = None;
-    let mut bench_smoke = false;
     let mut adversary: Option<memcomm_netsim::AdversaryKind> = None;
     let mut adversary_bytes: Option<u64> = None;
     let mut flow_latency = false;
@@ -402,13 +384,6 @@ fn main() {
             "--collective-words" => {
                 collective_words = Some(number(&mut it, "--collective-words"));
             }
-            "--bench-out" => match it.next() {
-                Some(path) => bench_out = Some(path.clone()),
-                None => usage_error("--bench-out takes a path"),
-            },
-            "--bench-n" => bench_n = Some(number(&mut it, "--bench-n") as usize),
-            "--bench-nodes" => bench_nodes = Some(number(&mut it, "--bench-nodes") as usize),
-            "--bench-smoke" => bench_smoke = true,
             "--adversary" => match it
                 .next()
                 .and_then(|v| memcomm_netsim::AdversaryKind::parse(v))
@@ -513,45 +488,6 @@ fn main() {
     if all {
         // --all wins over individual selections: run every section.
         opts.sections.clear();
-    }
-
-    // --bench-out selects the perf-regression suite instead of a sweep.
-    if let Some(path) = bench_out {
-        let mut popts = if bench_smoke {
-            perfsuite::PerfOptions::smoke()
-        } else {
-            perfsuite::PerfOptions::default()
-        };
-        if let Some(n) = bench_n {
-            popts.reps = n;
-        }
-        if let Some(n) = bench_nodes {
-            popts.nodes = n;
-        }
-        eprintln!(
-            "perfsuite: {} rep(s), {} nodes, micro {} / exchange {} words",
-            popts.reps.max(1),
-            popts.nodes,
-            popts.micro_words,
-            popts.exchange_words
-        );
-        match perfsuite::run(&popts) {
-            Ok(doc) => {
-                perfsuite::validate(&doc).expect("perfsuite output conforms to its own schema");
-                if let Err(e) = std::fs::write(&path, doc.render()) {
-                    eprintln!("cannot write bench report to {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!("wrote bench report to {path}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("perfsuite failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else if bench_n.is_some() || bench_nodes.is_some() || bench_smoke {
-        usage_error("--bench-n/--bench-nodes/--bench-smoke require --bench-out PATH");
     }
 
     println!("memcomm reproduction of Stricker & Gross, ISCA 1995");

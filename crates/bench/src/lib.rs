@@ -26,7 +26,6 @@
 pub mod adversary;
 pub mod collectives;
 pub mod experiments;
-pub mod perfsuite;
 pub mod phases;
 pub mod report;
 pub mod runner;

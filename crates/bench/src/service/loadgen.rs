@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use memcomm_machines::memo::MemoConfig;
-use memcomm_memsim::{Measurement, SimResult};
+use memcomm_memsim::SimResult;
 use memcomm_model::BasicTransfer;
 use memcomm_obs::{HistogramSummary, Obs};
 use memcomm_util::json::Json;
@@ -345,16 +345,6 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> SimResult<LoadgenReport> {
         throughput_rps: total as f64 / (wall_ms / 1e3).max(1e-9),
         latency,
         server_stats,
-    })
-}
-
-/// One measurement convenience the perfsuite uses: how a served query
-/// responds, parsed back into a [`Measurement`]-shaped pair.
-pub fn parse_query_result(doc: &Json) -> Option<Measurement> {
-    let r = doc.get("result")?;
-    Some(Measurement {
-        words: r.get("words")?.as_f64()? as u64,
-        cycles: r.get("cycles")?.as_f64()? as u64,
     })
 }
 

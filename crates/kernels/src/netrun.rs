@@ -45,7 +45,7 @@ pub struct EngineOptions {
     /// depend on this — sampling only adds outputs.
     pub sample_every: Cycle,
     /// Run on the engine's retired heap scheduler instead of the timing
-    /// wheel (results are byte-identical; the perf harness times both).
+    /// wheel (results are byte-identical; the differential tests run both).
     pub reference_scheduler: bool,
 }
 

@@ -27,7 +27,7 @@
 //!
 //! There is deliberately **no process-wide cache**: earlier versions kept
 //! one behind `static` storage, which meant two concurrent runs (the
-//! simulation server, a test harness, a perf suite) bled entries and
+//! simulation server, a test harness, a benchmark) bled entries and
 //! counters into each other. Instead, whoever owns a run builds a
 //! [`MemoHandle`] and [`install`]s it on the current thread; everything
 //! downstream picks it up via [`current`], and a
@@ -38,7 +38,7 @@
 //! it also emits no trace process: a trace shows exactly the simulations
 //! that actually ran.
 //!
-//! ## Sharding, eviction, admission
+//! ## Sharding and eviction
 //!
 //! The cache is split into shards, each an independently locked map, so
 //! concurrent server workers rarely contend on one mutex. A bounded cache
@@ -46,9 +46,7 @@
 //! approximation) policy per shard: every hit sets a referenced bit, the
 //! clock hand sweeps bits clear and evicts the first unreferenced entry.
 //! Per-shard capacities sum exactly to the configured capacity, so the
-//! bound is never exceeded, not even transiently. An admission threshold
-//! ([`MemoConfig::admit_min_words`]) can keep cheap-to-recompute small
-//! points ([`Point::words`]) out of a bounded cache entirely.
+//! bound is never exceeded, not even transiently.
 //!
 //! Keys include a fingerprint of the *entire* machine configuration (hashed
 //! from its `Debug` rendering), so mutated machines — the ablation studies
@@ -137,17 +135,6 @@ pub struct ExchangeKey {
     pub seed: u64,
     /// Simulated-cycle budget.
     pub max_cycles: Option<Cycle>,
-}
-
-impl Point {
-    /// The payload words the point moves — what the admission threshold
-    /// ([`MemoConfig::admit_min_words`]) compares against.
-    pub fn words(&self) -> u64 {
-        match *self {
-            Point::Basic { words, .. } | Point::Message { words, .. } => words,
-            Point::Exchange { cfg, .. } | Point::Get { cfg, .. } => cfg.words,
-        }
-    }
 }
 
 /// A point's result, one variant per result type of the [`Point`] kinds.
@@ -241,7 +228,7 @@ impl fmt::Write for Fnv1a {
     }
 }
 
-/// Sizing and admission knobs of a [`MemoCache`].
+/// Sizing knobs of a [`MemoCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoConfig {
     /// Lock shards (clamped to at least 1; bounded caches also clamp to at
@@ -249,18 +236,14 @@ pub struct MemoConfig {
     pub shards: usize,
     /// Total entry budget across all shards; `0` = unbounded.
     pub capacity: usize,
-    /// Admission threshold: points with fewer payload words than this are
-    /// never stored (they are cheap to re-simulate); `0` admits everything.
-    pub admit_min_words: u64,
 }
 
 impl Default for MemoConfig {
-    /// 16 shards, unbounded, admit everything.
+    /// 16 shards, unbounded.
     fn default() -> Self {
         MemoConfig {
             shards: 16,
             capacity: 0,
-            admit_min_words: 0,
         }
     }
 }
@@ -379,10 +362,9 @@ impl Shard {
 #[derive(Debug)]
 pub struct MemoCache {
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard entry budgets (0 = unbounded); they sum to
-    /// `config.capacity` exactly, so the total bound is strict.
+    /// Per-shard entry budgets (0 = unbounded); they sum to the
+    /// configured capacity exactly, so the total bound is strict.
     caps: Vec<usize>,
-    config: MemoConfig,
 }
 
 /// A shared reference to a [`MemoCache`] — what gets installed, captured
@@ -408,7 +390,6 @@ impl MemoCache {
         MemoCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             caps,
-            config,
         }
     }
 
@@ -420,11 +401,6 @@ impl MemoCache {
     /// Builds a cache behind a handle.
     pub fn handle(config: MemoConfig) -> MemoHandle {
         Arc::new(MemoCache::new(config))
-    }
-
-    /// The configuration this cache was built from.
-    pub fn config(&self) -> MemoConfig {
-        self.config
     }
 
     /// The number of shards actually in use (after clamping).
@@ -444,8 +420,7 @@ impl MemoCache {
 
     /// Looks a key up, simulating with `simulate` on a miss. The shard
     /// lock is held only for the lookup and (re-)insertion, never across
-    /// the simulation. Below the admission threshold the value is computed
-    /// but never stored.
+    /// the simulation.
     pub fn get_or_insert(&self, key: MemoKey, simulate: impl FnOnce() -> Cached) -> Cached {
         let si = self.shard_of(&key);
         {
@@ -458,12 +433,10 @@ impl MemoCache {
             shard.misses += 1;
         }
         let value = simulate();
-        if key.1.words() >= self.config.admit_min_words {
-            let mut shard = self.lock(si);
-            if !shard.map.contains_key(&key) {
-                let cap = self.caps[si];
-                shard.insert(key, value.clone(), cap);
-            }
+        let mut shard = self.lock(si);
+        if !shard.map.contains_key(&key) {
+            let cap = self.caps[si];
+            shard.insert(key, value.clone(), cap);
         }
         value
     }
@@ -564,7 +537,7 @@ pub fn stats() -> CacheStats {
 }
 
 /// Clears the current thread's cache — entries and counters — if one is
-/// installed (used by perf harnesses to force cold runs).
+/// installed, so the next lookups run cold.
 pub fn reset() {
     if let Some(cache) = current() {
         cache.clear();
@@ -704,7 +677,6 @@ mod tests {
         let cache = MemoCache::new(MemoConfig {
             shards: 1,
             capacity: 4,
-            admit_min_words: 0,
         });
         for i in 0..32u64 {
             let _ = cache.get_or_insert((i, basic("1C1", 1)), || Ok(Value::Basic(None)));
@@ -717,37 +689,10 @@ mod tests {
     }
 
     #[test]
-    fn admission_threshold_keeps_small_points_out() {
-        let cache = MemoCache::new(MemoConfig {
-            shards: 2,
-            capacity: 0,
-            admit_min_words: 1024,
-        });
-        let mut runs = 0;
-        for _ in 0..2 {
-            let _ = cache.get_or_insert((1, basic("1C1", 512)), || {
-                runs += 1;
-                Ok(Value::Basic(None))
-            });
-        }
-        assert_eq!(runs, 2, "512-word point must bypass admission");
-        assert_eq!(cache.stats().entries, 0);
-        for _ in 0..2 {
-            let _ = cache.get_or_insert((1, basic("1C1", 2048)), || {
-                runs += 1;
-                Ok(Value::Basic(None))
-            });
-        }
-        assert_eq!(runs, 3, "2048-word point is admitted and then hits");
-        assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
     fn capacity_smaller_than_shards_clamps_shards() {
         let cache = MemoCache::new(MemoConfig {
             shards: 16,
             capacity: 3,
-            admit_min_words: 0,
         });
         assert_eq!(cache.shard_count(), 3);
         for i in 0..64u64 {

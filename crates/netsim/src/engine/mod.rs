@@ -286,8 +286,8 @@ pub struct EngineConfig {
     pub record_events: bool,
     /// Run on the retired `BinaryHeap` scheduler instead of the timing
     /// wheel + lane arena. Results are byte-identical either way; this
-    /// knob exists so the differential tier and the perf harness can put
-    /// the two substrates side by side.
+    /// knob exists so the differential tier can put the two substrates
+    /// side by side.
     #[doc(hidden)]
     pub reference_scheduler: bool,
 }
