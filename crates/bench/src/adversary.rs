@@ -121,9 +121,8 @@ pub fn run_scenario(opts: &ScenarioOptions) -> SimResult<Scenario> {
         nodes: opts.nodes,
         jobs: opts.jobs,
         shards: opts.shards,
-        record_events: false,
         sample_every: opts.sample_every,
-        reference_scheduler: false,
+        ..EngineOptions::default()
     };
     let topo = netrun::engine_topology(&machine, opts.nodes)?;
     let nodes = topo.len();

@@ -157,6 +157,12 @@ fn adversary_scenario(
         }
     };
     let out = &scenario.run.outcome;
+    // `out.words` counts every word offered to the network; the degraded
+    // accounting names the ones that never arrived.
+    let missing: u64 = out
+        .degraded
+        .as_ref()
+        .map_or(0, |d| d.missing_flows.iter().map(|&(_, w)| w).sum());
 
     println!(
         "Adversarial resilience — {} traffic on the Cray T3D at {} nodes",
@@ -175,7 +181,8 @@ fn adversary_scenario(
     let mut t = TextTable::new("Resilience ledger", &["metric", "value"]);
     for (metric, value) in [
         ("flows", scenario.run.flows.to_string()),
-        ("words delivered", out.words.to_string()),
+        ("words offered", out.words.to_string()),
+        ("words delivered", (out.words - missing).to_string()),
         ("cycles", out.cycles.to_string()),
         ("flit hops", out.flit_hops.to_string()),
         ("dropped", out.dropped.to_string()),
@@ -190,7 +197,6 @@ fn adversary_scenario(
     match &out.degraded {
         None => println!("completed cleanly: every word delivered\n"),
         Some(d) => {
-            let missing: u64 = d.missing_flows.iter().map(|&(_, w)| w).sum();
             println!(
                 "degraded: {} words missing across {} flow(s); last progress at cycle {}; {} link(s) saw outages\n",
                 missing,

@@ -74,8 +74,7 @@ pub struct CollectiveRow {
     pub lower_bound_words: u64,
     /// volume / lower-bound ratio (≥ 1 by construction; asserted).
     pub volume_ratio: f64,
-    /// Engine event-stream digest (identical at any jobs × shards ×
-    /// scheduler substrate).
+    /// Engine event-stream digest (identical at any jobs × shards).
     pub digest: String,
 }
 

@@ -789,9 +789,7 @@ pub fn engine_table6(settings: &EngineSettings) -> SimResult<Vec<EngineRow>> {
                 nodes: Some(settings.nodes),
                 jobs: settings.jobs,
                 shards: settings.shards,
-                record_events: false,
-                sample_every: 0,
-                reference_scheduler: false,
+                ..EngineOptions::default()
             };
             let run = netrun::run_rounds(&machine, &topo, &rounds, &opts)?;
             let engine_m = kernel.measure_at(&machine, CommMethod::Chained, p, run.factor)?;

@@ -18,7 +18,7 @@ use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::fault::FaultPlan;
 use memcomm_memsim::nic::NetWord;
-use memcomm_memsim::SimResult;
+use memcomm_memsim::{SimError, SimResult};
 use memcomm_netsim::adversary::{self, AdversaryConfig};
 use memcomm_netsim::engine::{self, EngineConfig};
 use memcomm_netsim::topology::Topology;
@@ -44,8 +44,11 @@ pub struct EngineOptions {
     /// Telemetry sampling interval in cycles (0 = off). Results never
     /// depend on this — sampling only adds outputs.
     pub sample_every: Cycle,
-    /// Run on the engine's retired heap scheduler instead of the timing
-    /// wheel (results are byte-identical; the differential tests run both).
+    /// Retired: the engine has one scheduler. This field remains only
+    /// because the `perfbench` package names it in a struct literal;
+    /// `true` is refused with [`SimError::Protocol`] rather than silently
+    /// running the one scheduler there is. Write new literals with
+    /// `..EngineOptions::default()`.
     pub reference_scheduler: bool,
 }
 
@@ -66,6 +69,24 @@ pub fn engine_config(machine: &Machine) -> EngineConfig {
     let mut cfg = EngineConfig::new(machine.link(1.0), machine.node);
     cfg.nodes_per_port = machine.nodes_per_port;
     cfg
+}
+
+/// [`engine_config`] with the run knobs of `opts` applied.
+fn configured(machine: &Machine, opts: &EngineOptions) -> SimResult<EngineConfig> {
+    if opts.reference_scheduler {
+        return Err(SimError::Protocol {
+            detail: "the engine's reference scheduler is retired; \
+                     EngineOptions::reference_scheduler must be false"
+                .into(),
+            at: 0,
+        });
+    }
+    let mut cfg = engine_config(machine);
+    cfg.jobs = opts.jobs;
+    cfg.shards = opts.shards;
+    cfg.record_events = opts.record_events;
+    cfg.sample_every = opts.sample_every;
+    Ok(cfg)
 }
 
 /// The topology an engine run simulates: the machine's own, or a scaled
@@ -95,7 +116,8 @@ pub struct EngineRun {
     pub flit_hops: u64,
     /// Total conservative windows executed.
     pub windows: u64,
-    /// Words delivered.
+    /// Words delivered: these runs arm no faults, so every offered word
+    /// ([`engine::EngineOutcome::words`]) arrives.
     pub words: u64,
     /// Event-stream digest (identical at any worker count).
     pub digest: u64,
@@ -117,19 +139,16 @@ pub struct EngineRun {
 ///
 /// # Errors
 ///
-/// Propagates engine failures (deadlock, watchdog, invalid flows).
+/// Propagates engine failures (deadlock, watchdog, invalid flows), and
+/// [`SimError::Protocol`] when `opts` asks for the retired reference
+/// scheduler.
 pub fn run_rounds(
     machine: &Machine,
     topo: &Topology,
     rounds: &[Vec<Flow>],
     opts: &EngineOptions,
 ) -> SimResult<EngineRun> {
-    let mut cfg = engine_config(machine);
-    cfg.jobs = opts.jobs;
-    cfg.shards = opts.shards;
-    cfg.record_events = opts.record_events;
-    cfg.sample_every = opts.sample_every;
-    cfg.reference_scheduler = opts.reference_scheduler;
+    let cfg = configured(machine, opts)?;
     let out = engine::run_schedule(topo, rounds, &cfg)?;
 
     let wt = cfg.link.word_cycles(&NetWord::data(0));
@@ -346,9 +365,10 @@ pub struct AdversaryRun {
 ///
 /// # Errors
 ///
-/// Propagates topology-scaling and engine failures. A run the fault plan
-/// wedges is *not* an error: it returns `Ok` with
-/// [`engine::Degraded`] accounting in the outcome.
+/// Propagates topology-scaling and engine failures, and
+/// [`SimError::Protocol`] when `opts` asks for the retired reference
+/// scheduler. A run the fault plan wedges is *not* an error: it returns
+/// `Ok` with [`engine::Degraded`] accounting in the outcome.
 pub fn run_adversary(
     machine: &Machine,
     adv: &AdversaryConfig,
@@ -356,14 +376,9 @@ pub fn run_adversary(
     retry: engine::RetryPolicy,
     opts: &EngineOptions,
 ) -> SimResult<AdversaryRun> {
+    let mut cfg = configured(machine, opts)?;
     let topo = engine_topology(machine, opts.nodes)?;
     let traffic = adversary::generate(&topo, adv);
-    let mut cfg = engine_config(machine);
-    cfg.jobs = opts.jobs;
-    cfg.shards = opts.shards;
-    cfg.record_events = opts.record_events;
-    cfg.sample_every = opts.sample_every;
-    cfg.reference_scheduler = opts.reference_scheduler;
     cfg.fault = fault;
     cfg.retry = retry;
     cfg.flow_classes = traffic.classes;
@@ -403,10 +418,7 @@ mod tests {
         let opts = EngineOptions {
             nodes: Some(16),
             jobs: 1,
-            shards: 0,
-            record_events: false,
-            sample_every: 0,
-            reference_scheduler: false,
+            ..EngineOptions::default()
         };
         let adv = AdversaryConfig {
             kind: AdversaryKind::RetryStorm,
@@ -463,15 +475,49 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_reference_scheduler_is_refused() {
+        let t3d = Machine::t3d();
+        let retired = EngineOptions {
+            nodes: Some(4),
+            jobs: 1,
+            reference_scheduler: true,
+            ..EngineOptions::default()
+        };
+        let topo = engine_topology(&t3d, retired.nodes).unwrap();
+        let rounds = memcomm_netsim::traffic::aapc_xor_schedule(topo.len(), 64);
+        assert!(matches!(
+            run_rounds(&t3d, &topo, &rounds, &retired),
+            Err(SimError::Protocol { .. })
+        ));
+        assert!(matches!(
+            run_collective(&t3d, Collective::Broadcast, 8, &retired),
+            Err(SimError::Protocol { .. })
+        ));
+        assert!(matches!(
+            run_adversary(
+                &t3d,
+                &AdversaryConfig::default(),
+                FaultPlan::disabled(),
+                engine::RetryPolicy::default(),
+                &retired,
+            ),
+            Err(SimError::Protocol { .. })
+        ));
+        // The same options with the field left false run normally.
+        let live = EngineOptions {
+            reference_scheduler: false,
+            ..retired
+        };
+        assert!(run_rounds(&t3d, &topo, &rounds, &live).is_ok());
+    }
+
+    #[test]
     fn event_model_runs_a_small_transpose() {
         let t3d = Machine::t3d();
         let opts = EngineOptions {
             nodes: Some(4),
             jobs: 1,
-            shards: 0,
-            record_events: false,
-            sample_every: 0,
-            reference_scheduler: false,
+            ..EngineOptions::default()
         };
         let k = Table6Kernel::Transpose(TransposeKernel {
             n: 64,

@@ -14,13 +14,13 @@ use crate::routing::{route, LinkId};
 use crate::topology::Topology;
 use crate::traffic::Flow;
 
-use super::sched::RouterQueue;
+use super::sched::LaneQueue;
 use super::shard::{LinkState, PortState, Shard, ShardTelemetry, WindowOut};
 use super::EngineConfig;
 
 /// One hop of a flow's route: global link index, the virtual channel the
 /// dateline rule assigns to it, and the flow's lane in that (link, VC)
-/// queue under the lane scheduler.
+/// queue.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Hop {
     pub link: u32,
@@ -269,7 +269,7 @@ pub(crate) fn build_sim<'a>(
 
     // Lane assignment: the flows crossing each (link, VC) queue — and the
     // flows terminating at each node — get consecutive lane indices in flow
-    // order. Only the lane scheduler reads these.
+    // order.
     let mut q_lanes: Vec<[u32; 2]> = vec![[0, 0]; links.len()];
     let mut ej_lanes: Vec<u32> = vec![0; n];
     for p in &mut paths {
@@ -308,7 +308,6 @@ pub(crate) fn build_sim<'a>(
 
     let total_words: u64 = paths.iter().map(|p| u64::from(p.words)).sum();
 
-    let reference = cfg.reference_scheduler;
     let mut shards: Vec<Shard> = (0..shard_count)
         .map(|_| Shard {
             node_lo: u32::MAX,
@@ -327,7 +326,6 @@ pub(crate) fn build_sim<'a>(
             inbox: Vec::new(),
             credit_inbox: Vec::new(),
             arena: Arena::new(),
-            lanes: !reference,
             drain_flow_ids: Vec::new(),
             drained_flows: Vec::new(),
             lat_hist: if cfg.record_latency {
@@ -390,9 +388,7 @@ pub(crate) fn build_sim<'a>(
         shard.feed_word.push(0);
         shard.src_free.push(0);
         shard.drain_free.push(0);
-        shard
-            .eject
-            .push(RouterQueue::new(reference, ej_lanes[node]));
+        shard.eject.push(LaneQueue::new(ej_lanes[node]));
     }
     let mut link_owner = Vec::with_capacity(links.len());
     for (gi, l) in links.iter().enumerate() {
@@ -401,8 +397,8 @@ pub(crate) fn build_sim<'a>(
         shards[s].links.push(LinkState {
             global: gi as u32,
             queues: [
-                RouterQueue::new(reference, q_lanes[gi][0]),
-                RouterQueue::new(reference, q_lanes[gi][1]),
+                LaneQueue::new(q_lanes[gi][0]),
+                LaneQueue::new(q_lanes[gi][1]),
             ],
             credits: [cfg.vc_slots, cfg.vc_slots],
             free: 0.0,

@@ -49,36 +49,31 @@
 //! drains into the bounded node `rx` FIFO, which the memory side empties
 //! unconditionally.
 //!
-//! # Schedulers
+//! # Scheduler
 //!
-//! Two interchangeable queue substrates drive the identical window logic:
+//! The coordinator's in-flight deliveries live in a cycle-bucketed
+//! [`TimingWheel`](memcomm_util::wheel::TimingWheel) (deliveries *are*
+//! time-keyed — the barrier releases everything below `t1`), and each
+//! router queue is a set of per-flow FIFO *lanes* carved from a shared
+//! freelist [`Arena`](memcomm_util::arena::Arena), with a small lazy heap
+//! over the lane heads. Router queues are *rank*-ordered, not time-ordered,
+//! so a cycle wheel cannot express them; lanes are the rank-domain
+//! analogue — a flow's words reach any given queue in ascending rank order,
+//! so each lane is pre-sorted and the queue minimum is always a lane head.
+//! Push is `O(1)`, pop is `O(log F)` in the handful of *flows* contending a
+//! queue rather than `O(log N)` in the hundreds of queued *words*.
 //!
-//! * the **production scheduler** (the default): the coordinator's
-//!   in-flight deliveries live in a cycle-bucketed
-//!   [`TimingWheel`](memcomm_util::wheel::TimingWheel) (deliveries *are*
-//!   time-keyed — the barrier releases everything below `t1`), and each
-//!   router queue is a set of per-flow FIFO *lanes* carved from a shared
-//!   freelist [`Arena`](memcomm_util::arena::Arena), with a small lazy heap
-//!   over the lane heads. Router queues are *rank*-ordered, not
-//!   time-ordered, so a cycle wheel cannot express them; lanes are the
-//!   rank-domain analogue — a flow's words reach any given queue in
-//!   ascending rank order, so each lane is pre-sorted and the queue minimum
-//!   is always a lane head. Push is `O(1)`, pop is `O(log F)` in the
-//!   handful of *flows* contending a queue rather than `O(log N)` in the
-//!   hundreds of queued *words*;
-//! * the **reference scheduler**: the retired `BinaryHeap` implementation,
-//!   kept selectable via [`EngineConfig::reference_scheduler`] so the
-//!   differential tier (`tests/wheel_vs_heap.rs`) can prove, case by case,
-//!   that the fast path is observably invisible — event streams, digests,
-//!   and counters match byte for byte.
+//! The differential reference for all of this is an independent,
+//! deliberately naive engine that lives only in the test tree
+//! (`tests/oracle`): one thread, one shard, plain vectors scanned for their
+//! minimum, and its own link enumeration, VC rule and digest fold. It
+//! shares no code with this module, so it can see window, shard and fold
+//! bugs that a second scheduler running the same window core could not.
 
 mod build;
 mod sched;
 mod shard;
 mod window;
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use memcomm_util::wheel::TimingWheel;
 
@@ -279,17 +274,11 @@ pub struct EngineConfig {
     /// [`EngineConfig::record_latency`] it also enables the critical-path
     /// attribution breakdown. Sampling never perturbs the simulation —
     /// events, digests, and cycle counts stay byte-identical with it on or
-    /// off, at any jobs × shards, under either scheduler.
+    /// off, at any jobs × shards.
     pub sample_every: Cycle,
     /// Keep the full event stream in the outcome (tests); the digest is
     /// always computed.
     pub record_events: bool,
-    /// Run on the retired `BinaryHeap` scheduler instead of the timing
-    /// wheel + lane arena. Results are byte-identical either way; this
-    /// knob exists so the differential tier can put the two substrates
-    /// side by side.
-    #[doc(hidden)]
-    pub reference_scheduler: bool,
 }
 
 impl EngineConfig {
@@ -319,7 +308,6 @@ impl EngineConfig {
             record_latency: false,
             sample_every: 0,
             record_events: false,
-            reference_scheduler: false,
         }
     }
 
@@ -342,7 +330,10 @@ impl EngineConfig {
 pub struct EngineOutcome {
     /// Completion cycle: when the last word left its destination `rx` FIFO.
     pub cycles: Cycle,
-    /// Words that traversed the network.
+    /// Words offered to the network: every word of every flow that enters
+    /// it, delivered or not. Words delivered = `words` − Σ
+    /// [`Degraded::missing_flows`] (just `words` when the run is not
+    /// degraded).
     pub words: u64,
     /// Total link traversals (the flit-hop count).
     pub flit_hops: u64,
@@ -362,8 +353,8 @@ pub struct EngineOutcome {
     pub digest: u64,
     /// Deepest the run's event backlog ever got: the barrier maximum of
     /// in-flight deliveries plus router-queued words, summed over shards.
-    /// Identical under both schedulers (and any worker or shard count) —
-    /// it is a property of the traffic, not of the queue substrate.
+    /// Identical at any worker or shard count — it is a property of the
+    /// traffic, not of the partition.
     pub peak_queue_depth: u64,
     /// Per-class inject→eject latency summaries (p50/p99/p999), indexed by
     /// flow class, when [`EngineConfig::record_latency`] is set.
@@ -419,7 +410,7 @@ impl ClassBreakdown {
 /// Deep engine telemetry, attached to the outcome when
 /// [`EngineConfig::sample_every`] is non-zero. Everything here is merged in
 /// canonical order from commutative per-shard state (integer sums only), so
-/// it is byte-identical at any jobs × shards and under either scheduler.
+/// it is byte-identical at any jobs × shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Telemetry {
     /// Sampling interval, in cycles.
@@ -474,8 +465,7 @@ impl Telemetry {
 
 /// Exact accounting of a degraded run — what a wedged network owes instead
 /// of a bare [`SimError::Deadlock`]. Built in canonical flow/link order, so
-/// it is byte-identical at any worker or shard count and under either
-/// scheduler substrate.
+/// it is byte-identical at any worker or shard count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degraded {
     /// `(flow index, undelivered words)` for every flow that came up short,
@@ -535,25 +525,6 @@ pub fn scaled_topology(base: &Topology, nodes: usize) -> SimResult<Topology> {
 pub fn run_flows(topo: &Topology, flows: &[Flow], cfg: &EngineConfig) -> SimResult<EngineOutcome> {
     let sim = build_sim(topo, flows, cfg)?;
     run_sim(sim)
-}
-
-/// The coordinator's in-flight delivery store under either scheduler.
-enum PendingQueue {
-    /// The retired global heap.
-    Heap(BinaryHeap<Reverse<Delivery>>),
-    /// The production cycle-bucketed wheel; deliveries are genuinely
-    /// time-keyed (the barrier releases everything below `t1`, tie-broken
-    /// by the unique `seq` inside [`Delivery`]'s derived order).
-    Wheel(TimingWheel<Delivery>),
-}
-
-impl PendingQueue {
-    fn len(&self) -> usize {
-        match self {
-            PendingQueue::Heap(h) => h.len(),
-            PendingQueue::Wheel(w) => w.len(),
-        }
-    }
 }
 
 /// Folds one window's outputs in canonical stage-major order: every
@@ -616,19 +587,17 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
     } else {
         0
     };
-    let mut pending = if cfg.reference_scheduler {
-        PendingQueue::Heap(BinaryHeap::new())
-    } else {
-        // A delivery lands at most wire + latency (+ fault jitter) cycles
-        // past the window that transmitted it; anything further (an
-        // oversized delay) takes the wheel's overflow path, so the horizon
-        // only sets the fast-path hit rate, never correctness.
-        let horizon =
-            window + (cfg.word_cycles().ceil() as Cycle) + cfg.link.latency_cycles + jitter + 4;
-        PendingQueue::Wheel(TimingWheel::new(horizon))
-    };
+    // A delivery lands at most wire + latency (+ fault jitter) cycles past
+    // the window that transmitted it; anything further (an oversized delay)
+    // takes the wheel's overflow path, so the horizon only sets the
+    // fast-path hit rate, never correctness. Deliveries are time-keyed, and
+    // the barrier releases everything below `t1`, tie-broken by the unique
+    // `seq` inside [`Delivery`]'s derived order.
+    let horizon =
+        window + (cfg.word_cycles().ceil() as Cycle) + cfg.link.latency_cycles + jitter + 4;
+    let mut pending: TimingWheel<Delivery> = TimingWheel::new(horizon);
     // Per-shard delivery/credit scratch, ping-ponged with the shard inboxes
-    // at each barrier on the production path (no steady-state allocation).
+    // at each barrier (no steady-state allocation).
     let mut scratch: Vec<Vec<Delivery>> = vec![Vec::new(); sim.shards.len()];
     let mut credit_scratch: Vec<Vec<(u32, u8)>> = vec![Vec::new(); sim.shards.len()];
     let mut credits_pending: Vec<(u32, u8)> = Vec::new();
@@ -671,125 +640,67 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
         let t1 = t0 + window;
 
         // Barrier: hand due deliveries (globally sorted by (arrive, seq))
-        // and freed credits to their owning shards.
-        match &mut pending {
-            PendingQueue::Heap(pending) => {
-                let mut per_shard: Vec<Vec<Delivery>> = vec![Vec::new(); sim.shards.len()];
-                while pending.peek().is_some_and(|Reverse(d)| d.arrive < t1) {
-                    let Reverse(d) = pending.pop().expect("peeked");
-                    per_shard[sim.shard_of_node[d.to_node as usize] as usize].push(d);
-                }
-                let mut credit_shard: Vec<Vec<(u32, u8)>> = vec![Vec::new(); sim.shards.len()];
-                for (link, vc) in credits_pending.drain(..) {
-                    let (s, local) = sim.link_owner[link as usize];
-                    credit_shard[s as usize].push((local, vc));
-                }
-                for (i, (inbox, credits)) in per_shard.into_iter().zip(credit_shard).enumerate() {
-                    let mut shard = sim.shards[i].lock().expect("shard lock poisoned");
-                    shard.inbox = inbox;
-                    shard.credit_inbox = credits;
-                }
-            }
-            PendingQueue::Wheel(wheel) => {
-                // The wheel emits in ascending (arrive, seq) order — the
-                // same global order the heap pop loop produced — and each
-                // shard receives its subsequence of it.
-                wheel.drain_until(t1, |_, d| {
-                    scratch[sim.shard_of_node[d.to_node as usize] as usize].push(d);
-                });
-                for (link, vc) in credits_pending.drain(..) {
-                    let (s, local) = sim.link_owner[link as usize];
-                    credit_scratch[s as usize].push((local, vc));
-                }
-                for i in 0..sim.shards.len() {
-                    let mut shard = sim.shards[i].lock().expect("shard lock poisoned");
-                    std::mem::swap(&mut shard.inbox, &mut scratch[i]);
-                    std::mem::swap(&mut shard.credit_inbox, &mut credit_scratch[i]);
-                    // The vectors coming back were cleared by the previous
-                    // window, keeping their capacity.
-                }
-            }
+        // and freed credits to their owning shards. The wheel emits in
+        // ascending (arrive, seq) order, and each shard receives its
+        // subsequence of it.
+        pending.drain_until(t1, |_, d| {
+            scratch[sim.shard_of_node[d.to_node as usize] as usize].push(d);
+        });
+        for (link, vc) in credits_pending.drain(..) {
+            let (s, local) = sim.link_owner[link as usize];
+            credit_scratch[s as usize].push((local, vc));
+        }
+        for i in 0..sim.shards.len() {
+            let mut shard = sim.shards[i].lock().expect("shard lock poisoned");
+            std::mem::swap(&mut shard.inbox, &mut scratch[i]);
+            std::mem::swap(&mut shard.credit_inbox, &mut credit_scratch[i]);
+            // The vectors coming back were cleared by the previous window,
+            // keeping their capacity.
         }
 
+        par::par_map_chunked(jobs, chunk, &shard_ids, |&i| {
+            sim.shards[i]
+                .lock()
+                .expect("shard lock poisoned")
+                .run_window_in_place(t0, t1, &sim.net);
+        });
+        // The coordinator is the only thread running here; take all the
+        // guards at once so the stage-major fold can walk the shards three
+        // times without re-locking.
+        let guards: Vec<_> = sim
+            .shards
+            .iter()
+            .map(|s| s.lock().expect("shard lock poisoned"))
+            .collect();
+        {
+            let refs: Vec<&WindowOut> = guards.iter().map(|g| &g.out).collect();
+            fold_window(
+                &refs,
+                &mut outcome.digest,
+                cfg.record_events,
+                &mut outcome.events,
+            );
+        }
         let mut progress = 0u64;
         let mut queued = 0u64;
         let mut stalls_w = 0u64;
-        match &mut pending {
-            PendingQueue::Heap(pending) => {
-                let outs: Vec<WindowOut> = par::par_map_chunked(jobs, chunk, &shard_ids, |&i| {
-                    sim.shards[i]
-                        .lock()
-                        .expect("shard lock poisoned")
-                        .run_window(t0, t1, &sim.net)
-                });
-                let refs: Vec<&WindowOut> = outs.iter().collect();
-                fold_window(
-                    &refs,
-                    &mut outcome.digest,
-                    cfg.record_events,
-                    &mut outcome.events,
-                );
-                for (i, out) in outs.into_iter().enumerate() {
-                    for d in out.deliveries {
-                        pending.push(Reverse(d));
-                    }
-                    credits_pending.extend(out.credits);
-                    progress += out.progress;
-                    drained += out.drained;
-                    queued += out.queued;
-                    stalls_w += out.stalls;
-                    shard_peaks[i] = shard_peaks[i].max(out.queued);
-                    outcome.flit_hops += out.flit_hops;
-                    outcome.dropped += out.dropped;
-                    outcome.corrupted += out.corrupted;
-                    outcome.retried += out.retried;
-                    outcome.abandoned += out.abandoned;
-                    outcome.cycles = outcome.cycles.max(out.last_drain);
-                }
+        for (i, shard) in guards.into_iter().enumerate() {
+            let out = &shard.out;
+            for &d in &out.deliveries {
+                pending.push(d.arrive, d);
             }
-            PendingQueue::Wheel(wheel) => {
-                par::par_map_chunked(jobs, chunk, &shard_ids, |&i| {
-                    sim.shards[i]
-                        .lock()
-                        .expect("shard lock poisoned")
-                        .run_window_in_place(t0, t1, &sim.net);
-                });
-                // The coordinator is the only thread running here; take all
-                // the guards at once so the stage-major fold can walk the
-                // shards three times without re-locking.
-                let guards: Vec<_> = sim
-                    .shards
-                    .iter()
-                    .map(|s| s.lock().expect("shard lock poisoned"))
-                    .collect();
-                {
-                    let refs: Vec<&WindowOut> = guards.iter().map(|g| &g.out).collect();
-                    fold_window(
-                        &refs,
-                        &mut outcome.digest,
-                        cfg.record_events,
-                        &mut outcome.events,
-                    );
-                }
-                for (i, shard) in guards.into_iter().enumerate() {
-                    let out = &shard.out;
-                    for &d in &out.deliveries {
-                        wheel.push(d.arrive, d);
-                    }
-                    credits_pending.extend_from_slice(&out.credits);
-                    progress += out.progress;
-                    drained += out.drained;
-                    queued += out.queued;
-                    stalls_w += out.stalls;
-                    shard_peaks[i] = shard_peaks[i].max(out.queued);
-                    outcome.flit_hops += out.flit_hops;
-                    outcome.dropped += out.dropped;
-                    outcome.corrupted += out.corrupted;
-                    outcome.retried += out.retried;
-                    outcome.abandoned += out.abandoned;
-                    outcome.cycles = outcome.cycles.max(out.last_drain);
-                }
-            }
+            credits_pending.extend_from_slice(&out.credits);
+            progress += out.progress;
+            drained += out.drained;
+            queued += out.queued;
+            stalls_w += out.stalls;
+            shard_peaks[i] = shard_peaks[i].max(out.queued);
+            outcome.flit_hops += out.flit_hops;
+            outcome.dropped += out.dropped;
+            outcome.corrupted += out.corrupted;
+            outcome.retried += out.retried;
+            outcome.abandoned += out.abandoned;
+            outcome.cycles = outcome.cycles.max(out.last_drain);
         }
         // One aggregate registry add per window for the quiet NIC FIFOs'
         // fault stalls — identical totals to per-event counting, with the
@@ -808,7 +719,7 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
             // retry budget (a degraded completion, settled below).
             break;
         }
-        if progress == 0 && pending.len() == 0 {
+        if progress == 0 && pending.is_empty() {
             idle_windows += 1;
             if idle_windows > idle_limit {
                 if cfg.fault.is_active() {
@@ -953,7 +864,7 @@ fn merge_flow_latency(sim: &Sim<'_>, obs: &Obs) -> Vec<HistogramSummary> {
 /// pointwise (every shard ticked the same global schedule), spatial state
 /// scatters by global link index / node number, and the attribution sums
 /// accumulate per class. All integer adds over disjoint or commutative
-/// state — the shard partition and the scheduler substrate are invisible.
+/// state — the shard partition is invisible.
 fn collect_telemetry(sim: &Sim<'_>, final_t1: Cycle) -> Telemetry {
     let se = sim.cfg.sample_every;
     // A stub interval past the last on-grid tick gets one uniform tail
@@ -1337,16 +1248,14 @@ mod tests {
     fn permanent_outages_degrade_with_exact_accounting() {
         // Every link dead: the run cannot deliver a single word, and must
         // close with exact per-flow and per-link accounting instead of a
-        // bare deadlock — byte-identically at any jobs × shards and under
-        // both scheduler substrates.
+        // bare deadlock — byte-identically at any jobs × shards.
         use memcomm_memsim::fault::FaultConfig;
         let topo = Topology::torus(&[4]);
         let flows = traffic::cyclic_shift(&topo, 1, 32 * 8);
-        let run = |jobs: usize, shards: usize, reference: bool| {
+        let run = |jobs: usize, shards: usize| {
             let mut cfg = small_cfg();
             cfg.jobs = jobs;
             cfg.shards = shards;
-            cfg.reference_scheduler = reference;
             cfg.fault = FaultPlan::new(FaultConfig {
                 seed: 3,
                 permanent_outage_rate: 1.0,
@@ -1354,7 +1263,7 @@ mod tests {
             });
             run_flows(&topo, &flows, &cfg).unwrap()
         };
-        let a = run(1, 1, false);
+        let a = run(1, 1);
         let d = a.degraded.as_ref().expect("dead links must degrade");
         assert_eq!(
             d.missing_flows.iter().map(|&(_, m)| m).sum::<u64>(),
@@ -1371,8 +1280,8 @@ mod tests {
             d.per_link_outages.windows(2).all(|w| w[0].0 < w[1].0),
             "canonical link order"
         );
-        for (jobs, shards, reference) in [(4, 0, false), (2, 3, false), (1, 1, true)] {
-            let b = run(jobs, shards, reference);
+        for (jobs, shards) in [(4, 0), (2, 3)] {
+            let b = run(jobs, shards);
             assert_eq!(b.digest, a.digest, "jobs={jobs} shards={shards}");
             assert_eq!(b.degraded, a.degraded, "jobs={jobs} shards={shards}");
         }
@@ -1469,17 +1378,16 @@ mod tests {
                 ..AdversaryConfig::default()
             },
         );
-        let run = |jobs: usize, shards: usize, reference: bool| {
+        let run = |jobs: usize, shards: usize| {
             let mut cfg = small_cfg();
             cfg.jobs = jobs;
             cfg.shards = shards;
-            cfg.reference_scheduler = reference;
             cfg.flow_classes = t.classes.clone();
             cfg.record_latency = true;
             cfg.sample_every = 16;
             run_flows(&topo, &t.flows, &cfg).unwrap()
         };
-        let a = run(1, 1, false);
+        let a = run(1, 1);
         let tel = a.telemetry.as_ref().expect("sampling was on");
         assert!(tel.ticks > 0);
         assert_eq!(tel.queue_depth.samples(), tel.ticks);
@@ -1501,14 +1409,14 @@ mod tests {
             assert_eq!(b.inject + b.queue + b.wire + b.backoff, b.total);
             assert!(b.queue > 0, "an incast must show queueing");
         }
-        // The whole telemetry block is partition- and substrate-invariant.
-        for (jobs, shards, reference) in [(4, 0, false), (2, 5, false), (1, 1, true)] {
-            let b = run(jobs, shards, reference);
+        // The whole telemetry block is partition-invariant.
+        for (jobs, shards) in [(4, 0), (2, 5)] {
+            let b = run(jobs, shards);
             assert_eq!(b.digest, a.digest, "jobs={jobs} shards={shards}");
             assert_eq!(
                 b.telemetry.as_ref().unwrap(),
                 tel,
-                "jobs={jobs} shards={shards} reference={reference}"
+                "jobs={jobs} shards={shards}"
             );
         }
     }

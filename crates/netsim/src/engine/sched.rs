@@ -1,9 +1,9 @@
-//! Queue substrates of the engine: rank-ordered router queues (per-flow
-//! lanes or the reference heap) and the in-flight delivery record.
+//! Queue substrates of the engine: the rank-ordered router queue (per-flow
+//! lanes over a shared arena) and the in-flight delivery record.
 //!
-//! Everything here is ordering-critical: the differential tier
-//! (`tests/wheel_vs_heap.rs`) proves both router-queue substrates pop the
-//! same entries in the same order, case by case.
+//! Everything here is ordering-critical: the independent reference engine
+//! (`tests/engine_vs_oracle.rs`) checks, case by case, that the lanes pop
+//! exactly the minimum-rank word a plain scan of the queue would.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -11,14 +11,13 @@ use std::collections::BinaryHeap;
 use memcomm_memsim::clock::Cycle;
 use memcomm_util::arena::{Arena, NIL};
 
-/// Queued word waiting to transmit on a link. Orders by (rank, ready);
-/// `rank` is the word-major rotation of the globally unique `seq` (word
-/// index in the high bits), so a backlogged link interleaves competing
-/// flows word by word — the deterministic analogue of a router's
+/// Queued word waiting to transmit on a link. Queues serve it by `rank`,
+/// the word-major rotation of the globally unique `seq` (word index in the
+/// high bits), so a backlogged link interleaves competing flows word by word — the deterministic analogue of a router's
 /// round-robin arbiter. Arrival-order service would instead let the flow
 /// nearest the bottleneck convoy hundreds of words ahead, starving the
 /// links downstream of the other flows' turns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct QEntry {
     pub rank: u64,
     pub ready: Cycle,
@@ -29,14 +28,14 @@ pub(crate) struct QEntry {
     pub prev_link: u32,
     pub prev_vc: u8,
     /// Fault-drop retransmissions already spent on this hop; the retry
-    /// policy abandons the word once the budget runs out. Trails the
-    /// ordering fields, so it never perturbs arbitration.
+    /// policy abandons the word once the budget runs out. Arbitration reads
+    /// only `rank` and `ready`, so this never perturbs it.
     pub tries: u32,
     /// Cycle the word left its injection port (for inject→eject latency).
     pub t_inject: Cycle,
     /// Critical-path attribution: cycles spent waiting in router/ejection
-    /// queues so far. Like `tries`, these accumulators trail the ordering
-    /// fields — they ride along without perturbing arbitration, and the
+    /// queues so far. Like `tries`, these accumulators are never read by
+    /// arbitration — they ride along without perturbing it, and the
     /// charges telescope exactly: `ready` is always the word's previous
     /// milestone, so summing the floor-differences reconstructs the full
     /// inject→eject latency with no rounding gap.
@@ -50,14 +49,14 @@ pub(crate) struct QEntry {
 /// Word-major arbitration rank: `seq` packs `flow << 32 | word`, so the
 /// rotation compares word index first and flow index only on ties. Ranks
 /// are a bijection of the globally unique `seq`, so within any one queue
-/// the rank alone already totals the order — the remaining [`QEntry`]
-/// fields never break a tie.
+/// the rank alone totals the order.
 pub(crate) fn word_rank(seq: u64) -> u64 {
     seq.rotate_left(32)
 }
 
-/// Per-flow FIFO lanes over a shared [`Arena`], plus a lazy min-heap of
-/// lane-head `(rank, lane)` candidates.
+/// A rank-ordered router (or ejection) queue: per-flow FIFO lanes over a
+/// shared [`Arena`], plus a lazy min-heap of lane-head `(rank, lane)`
+/// candidates.
 ///
 /// Correctness rests on one invariant: *words of a flow reach any given
 /// queue in ascending rank order.* Injection emits a flow's words in word
@@ -84,7 +83,7 @@ pub(crate) struct LaneQueue {
 }
 
 impl LaneQueue {
-    fn new(lanes: u32) -> LaneQueue {
+    pub fn new(lanes: u32) -> LaneQueue {
         LaneQueue {
             lanes: vec![(NIL, NIL); lanes as usize],
             heads: BinaryHeap::new(),
@@ -92,7 +91,13 @@ impl LaneQueue {
         }
     }
 
-    fn push_back(&mut self, lane: u32, e: QEntry, arena: &mut Arena<QEntry>) {
+    pub fn len(&self) -> u64 {
+        u64::from(self.len)
+    }
+
+    /// Files a word that arrived over the network or off its injection
+    /// port: an append, since per-flow arrivals are rank-ascending.
+    pub fn push_arrival(&mut self, lane: u32, e: QEntry, arena: &mut Arena<QEntry>) {
         let idx = arena.alloc(e);
         let slot = &mut self.lanes[lane as usize];
         if slot.0 == NIL {
@@ -109,7 +114,9 @@ impl LaneQueue {
         self.len += 1;
     }
 
-    fn push_front(&mut self, lane: u32, e: QEntry, arena: &mut Arena<QEntry>) {
+    /// Re-files the entry just popped (a dropped word retrying): its rank
+    /// is still the lane minimum, so it prepends.
+    pub fn push_retry(&mut self, lane: u32, e: QEntry, arena: &mut Arena<QEntry>) {
         let idx = arena.alloc(e);
         let slot = &mut self.lanes[lane as usize];
         if slot.0 == NIL {
@@ -133,13 +140,14 @@ impl LaneQueue {
         }
     }
 
-    fn peek(&mut self, arena: &Arena<QEntry>) -> Option<QEntry> {
+    /// The minimum-rank entry, if any.
+    pub fn peek(&mut self, arena: &Arena<QEntry>) -> Option<QEntry> {
         self.settle(arena);
         let &Reverse((_, lane)) = self.heads.peek()?;
         Some(*arena.get(self.lanes[lane as usize].0))
     }
 
-    fn pop(&mut self, arena: &mut Arena<QEntry>) -> QEntry {
+    pub fn pop(&mut self, arena: &mut Arena<QEntry>) -> QEntry {
         self.settle(arena);
         let Reverse((_, lane)) = self.heads.pop().expect("pop on an empty router queue");
         let slot = &mut self.lanes[lane as usize];
@@ -154,65 +162,6 @@ impl LaneQueue {
         }
         self.len -= 1;
         e
-    }
-}
-
-/// A rank-ordered router queue under either scheduler substrate. Both pop
-/// the same entries in the same order; the heap variant is the retired
-/// reference implementation.
-#[derive(Debug)]
-pub(crate) enum RouterQueue {
-    Heap(BinaryHeap<Reverse<QEntry>>),
-    Lanes(LaneQueue),
-}
-
-impl RouterQueue {
-    pub fn new(reference: bool, lanes: u32) -> RouterQueue {
-        if reference {
-            RouterQueue::Heap(BinaryHeap::new())
-        } else {
-            RouterQueue::Lanes(LaneQueue::new(lanes))
-        }
-    }
-
-    pub fn len(&self) -> u64 {
-        match self {
-            RouterQueue::Heap(h) => h.len() as u64,
-            RouterQueue::Lanes(l) => u64::from(l.len),
-        }
-    }
-
-    /// Files a word that arrived over the network or off its injection
-    /// port; lane mode appends (per-flow arrivals are rank-ascending).
-    pub fn push_arrival(&mut self, lane: u32, e: QEntry, arena: &mut Arena<QEntry>) {
-        match self {
-            RouterQueue::Heap(h) => h.push(Reverse(e)),
-            RouterQueue::Lanes(l) => l.push_back(lane, e, arena),
-        }
-    }
-
-    /// Re-files the entry just popped (a dropped word retrying): its rank
-    /// is still the lane minimum, so lane mode prepends.
-    pub fn push_retry(&mut self, lane: u32, e: QEntry, arena: &mut Arena<QEntry>) {
-        match self {
-            RouterQueue::Heap(h) => h.push(Reverse(e)),
-            RouterQueue::Lanes(l) => l.push_front(lane, e, arena),
-        }
-    }
-
-    /// The minimum-rank entry, if any.
-    pub fn peek(&mut self, arena: &Arena<QEntry>) -> Option<QEntry> {
-        match self {
-            RouterQueue::Heap(h) => h.peek().map(|&Reverse(e)| e),
-            RouterQueue::Lanes(l) => l.peek(arena),
-        }
-    }
-
-    pub fn pop(&mut self, arena: &mut Arena<QEntry>) -> QEntry {
-        match self {
-            RouterQueue::Heap(h) => h.pop().expect("pop on an empty router queue").0,
-            RouterQueue::Lanes(l) => l.pop(arena),
-        }
     }
 }
 

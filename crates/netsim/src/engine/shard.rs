@@ -15,7 +15,7 @@ use memcomm_memsim::nic::TimedFifo;
 use memcomm_obs::{Histogram, Series, SeriesKind};
 use memcomm_util::arena::Arena;
 
-use super::sched::{Delivery, QEntry, RouterQueue};
+use super::sched::{Delivery, LaneQueue, QEntry};
 use super::{ClassBreakdown, EngineEvent};
 
 /// Ring capacity of every telemetry series: identical on all shards, so
@@ -29,7 +29,7 @@ pub(crate) const BUSY_ONE: f64 = 65536.0;
 
 pub(crate) struct LinkState {
     pub global: u32,
-    pub queues: [RouterQueue; 2],
+    pub queues: [LaneQueue; 2],
     pub credits: [u32; 2],
     pub free: f64,
     pub attempts: u64,
@@ -74,7 +74,7 @@ pub(crate) struct Shard {
     pub drain_free: Vec<Cycle>,
     /// Words awaiting the ejection port (same word-major order as links),
     /// per local node.
-    pub eject: Vec<RouterQueue>,
+    pub eject: Vec<LaneQueue>,
     /// Owned links, ascending global index.
     pub links: Vec<LinkState>,
     /// Global index of each owned link, parallel to `links` (binary search).
@@ -82,12 +82,9 @@ pub(crate) struct Shard {
     pub ports: Vec<PortState>,
     pub inbox: Vec<Delivery>,
     pub credit_inbox: Vec<(u32, u8)>,
-    /// Entry storage shared by every lane queue of the shard (unused by the
-    /// reference scheduler). Its live count is exactly the shard's queued
-    /// words.
+    /// Entry storage shared by every lane queue of the shard. Its live
+    /// count is exactly the shard's queued words.
     pub arena: Arena<QEntry>,
-    /// Whether this shard's queues run on lanes (false = reference heaps).
-    pub lanes: bool,
     /// Engine flow index of each flow this shard drains (its destinations),
     /// in build order; `Net::drain_slot` maps a flow to its slot here.
     pub drain_flow_ids: Vec<u32>,
@@ -106,7 +103,7 @@ pub(crate) struct Shard {
     pub stall_mark: u64,
     /// Sampling state, present only when `EngineConfig::sample_every > 0`.
     pub telemetry: Option<Box<ShardTelemetry>>,
-    /// Window output buffers, reused across windows on the production path.
+    /// Window output buffers, reused across windows.
     pub out: WindowOut,
 }
 
@@ -170,16 +167,14 @@ impl ShardTelemetry {
         &mut self,
         tx: &[TimedFifo],
         rx: &[TimedFifo],
-        eject: &[RouterQueue],
+        eject: &[LaneQueue],
         links: &[LinkState],
         arena: &Arena<QEntry>,
-        lanes: bool,
     ) {
         let busy_total: u64 = links.iter().map(|l| l.busy_fp).sum();
         self.link_busy.push(busy_total - self.busy_mark);
         self.busy_mark = busy_total;
-        self.queue_depth
-            .push(queued_words(lanes, arena, links, eject));
+        self.queue_depth.push(arena.len() as u64);
         self.inject_backlog
             .push(tx.iter().map(|f| f.len() as u64).sum());
         self.eject_backlog
@@ -192,26 +187,6 @@ impl ShardTelemetry {
             *occ += eject[local].len() + rx[local].len() as u64;
         }
         self.ticks += 1;
-    }
-}
-
-/// Words sitting in the shard's router/ejection queues. Under lanes the
-/// arena's live count *is* the queued-word count; the reference path sums
-/// its heaps — same quantity either way.
-pub(crate) fn queued_words(
-    lanes: bool,
-    arena: &Arena<QEntry>,
-    links: &[LinkState],
-    eject: &[RouterQueue],
-) -> u64 {
-    if lanes {
-        arena.len() as u64
-    } else {
-        links
-            .iter()
-            .map(|l| l.queues[0].len() + l.queues[1].len())
-            .sum::<u64>()
-            + eject.iter().map(|q| q.len()).sum::<u64>()
     }
 }
 

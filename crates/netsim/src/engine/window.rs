@@ -1,6 +1,4 @@
-//! The conservative-window logic — one window of one shard, identical
-//! under both schedulers (only the queue substrate behind
-//! [`RouterQueue`](super::sched::RouterQueue) differs).
+//! The conservative-window logic — one window of one shard.
 //!
 //! Every event a stage emits lands in its stage's own output vector, with
 //! sites visited in ascending order within the shard. Because each site
@@ -15,20 +13,12 @@ use memcomm_memsim::nic::TimedFifo;
 
 use super::build::Net;
 use super::sched::{word_rank, QEntry};
-use super::shard::{queued_words, Shard, WindowOut, BUSY_ONE};
+use super::shard::{Shard, WindowOut, BUSY_ONE};
 use super::{EngineEvent, EventKind};
 
 impl Shard {
-    /// One window on the reference path: fresh output buffers every window,
-    /// exactly as the retired scheduler allocated them.
-    pub(crate) fn run_window(&mut self, t0: Cycle, t1: Cycle, net: &Net) -> WindowOut {
-        let mut out = WindowOut::default();
-        self.window_core(t0, t1, net, &mut out);
-        out
-    }
-
-    /// One window on the production path: reuses the shard's persistent
-    /// output buffers (the coordinator drains them at the barrier).
+    /// Runs one window, reusing the shard's persistent output buffers (the
+    /// coordinator drains them at the barrier).
     pub(crate) fn run_window_in_place(&mut self, t0: Cycle, t1: Cycle, net: &Net) {
         let mut out = std::mem::take(&mut self.out);
         out.clear();
@@ -54,7 +44,6 @@ impl Shard {
             inbox,
             credit_inbox,
             arena,
-            lanes: use_lanes,
             drained_flows,
             lat_hist,
             lat_sums,
@@ -449,7 +438,7 @@ impl Shard {
         }
 
         // The shard's contribution to the barrier's backlog gauge.
-        out.queued = queued_words(*use_lanes, arena, links, eject);
+        out.queued = arena.len() as u64;
 
         // NIC stall delta for the coordinator's once-per-window registry
         // flush (the FIFOs are armed quiet, so this is the only place the
@@ -468,7 +457,7 @@ impl Shard {
             tel.pending_retries += out.retried;
             tel.pending_outages += out.outaged;
             while tel.next_tick <= t1 {
-                tel.sample(tx, rx, eject, links, arena, *use_lanes);
+                tel.sample(tx, rx, eject, links, arena);
                 tel.next_tick += net.sample_every;
             }
         }
@@ -484,12 +473,11 @@ impl Shard {
             eject,
             links,
             arena,
-            lanes,
             telemetry,
             ..
         } = self;
         if let Some(tel) = telemetry {
-            tel.sample(tx, rx, eject, links, arena, *lanes);
+            tel.sample(tx, rx, eject, links, arena);
         }
     }
 }

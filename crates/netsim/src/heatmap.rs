@@ -6,7 +6,7 @@
 //! [`Telemetry`](crate::engine::Telemetry) — utilization in parts per
 //! million, occupancy as per-tick means — so renderings are byte-identical
 //! wherever the telemetry is (which the engine guarantees at any
-//! jobs × shards and under either scheduler).
+//! jobs × shards).
 
 use memcomm_util::json::Json;
 

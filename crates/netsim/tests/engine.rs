@@ -116,7 +116,7 @@ fn worker_count_never_changes_the_event_order() {
 }
 
 /// A fuzzed topology scaled up to 512 nodes (same construction as the
-/// wheel-vs-heap scale tier): random dimensions grown under the node cap,
+/// engine-vs-oracle scale tier): random dimensions grown under the node cap,
 /// tail stretched so the big sizes are actually drawn.
 fn random_scaled_topology(rng: &mut Rng) -> Topology {
     let mut dims: Vec<u32> = Vec::new();

@@ -13,8 +13,7 @@
 //! The same pass pins conservation (the engine delivers exactly the
 //! schedule's payload, which matches the closed-form volume), lower-bound
 //! dominance (volume ≥ the information-theoretic floor in every cell), and
-//! partition invariance (byte-identical results across jobs × shards ×
-//! scheduler substrate).
+//! partition invariance (byte-identical results across jobs × shards).
 
 use memcomm::commops::collectives::{self, Collective};
 use memcomm::kernels::netrun::{self, CollectiveRun, EngineOptions};
@@ -36,21 +35,18 @@ fn paper_band() -> f64 {
         * MARGIN
 }
 
-/// (jobs, shards, reference_scheduler) — every partitioning and scheduler
-/// substrate the engine offers. Results must never depend on any of them.
-const GRID: [(usize, usize, bool); 4] = [
-    (1, 1, false), // serial wheel (the baseline)
-    (4, 0, false), // 4 workers, auto shards, wheel
-    (4, 0, true),  // 4 workers, auto shards, heap
-    (1, 1, true),  // serial heap
+/// (jobs, shards) — a serial single-shard run and a sharded parallel one.
+/// Results must never depend on either.
+const GRID: [(usize, usize); 2] = [
+    (1, 1), // serial, one shard (the baseline)
+    (4, 0), // 4 workers, auto shards
 ];
 
-fn opts_for(nodes: usize, (jobs, shards, heap): (usize, usize, bool)) -> EngineOptions {
+fn opts_for(nodes: usize, (jobs, shards): (usize, usize)) -> EngineOptions {
     EngineOptions {
         nodes: Some(nodes),
         jobs,
         shards,
-        reference_scheduler: heap,
         ..EngineOptions::default()
     }
 }
@@ -126,7 +122,7 @@ fn check_cell(machine: &Machine, coll: Collective, nodes: usize, words: u64) -> 
     run
 }
 
-/// Re-runs a cell across the partition/scheduler grid and demands the
+/// Re-runs a cell across the partition grid and demands the
 /// whole result — digest, cycles, counters — is byte-identical.
 fn check_invariance(
     machine: &Machine,
@@ -141,12 +137,11 @@ fn check_invariance(
         assert_eq!(
             &run,
             baseline,
-            "{} on {} at {nodes}: result depends on (jobs={}, shards={}, heap={})",
+            "{} on {} at {nodes}: result depends on (jobs={}, shards={})",
             coll.name(),
             machine.name,
             config.0,
             config.1,
-            config.2,
         );
     }
 }

@@ -82,12 +82,9 @@ fn truncated_transpose(
 
 fn opts(jobs: usize, shards: usize) -> EngineOptions {
     EngineOptions {
-        nodes: None,
         jobs,
         shards,
-        record_events: false,
-        sample_every: 0,
-        reference_scheduler: false,
+        ..EngineOptions::default()
     }
 }
 

@@ -58,11 +58,7 @@ fn engine_agrees_with_the_analytic_model_on_table6() {
                 .expect("analytic factor");
             let opts = EngineOptions {
                 nodes: Some(64),
-                jobs: 0,
-                shards: 0,
-                record_events: false,
-                sample_every: 0,
-                reference_scheduler: false,
+                ..EngineOptions::default()
             };
             let run = netrun::run_rounds(&machine, &topo, &rounds, &opts).expect("engine runs");
 
@@ -140,11 +136,7 @@ fn port_sharing_shapes_the_emergent_congestion() {
     let sor = Table6Kernel::Sor(SorKernel { n: 256 });
     let opts = EngineOptions {
         nodes: Some(64),
-        jobs: 0,
-        shards: 0,
-        record_events: false,
-        sample_every: 0,
-        reference_scheduler: false,
+        ..EngineOptions::default()
     };
 
     let t3d_topo = netrun::engine_topology(&t3d, Some(64)).unwrap();

@@ -67,10 +67,7 @@ fn engine_options(nodes: usize) -> EngineOptions {
     EngineOptions {
         nodes: Some(nodes),
         jobs: 1,
-        shards: 0,
-        record_events: false,
-        sample_every: 0,
-        reference_scheduler: false,
+        ..EngineOptions::default()
     }
 }
 

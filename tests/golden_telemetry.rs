@@ -104,9 +104,9 @@ fn without_shard_diagnostics(om: &str) -> String {
         .collect()
 }
 
-/// The artifacts are partition-invariant: a fanned-out sharded run and the
-/// retired heap scheduler render the same three artifacts byte for byte,
-/// and the scenario report itself matches across the grid (the engine-level
+/// The artifacts are partition-invariant: serial single-shard and fanned-out
+/// sharded runs render the same three artifacts byte for byte, and the
+/// scenario report itself matches across the grid (the engine-level
 /// Telemetry equality test lives in netsim; this covers the exporters).
 /// Only the exposition's per-shard diagnostics are allowed to differ —
 /// they describe the fan-out itself.
