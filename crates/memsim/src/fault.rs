@@ -189,7 +189,9 @@ impl FaultPlan {
         let fault = match rng.range_u64(0, 3) {
             0 => LinkFault::Drop,
             1 => LinkFault::Corrupt(rng.next_u64() | 1),
-            _ => LinkFault::Delay(rng.range_u64(1, self.cfg.max_jitter_cycles.max(1) + 1)),
+            _ => LinkFault::Delay(
+                rng.range_u64(1, self.cfg.max_jitter_cycles.max(1).saturating_add(1)),
+            ),
         };
         Some(fault)
     }
@@ -201,7 +203,7 @@ impl FaultPlan {
         if !self.fires(self.cfg.rate, &mut rng) {
             return 0;
         }
-        rng.range_u64(1, self.cfg.max_stall_cycles.max(1) + 1)
+        rng.range_u64(1, self.cfg.max_stall_cycles.max(1).saturating_add(1))
     }
 
     /// Whether the engine at `site` is out for this whole run.
@@ -407,5 +409,27 @@ mod tests {
                 "rate 1.0 must stall within bounds: {s}"
             );
         }
+    }
+
+    #[test]
+    fn u64_max_bounds_draw_without_wrapping() {
+        // Regression: `bound.max(1) + 1` wrapped to 0 at `u64::MAX`, and the
+        // empty range `[1, 0)` panicked on the first delay or stall drawn.
+        let p = FaultPlan::new(FaultConfig {
+            seed: 3,
+            rate: 1.0,
+            max_stall_cycles: u64::MAX,
+            max_jitter_cycles: u64::MAX,
+            ..FaultConfig::default()
+        });
+        let mut delays = 0;
+        for i in 0..200 {
+            if let Some(LinkFault::Delay(d)) = p.link_fault(site::LINK_FORWARD, i) {
+                assert!(d >= 1);
+                delays += 1;
+            }
+            assert!(p.stall_cycles(site::TX_FIFO, i) >= 1);
+        }
+        assert!(delays > 0, "a third of rate-1.0 faults are delays");
     }
 }

@@ -2,6 +2,7 @@
 //! VC labels, lane assignment, and the load-balanced N-way shard partition.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::error::{SimError, SimResult};
@@ -9,6 +10,7 @@ use memcomm_memsim::fault::{site, FaultPlan};
 use memcomm_memsim::nic::{NetWord, TimedFifo};
 use memcomm_util::arena::Arena;
 use memcomm_util::par;
+use memcomm_util::wheel::TimingWheel;
 
 use crate::routing::{route, LinkId};
 use crate::topology::Topology;
@@ -63,15 +65,51 @@ pub(crate) struct Net {
     pub link_from: Vec<u32>,
     /// Telemetry sampling interval in cycles (0 = off).
     pub sample_every: Cycle,
+    /// Global link index → (owning shard, local index): where a freed
+    /// credit goes.
+    pub link_owner: Vec<(u32, u32)>,
+    /// Node → shard: where a word in flight to the node goes.
+    pub shard_of_node: Vec<u32>,
+    pub attribution: Attribution,
 }
 
-impl Net {
-    pub fn word(&self, seq: u64) -> NetWord {
-        if self.pairs {
-            NetWord::addressed(seq.wrapping_mul(8), seq)
-        } else {
-            NetWord::data(seq)
+/// Critical-path attribution ledger: the `[queue, wire, backoff]` cycles
+/// charged to each word so far, by flow and word index, summed per class
+/// at ejection. Allocated only when latency recording and sampling are
+/// both on, the one case that reads it. A word sits in one shard at a time
+/// and the barrier orders its moves between shards, so relaxed loads and
+/// stores suffice.
+pub(crate) struct Attribution(Vec<Vec<[AtomicU64; 3]>>);
+
+pub(crate) const QUEUE: usize = 0;
+pub(crate) const WIRE: usize = 1;
+pub(crate) const BACKOFF: usize = 2;
+
+impl Attribution {
+    fn slot(&self, seq: u64) -> &[AtomicU64; 3] {
+        &self.0[(seq >> 32) as usize][(seq & 0xFFFF_FFFF) as usize]
+    }
+
+    /// Adds `cycles` to ledger `part` of word `seq`; a no-op when unarmed.
+    pub fn charge(&self, seq: u64, part: usize, cycles: u64) {
+        if !self.0.is_empty() {
+            let c = &self.slot(seq)[part];
+            c.store(c.load(Relaxed).saturating_add(cycles), Relaxed);
         }
+    }
+
+    /// Word `seq`'s `[queue, wire, backoff]` charges so far.
+    pub fn read(&self, seq: u64) -> [u64; 3] {
+        self.slot(seq).each_ref().map(|c| c.load(Relaxed))
+    }
+}
+
+/// The NIC word carrying `seq`: data only, or an address-data pair.
+pub(crate) fn net_word(pairs: bool, seq: u64) -> NetWord {
+    if pairs {
+        NetWord::addressed(seq.wrapping_mul(8), seq)
+    } else {
+        NetWord::data(seq)
     }
 }
 
@@ -147,12 +185,12 @@ pub(crate) struct Sim<'a> {
     pub cfg: &'a EngineConfig,
     pub net: Net,
     pub shards: Vec<std::sync::Mutex<Shard>>,
-    /// Global link index → (shard, local index).
-    pub link_owner: Vec<(u32, u32)>,
-    /// Node → shard.
-    pub shard_of_node: Vec<u32>,
     pub total_words: u64,
 }
+
+/// Most cycles a delivery wheel's bucket ring covers: adversarial fault
+/// jitter bounds must not size one ring per shard in the gigabytes.
+const WHEEL_HORIZON_CAP: Cycle = 4096;
 
 pub(crate) fn protocol(detail: String) -> SimError {
     SimError::Protocol { detail, at: 0 }
@@ -308,8 +346,24 @@ pub(crate) fn build_sim<'a>(
 
     let total_words: u64 = paths.iter().map(|p| u64::from(p.words)).sum();
 
+    // A delivery lands at most wire + latency (+ fault jitter) cycles past
+    // the window that transmitted it; anything further takes the wheel's
+    // overflow path, so the horizon only sets the fast-path hit rate, never
+    // correctness.
+    let jitter = if cfg.fault.is_active() {
+        cfg.fault.config().max_jitter_cycles
+    } else {
+        0
+    };
+    let latency = cfg.link.latency_cycles;
+    let horizon = (latency.max(1).saturating_add(latency))
+        .saturating_add(cfg.word_cycles().ceil() as Cycle)
+        .saturating_add(jitter.saturating_add(4))
+        .min(WHEEL_HORIZON_CAP);
+
     let mut shards: Vec<Shard> = (0..shard_count)
-        .map(|_| Shard {
+        .map(|id| Shard {
+            id: id as u32,
             node_lo: u32::MAX,
             tx: Vec::new(),
             rx: Vec::new(),
@@ -321,10 +375,11 @@ pub(crate) fn build_sim<'a>(
             drain_free: Vec::new(),
             eject: Vec::new(),
             links: Vec::new(),
-            link_globals: Vec::new(),
+            link_lo: 0,
             ports: Vec::new(),
-            inbox: Vec::new(),
-            credit_inbox: Vec::new(),
+            wheel: TimingWheel::new(horizon),
+            inbox: vec![Vec::new(); shard_count],
+            credit_inbox: vec![Vec::new(); shard_count],
             arena: Arena::new(),
             drain_flow_ids: Vec::new(),
             drained_flows: Vec::new(),
@@ -340,7 +395,11 @@ pub(crate) fn build_sim<'a>(
             },
             stall_mark: 0,
             telemetry: None,
-            out: WindowOut::default(),
+            out: WindowOut {
+                deliveries: vec![Vec::new(); shard_count],
+                credits: vec![Vec::new(); shard_count],
+                ..WindowOut::default()
+            },
         })
         .collect();
 
@@ -394,6 +453,8 @@ pub(crate) fn build_sim<'a>(
     for (gi, l) in links.iter().enumerate() {
         let s = shard_of_node[l.from] as usize;
         let local = shards[s].links.len() as u32;
+        // The same for every link of `s`: links order by source node.
+        shards[s].link_lo = gi as u32 - local;
         shards[s].links.push(LinkState {
             global: gi as u32,
             queues: [
@@ -407,7 +468,6 @@ pub(crate) fn build_sim<'a>(
             outage_mark: 0,
             busy_fp: 0,
         });
-        shards[s].link_globals.push(gi as u32);
         link_owner.push((s as u32, local));
     }
     for (g, &owner) in group_owner.iter().enumerate().take(groups) {
@@ -428,6 +488,12 @@ pub(crate) fn build_sim<'a>(
         }
     }
 
+    let attribution = Attribution(if cfg.record_latency && cfg.sample_every > 0 {
+        let words = |p: &FlowPath| (0..p.words).map(|_| Default::default()).collect();
+        paths.iter().map(words).collect()
+    } else {
+        Vec::new()
+    });
     let wt = cfg.word_cycles();
     let net = Net {
         flows: paths,
@@ -444,14 +510,15 @@ pub(crate) fn build_sim<'a>(
         record_latency: cfg.record_latency,
         link_from: links.iter().map(|l| l.from as u32).collect(),
         sample_every: cfg.sample_every,
+        link_owner,
+        shard_of_node,
+        attribution,
     };
 
     Ok(Sim {
         cfg,
         net,
         shards: shards.into_iter().map(std::sync::Mutex::new).collect(),
-        link_owner,
-        shard_of_node,
         total_words,
     })
 }

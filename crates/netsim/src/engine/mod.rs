@@ -27,7 +27,9 @@
 //! ascending port, then all link transits by ascending link, then all
 //! ejections by ascending port — each the concatenation of the shards'
 //! per-stage streams in shard order). `jobs = 1` and `jobs = N`, one shard
-//! or sixty-four: byte-identical event streams and digests.
+//! or sixty-four: byte-identical event streams and digests. The `jobs − 1`
+//! helper threads spawn once per run ([`par::par_rounds`]); the calling
+//! thread works as the last one and coordinates between windows.
 //!
 //! # Memory at scale
 //!
@@ -51,17 +53,21 @@
 //!
 //! # Scheduler
 //!
-//! The coordinator's in-flight deliveries live in a cycle-bucketed
-//! [`TimingWheel`](memcomm_util::wheel::TimingWheel) (deliveries *are*
-//! time-keyed — the barrier releases everything below `t1`), and each
+//! Each shard keeps the words in flight to its nodes in its own
+//! cycle-bucketed [`TimingWheel`](memcomm_util::wheel::TimingWheel)
+//! (deliveries *are* time-keyed — a window releases everything below `t1`,
+//! in `(arrive, seq)` order). Words and freed credits bound for another
+//! shard wait in per-destination outboxes, which the barrier swaps into
+//! the owners' inboxes whole: the coordinator never touches a word. Each
 //! router queue is a set of per-flow FIFO *lanes* carved from a shared
-//! freelist [`Arena`](memcomm_util::arena::Arena), with a small lazy heap
-//! over the lane heads. Router queues are *rank*-ordered, not time-ordered,
-//! so a cycle wheel cannot express them; lanes are the rank-domain
-//! analogue — a flow's words reach any given queue in ascending rank order,
-//! so each lane is pre-sorted and the queue minimum is always a lane head.
-//! Push is `O(1)`, pop is `O(log F)` in the handful of *flows* contending a
-//! queue rather than `O(log N)` in the hundreds of queued *words*.
+//! freelist [`Arena`](memcomm_util::arena::Arena) of 40-byte entries, with
+//! a small lazy heap over the lane heads. Router queues are *rank*-ordered,
+//! not time-ordered, so a cycle wheel cannot express them; lanes are the
+//! rank-domain analogue — a flow's words reach any given queue in ascending
+//! rank order, so each lane is pre-sorted and the queue minimum is always a
+//! lane head. Push is `O(1)`, pop is `O(log F)` in the handful of *flows*
+//! contending a queue rather than `O(log N)` in the hundreds of queued
+//! *words*.
 //!
 //! The differential reference for all of this is an independent,
 //! deliberately naive engine that lives only in the test tree
@@ -75,12 +81,12 @@ mod sched;
 mod shard;
 mod window;
 
-use memcomm_util::wheel::TimingWheel;
+use std::mem::{replace, take};
+use std::sync::MutexGuard;
 
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::error::{SimError, SimResult};
 use memcomm_memsim::fault::FaultPlan;
-use memcomm_memsim::nic::NetWord;
 use memcomm_memsim::node::{NodeParams, Watchdog};
 use memcomm_obs::{Histogram, HistogramSummary, Obs, Series, SeriesKind};
 use memcomm_util::backoff::exp_backoff;
@@ -91,8 +97,7 @@ use crate::topology::Topology;
 use crate::traffic::Flow;
 
 use build::{build_sim, Sim};
-use sched::Delivery;
-use shard::{WindowOut, SERIES_POINTS};
+use shard::{Shard, SERIES_POINTS};
 
 /// Engine name used in error diagnostics.
 const ENGINE: &str = "netsim-engine";
@@ -311,22 +316,15 @@ impl EngineConfig {
         }
     }
 
-    fn word(&self, seq: u64) -> NetWord {
-        if self.address_data_pairs {
-            NetWord::addressed(seq.wrapping_mul(8), seq)
-        } else {
-            NetWord::data(seq)
-        }
-    }
-
     /// Wire cycles per word under this configuration's framing.
     pub fn word_cycles(&self) -> f64 {
-        self.link.word_cycles(&self.word(0))
+        self.link
+            .word_cycles(&build::net_word(self.address_data_pairs, 0))
     }
 }
 
 /// Aggregate result of one engine run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineOutcome {
     /// Completion cycle: when the last word left its destination `rx` FIFO.
     pub cycles: Cycle,
@@ -532,19 +530,19 @@ pub fn run_flows(topo: &Topology, flows: &[Flow], cfg: &EngineConfig) -> SimResu
 /// order), then every shard's link transits, then every shard's ejections.
 /// Any port-group-aligned partition produces exactly this sequence, which
 /// is what makes the digest independent of the shard count.
-fn fold_window(outs: &[&WindowOut], digest: &mut u64, record: bool, events: &mut Vec<EngineEvent>) {
+fn fold_window(shards: &[MutexGuard<'_, Shard>], outcome: &mut EngineOutcome, record: bool) {
     for stage in 0..3 {
-        for out in outs {
+        for out in shards.iter().map(|s| &s.out) {
             let evs = match stage {
                 0 => &out.inject_events,
                 1 => &out.link_events,
                 _ => &out.eject_events,
             };
             for e in evs {
-                *digest = e.fold_into(*digest);
+                outcome.digest = e.fold_into(outcome.digest);
             }
             if record {
-                events.extend_from_slice(evs);
+                outcome.events.extend_from_slice(evs);
             }
         }
     }
@@ -555,52 +553,21 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
     let obs = Obs::current();
     let window = cfg.link.latency_cycles.max(1);
     let jobs = if cfg.jobs == 0 { par::jobs() } else { cfg.jobs };
-    let shard_ids: Vec<usize> = (0..sim.shards.len()).collect();
     // Hand each worker a few shards at a time: one fetch-add per chunk
     // instead of per shard, while still leaving enough chunks (~4 per
     // worker) to absorb uneven window costs.
-    let chunk = shard_ids.len().div_ceil(jobs.max(1) * 4).max(1);
+    let chunk = sim.shards.len().div_ceil(jobs.max(1) * 4).max(1);
 
     let mut outcome = EngineOutcome {
-        cycles: 0,
         words: sim.total_words,
-        flit_hops: 0,
-        windows: 0,
-        dropped: 0,
-        corrupted: 0,
-        retried: 0,
-        abandoned: 0,
         digest: FNV_OFFSET,
-        peak_queue_depth: 0,
-        flow_latency: Vec::new(),
-        degraded: None,
-        telemetry: None,
-        events: Vec::new(),
+        ..EngineOutcome::default()
     };
     if sim.total_words == 0 {
         return Ok(outcome);
     }
 
     let mut watchdog = Watchdog::new(cfg.max_windows).with_cycle_budget(cfg.max_cycles);
-    let jitter = if cfg.fault.is_active() {
-        cfg.fault.config().max_jitter_cycles
-    } else {
-        0
-    };
-    // A delivery lands at most wire + latency (+ fault jitter) cycles past
-    // the window that transmitted it; anything further (an oversized delay)
-    // takes the wheel's overflow path, so the horizon only sets the
-    // fast-path hit rate, never correctness. Deliveries are time-keyed, and
-    // the barrier releases everything below `t1`, tie-broken by the unique
-    // `seq` inside [`Delivery`]'s derived order.
-    let horizon =
-        window + (cfg.word_cycles().ceil() as Cycle) + cfg.link.latency_cycles + jitter + 4;
-    let mut pending: TimingWheel<Delivery> = TimingWheel::new(horizon);
-    // Per-shard delivery/credit scratch, ping-ponged with the shard inboxes
-    // at each barrier (no steady-state allocation).
-    let mut scratch: Vec<Vec<Delivery>> = vec![Vec::new(); sim.shards.len()];
-    let mut credit_scratch: Vec<Vec<(u32, u8)>> = vec![Vec::new(); sim.shards.len()];
-    let mut credits_pending: Vec<(u32, u8)> = Vec::new();
     // Deepest each shard's router queues ever got, for the per-shard
     // balance gauges.
     let mut shard_peaks: Vec<u64> = vec![0; sim.shards.len()];
@@ -624,9 +591,9 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
         0
     };
     // A single port/drain action can jump its follow-up work a full word
-    // time past the current window with nothing in `pending` meanwhile
-    // (e.g. the last word's rx-ready stamp lands `wt` cycles ahead while
-    // the drain idles), so the wire time bounds legitimate gaps too.
+    // time past the current window with nothing in flight meanwhile (e.g.
+    // the last word's rx-ready stamp lands `wt` cycles ahead while the
+    // drain idles), so the wire time bounds legitimate gaps too.
     let word_gap = 2 * (cfg.word_cycles().ceil() as Cycle);
     let idle_limit = 2 + fault_slack
         .saturating_add(cfg.source_word_cycles)
@@ -634,115 +601,107 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
         .saturating_add(word_gap)
         / window;
 
-    let mut t0: Cycle = 0;
-    loop {
-        watchdog.tick(ENGINE, t0)?;
-        let t1 = t0 + window;
-
-        // Barrier: hand due deliveries (globally sorted by (arrive, seq))
-        // and freed credits to their owning shards. The wheel emits in
-        // ascending (arrive, seq) order, and each shard receives its
-        // subsequence of it.
-        pending.drain_until(t1, |_, d| {
-            scratch[sim.shard_of_node[d.to_node as usize] as usize].push(d);
-        });
-        for (link, vc) in credits_pending.drain(..) {
-            let (s, local) = sim.link_owner[link as usize];
-            credit_scratch[s as usize].push((local, vc));
-        }
-        for i in 0..sim.shards.len() {
-            let mut shard = sim.shards[i].lock().expect("shard lock poisoned");
-            std::mem::swap(&mut shard.inbox, &mut scratch[i]);
-            std::mem::swap(&mut shard.credit_inbox, &mut credit_scratch[i]);
-            // The vectors coming back were cleared by the previous window,
-            // keeping their capacity.
-        }
-
-        par::par_map_chunked(jobs, chunk, &shard_ids, |&i| {
-            sim.shards[i]
+    // Window `r` covers `[r·L, (r+1)·L)`. The helpers spawn once for the
+    // run; between windows they park at the barrier while this thread
+    // folds the window and hands its words and credits on.
+    watchdog.tick(ENGINE, 0)?;
+    let mut stopped: SimResult<()> = Ok(());
+    par::par_rounds(
+        jobs,
+        chunk,
+        &sim.shards,
+        |round, shard| {
+            let t0 = round * window;
+            shard
                 .lock()
                 .expect("shard lock poisoned")
-                .run_window_in_place(t0, t1, &sim.net);
-        });
-        // The coordinator is the only thread running here; take all the
-        // guards at once so the stage-major fold can walk the shards three
-        // times without re-locking.
-        let guards: Vec<_> = sim
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock poisoned"))
-            .collect();
-        {
-            let refs: Vec<&WindowOut> = guards.iter().map(|g| &g.out).collect();
-            fold_window(
-                &refs,
-                &mut outcome.digest,
-                cfg.record_events,
-                &mut outcome.events,
-            );
-        }
-        let mut progress = 0u64;
-        let mut queued = 0u64;
-        let mut stalls_w = 0u64;
-        for (i, shard) in guards.into_iter().enumerate() {
-            let out = &shard.out;
-            for &d in &out.deliveries {
-                pending.push(d.arrive, d);
+                .run_window(t0, t0 + window, &sim.net);
+        },
+        |round| {
+            let t0 = round * window;
+            let mut guards: Vec<_> = sim
+                .shards
+                .iter()
+                .map(|s| s.lock().expect("shard lock poisoned"))
+                .collect();
+            fold_window(&guards, &mut outcome, cfg.record_events);
+            let (mut progress, mut queued, mut in_flight, mut stalls_w) = (0u64, 0u64, 0u64, 0u64);
+            for (i, shard) in guards.iter().enumerate() {
+                let out = &shard.out;
+                progress += out.progress;
+                drained += out.drained;
+                queued += out.queued;
+                let sent: usize = out.deliveries.iter().map(Vec::len).sum();
+                in_flight += (shard.wheel.len() + sent) as u64;
+                stalls_w += out.stalls;
+                shard_peaks[i] = shard_peaks[i].max(out.queued);
+                outcome.flit_hops += out.flit_hops;
+                outcome.dropped += out.dropped;
+                outcome.corrupted += out.corrupted;
+                outcome.retried += out.retried;
+                outcome.abandoned += out.abandoned;
+                outcome.cycles = outcome.cycles.max(out.last_drain);
             }
-            credits_pending.extend_from_slice(&out.credits);
-            progress += out.progress;
-            drained += out.drained;
-            queued += out.queued;
-            stalls_w += out.stalls;
-            shard_peaks[i] = shard_peaks[i].max(out.queued);
-            outcome.flit_hops += out.flit_hops;
-            outcome.dropped += out.dropped;
-            outcome.corrupted += out.corrupted;
-            outcome.retried += out.retried;
-            outcome.abandoned += out.abandoned;
-            outcome.cycles = outcome.cycles.max(out.last_drain);
-        }
-        // One aggregate registry add per window for the quiet NIC FIFOs'
-        // fault stalls — identical totals to per-event counting, with the
-        // shards never touching the metrics mutex from the parallel region.
-        if stalls_w > 0 {
-            obs.count(memcomm_memsim::stats::fault_metric::INJECTED, stalls_w);
-        }
-        outcome.windows += 1;
-        outcome.peak_queue_depth = outcome.peak_queue_depth.max(pending.len() as u64 + queued);
-        if progress > 0 {
-            last_progress_t0 = t0;
-        }
+            // One aggregate registry add per window for the quiet NIC FIFOs'
+            // fault stalls — identical totals to per-event counting, with
+            // the shards never touching the metrics mutex from the parallel
+            // region.
+            if stalls_w > 0 {
+                obs.count(memcomm_memsim::stats::fault_metric::INJECTED, stalls_w);
+            }
+            outcome.windows += 1;
+            outcome.peak_queue_depth = outcome.peak_queue_depth.max(in_flight + queued);
+            if progress > 0 {
+                last_progress_t0 = t0;
+            }
 
-        if drained + outcome.abandoned == sim.total_words {
-            // Every word is accounted for: delivered, or abandoned past its
-            // retry budget (a degraded completion, settled below).
-            break;
-        }
-        if progress == 0 && pending.is_empty() {
-            idle_windows += 1;
-            if idle_windows > idle_limit {
-                if cfg.fault.is_active() {
+            if drained + outcome.abandoned == sim.total_words {
+                // Every word is accounted for: delivered, or abandoned past
+                // its retry budget (a degraded completion, settled below).
+                return false;
+            }
+            if progress == 0 && in_flight == 0 {
+                idle_windows += 1;
+                if idle_windows > idle_limit {
                     // Faults are the only legitimate way a run stops short
                     // (words stranded behind dead links): close the run with
                     // exact accounting instead of erroring. A wedge without
                     // faults is an engine bug and stays a hard error.
-                    break;
+                    if !cfg.fault.is_active() {
+                        stopped = Err(SimError::Deadlock {
+                            detail: format!(
+                                "engine idle for {idle_windows} windows with {} of {} words undelivered",
+                                sim.total_words - drained,
+                                sim.total_words
+                            ),
+                            at: t0,
+                        });
+                    }
+                    return false;
                 }
-                return Err(SimError::Deadlock {
-                    detail: format!(
-                        "engine idle for {idle_windows} windows with {} of {} words undelivered",
-                        sim.total_words - drained,
-                        sim.total_words
-                    ),
-                    at: t0,
-                });
+            } else {
+                idle_windows = 0;
             }
-        } else {
-            idle_windows = 0;
-        }
-        t0 = t1;
-    }
+            if let Err(e) = watchdog.tick(ENGINE, t0 + window) {
+                stopped = Err(e);
+                return false;
+            }
+            // Hand-off: every outbox becomes its destination's inbox by a
+            // vector swap (the inbox coming back was emptied by the window
+            // that filed it); each shard files its arrivals into its own
+            // wheel inside the next window.
+            for s in 0..guards.len() {
+                for d in 0..guards.len() {
+                    let sent = take(&mut guards[s].out.deliveries[d]);
+                    guards[s].out.deliveries[d] = replace(&mut guards[d].inbox[s], sent);
+                    let sent = take(&mut guards[s].out.credits[d]);
+                    guards[s].out.credits[d] = replace(&mut guards[d].credit_inbox[s], sent);
+                }
+            }
+            true
+        },
+    );
+    stopped?;
 
     if drained < sim.total_words {
         outcome.degraded = Some(degraded_accounting(&sim, last_progress_t0));
@@ -751,9 +710,7 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
         outcome.flow_latency = merge_flow_latency(&sim, &obs);
     }
     if cfg.sample_every > 0 {
-        // The loop breaks before `t0 = t1`, so the final barrier boundary
-        // is `t0 + window`.
-        let tel = collect_telemetry(&sim, t0 + window);
+        let tel = collect_telemetry(&sim, outcome.windows * window);
         if obs.is_enabled() {
             obs.count("engine.telemetry.ticks", tel.ticks);
             for (c, b) in tel.breakdown.iter().enumerate() {
@@ -839,12 +796,12 @@ fn degraded_accounting(sim: &Sim<'_>, last_progress_cycle: Cycle) -> Degraded {
 /// the shard partition is invisible) into per-class summaries, mirroring
 /// them into the metrics registry when one is recording.
 fn merge_flow_latency(sim: &Sim<'_>, obs: &Obs) -> Vec<HistogramSummary> {
-    let classes = sim
-        .shards
-        .iter()
-        .map(|s| s.lock().expect("shard lock poisoned").lat_hist.len())
-        .max()
-        .unwrap_or(0);
+    // Every shard is built with the same class count.
+    let classes = sim.shards[0]
+        .lock()
+        .expect("shard lock poisoned")
+        .lat_hist
+        .len();
     let mut merged = vec![Histogram::default(); classes];
     for s in &sim.shards {
         let shard = s.lock().expect("shard lock poisoned");
@@ -883,31 +840,37 @@ fn collect_telemetry(sim: &Sim<'_>, final_t1: Cycle) -> Telemetry {
         link_from: sim.net.link_from.clone(),
         link_to: sim.net.link_to.clone(),
         link_busy_fp: vec![0; sim.net.link_to.len()],
-        node_occupancy: vec![0; sim.shard_of_node.len()],
+        node_occupancy: vec![0; sim.net.shard_of_node.len()],
         breakdown: Vec::new(),
     };
-    let classes = sim
-        .shards
-        .iter()
-        .map(|s| s.lock().expect("shard lock poisoned").lat_sums.len())
-        .max()
-        .unwrap_or(0);
+    let classes = sim.shards[0]
+        .lock()
+        .expect("shard lock poisoned")
+        .lat_sums
+        .len();
     tel.breakdown = vec![ClassBreakdown::default(); classes];
     for s in &sim.shards {
-        let mut shard = s.lock().expect("shard lock poisoned");
+        let mut guard = s.lock().expect("shard lock poisoned");
+        let shard = &mut *guard;
+        let st = shard
+            .telemetry
+            .as_mut()
+            .expect("sampling shards carry telemetry");
         if flush_tail {
-            shard.telemetry_tail_flush();
+            st.sample(
+                &shard.tx,
+                &shard.rx,
+                &shard.eject,
+                &shard.links,
+                &shard.arena,
+            );
         }
         for (b, sb) in tel.breakdown.iter_mut().zip(&shard.lat_sums) {
             b.merge(sb);
         }
-        for (li, &g) in shard.link_globals.iter().enumerate() {
-            tel.link_busy_fp[g as usize] = shard.links[li].busy_fp;
+        for l in &shard.links {
+            tel.link_busy_fp[l.global as usize] = l.busy_fp;
         }
-        let st = shard
-            .telemetry
-            .as_ref()
-            .expect("sampling shards carry telemetry");
         let lo = shard.node_lo as usize;
         for (i, &occ) in st.node_occ.iter().enumerate() {
             tel.node_occupancy[lo + i] = occ;
@@ -1223,7 +1186,9 @@ mod tests {
     fn watchdog_slack_survives_adversarial_fault_bounds() {
         // Regression: the idle-slack arithmetic used to add stall and
         // jitter bounds unchecked, so a plan advertising near-u64 bounds
-        // overflowed (a debug panic) before the first window ran.
+        // overflowed (a debug panic) before the first window ran; and the
+        // delivery wheels sized their bucket rings from the jitter bound
+        // uncapped (`1 << 32` asked for a 200 GB ring, `u64::MAX` wrapped).
         use memcomm_memsim::fault::FaultConfig;
         let topo = Topology::torus(&[4]);
         let flows = [Flow {
@@ -1231,17 +1196,19 @@ mod tests {
             dst: 2,
             bytes: 8 * 8,
         }];
-        let mut cfg = small_cfg();
-        cfg.fault = FaultPlan::new(FaultConfig {
-            seed: 5,
-            rate: 1e-12, // active, but effectively never fires
-            max_stall_cycles: u64::MAX,
-            max_jitter_cycles: 1,
-            ..FaultConfig::default()
-        });
-        let out = run_flows(&topo, &flows, &cfg).unwrap();
-        assert_eq!(out.words, 8);
-        assert!(out.degraded.is_none());
+        for (stall, jitter) in [(u64::MAX, 1), (1, 1 << 32), (1, u64::MAX)] {
+            let mut cfg = small_cfg();
+            cfg.fault = FaultPlan::new(FaultConfig {
+                seed: 5,
+                rate: 1e-12, // active, but effectively never fires
+                max_stall_cycles: stall,
+                max_jitter_cycles: jitter,
+                ..FaultConfig::default()
+            });
+            let out = run_flows(&topo, &flows, &cfg).unwrap();
+            assert_eq!(out.words, 8, "stall {stall} jitter {jitter}");
+            assert!(out.degraded.is_none());
+        }
     }
 
     #[test]

@@ -21,30 +21,30 @@ use memcomm_util::arena::{Arena, NIL};
 pub(crate) struct QEntry {
     pub rank: u64,
     pub ready: Cycle,
-    pub seq: u64,
-    pub hop: u16,
+    /// Cycle the word left its injection port (for inject→eject latency).
+    pub t_inject: Cycle,
     /// Upstream buffer the word still occupies (`u32::MAX` = none, the word
     /// came straight off its injection port).
     pub prev_link: u32,
-    pub prev_vc: u8,
     /// Fault-drop retransmissions already spent on this hop; the retry
     /// policy abandons the word once the budget runs out. Arbitration reads
     /// only `rank` and `ready`, so this never perturbs it.
     pub tries: u32,
-    /// Cycle the word left its injection port (for inject→eject latency).
-    pub t_inject: Cycle,
-    /// Critical-path attribution: cycles spent waiting in router/ejection
-    /// queues so far. Like `tries`, these accumulators are never read by
-    /// arbitration — they ride along without perturbing it, and the
-    /// charges telescope exactly: `ready` is always the word's previous
-    /// milestone, so summing the floor-differences reconstructs the full
-    /// inject→eject latency with no rounding gap.
-    pub queue_cycles: u64,
-    /// Attribution: cycles on wires (serialization, fault delay, latency).
-    pub wire_cycles: u64,
-    /// Attribution: cycles parked in retry backoff after fault drops.
-    pub backoff_cycles: u64,
+    pub hop: u16,
+    pub prev_vc: u8,
 }
+
+impl QEntry {
+    /// The word's identity, `flow << 32 | word` ([`word_rank`] inverted).
+    pub fn seq(&self) -> u64 {
+        self.rank.rotate_right(32)
+    }
+}
+
+// Hot structs carry only what the hot path reads (ROADMAP.md): every queued
+// or in-flight word pays for each byte, so attribution lives in a side ledger.
+const _: () = assert!(std::mem::size_of::<QEntry>() <= 40);
+const _: () = assert!(std::mem::size_of::<Delivery>() <= 40);
 
 /// Word-major arbitration rank: `seq` packs `flow << 32 | word`, so the
 /// rotation compares word index first and flow index only on ties. Ranks
@@ -62,12 +62,13 @@ pub(crate) fn word_rank(seq: u64) -> u64 {
 /// queue in ascending rank order.* Injection emits a flow's words in word
 /// order; on every shared link the earlier word (lower rank in the same
 /// lane) transmits first and the link's `free` cursor is monotone, so
-/// arrival stamps — and barrier filing, which is globally `(arrive, seq)`
-/// sorted — preserve per-flow order hop by hop, even under Delay faults
-/// (the delay moves `free` for both words alike). A Drop retry re-files
-/// the entry it just popped, which is a *prepend*, not an append. Each
-/// lane is therefore pre-sorted, the queue minimum is always a lane head,
-/// and the head heap is over flows (tens) instead of words (thousands).
+/// arrival stamps — and delivery filing, which each shard's wheel releases
+/// in `(arrive, seq)` order — preserve per-flow order hop by hop, even
+/// under Delay faults (the delay moves `free` for both words alike). A Drop
+/// retry re-files the entry it just popped, which is a *prepend*, not an
+/// append. Each lane is therefore pre-sorted, the queue minimum is always a
+/// lane head, and the head heap is over flows (tens) instead of words
+/// (thousands).
 ///
 /// The head heap is *lazy*: prepends push a fresh candidate without
 /// retracting the old head's entry, so stale candidates linger and are
@@ -165,24 +166,18 @@ impl LaneQueue {
     }
 }
 
-/// A word in flight between windows: transmitted during one window,
-/// delivered at the barrier opening the window containing `arrive`.
+/// A word in flight between windows: transmitted during one window, filed
+/// by its destination shard in the window containing `arrive`. The derived
+/// order is `(arrive, seq)` — unique, since a word is in flight at most
+/// once — which is the order the delivery wheels release it in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Delivery {
     pub arrive: Cycle,
     pub seq: u64,
-    pub hop: u16,
+    /// Injection cycle carried end-to-end.
+    pub t_inject: Cycle,
     pub to_node: u32,
     pub via_link: u32,
+    pub hop: u16,
     pub vc: u8,
-    /// Injection cycle carried end-to-end (trails the `(arrive, seq)`
-    /// ordering, which stays unique and unchanged).
-    pub t_inject: Cycle,
-    /// Critical-path queue-wait accumulator, carried across the barrier
-    /// (trailing, like `t_inject`).
-    pub queue_cycles: u64,
-    /// Critical-path wire accumulator.
-    pub wire_cycles: u64,
-    /// Critical-path retry-backoff accumulator.
-    pub backoff_cycles: u64,
 }

@@ -1,20 +1,25 @@
 //! Per-shard simulation state: structure-of-arrays node state, link and
-//! port records, and the window output buffers the coordinator folds.
+//! port records, the delivery wheel, and the window output buffers the
+//! coordinator folds.
 //!
 //! A shard owns a contiguous run of whole port groups — the nodes of those
-//! groups, their NIC FIFOs, their outgoing links, and their ejection
-//! queues. Per-node router state is stored as parallel arrays indexed by
-//! `node - node_lo` rather than one struct per node: the engine only ever
-//! touches a node's two NIC FIFOs and a handful of scalars, so the SoA
-//! layout keeps a 4096-node torus at a few kilobytes per node (the old
-//! layout embedded a full [`memcomm_memsim::Node`], cache model and
-//! simulated DRAM included, which the engine never exercised).
+//! groups, their NIC FIFOs, their outgoing links (one contiguous run of
+//! global link indices, since links order by source node), their ejection
+//! queues, and the words in flight towards them. Per-node router state is
+//! stored as parallel arrays indexed by `node - node_lo` rather than one
+//! struct per node: the engine only ever touches a node's two NIC FIFOs and
+//! a handful of scalars, so the SoA layout keeps a 4096-node torus at a few
+//! kilobytes per node (the old layout embedded a full
+//! [`memcomm_memsim::Node`], cache model and simulated DRAM included, which
+//! the engine never exercised).
 
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::nic::TimedFifo;
 use memcomm_obs::{Histogram, Series, SeriesKind};
 use memcomm_util::arena::Arena;
+use memcomm_util::wheel::TimingWheel;
 
+use super::build::Net;
 use super::sched::{Delivery, LaneQueue, QEntry};
 use super::{ClassBreakdown, EngineEvent};
 
@@ -39,7 +44,7 @@ pub(crate) struct LinkState {
     /// same window across engine windows counts once).
     pub outage_mark: Cycle,
     /// Cycles this wire spent transmitting (drops included), in 16.16
-    /// fixed point; only maintained when sampling is on.
+    /// fixed point; read only when sampling is on.
     pub busy_fp: u64,
 }
 
@@ -55,6 +60,8 @@ pub(crate) struct PortState {
 /// All `Vec`s prefixed with a node meaning are parallel arrays indexed by
 /// local node (`node - node_lo`).
 pub(crate) struct Shard {
+    /// Position in the shard list (the index other shards' outboxes use).
+    pub id: u32,
     pub node_lo: u32,
     /// Outgoing NIC FIFO per local node.
     pub tx: Vec<TimedFifo>,
@@ -75,13 +82,19 @@ pub(crate) struct Shard {
     /// Words awaiting the ejection port (same word-major order as links),
     /// per local node.
     pub eject: Vec<LaneQueue>,
-    /// Owned links, ascending global index.
+    /// Owned links: global indices `link_lo..link_lo + links.len()`.
     pub links: Vec<LinkState>,
-    /// Global index of each owned link, parallel to `links` (binary search).
-    pub link_globals: Vec<u32>,
+    pub link_lo: u32,
     pub ports: Vec<PortState>,
-    pub inbox: Vec<Delivery>,
-    pub credit_inbox: Vec<(u32, u8)>,
+    /// Words in flight to this shard's nodes, released in `(arrive, seq)`
+    /// order.
+    pub wheel: TimingWheel<Delivery>,
+    /// Deliveries other shards sent here last window, per source shard
+    /// (swapped in at the barrier, emptied into `wheel` by the window).
+    pub inbox: Vec<Vec<Delivery>>,
+    /// Credits freed for this shard's links last window, as `(local link,
+    /// vc)` per source shard.
+    pub credit_inbox: Vec<Vec<(u32, u8)>>,
     /// Entry storage shared by every lane queue of the shard. Its live
     /// count is exactly the shard's queued words.
     pub arena: Arena<QEntry>,
@@ -160,7 +173,7 @@ impl ShardTelemetry {
     }
 
     /// Records one sample point from the shard's live state: flushes the
-    /// staged counter deltas and reads the gauge levels. Both window_core
+    /// staged counter deltas and reads the gauge levels. Both the window
     /// and the coordinator's tail flush go through here, so a tick looks
     /// the same wherever it fires.
     pub fn sample(
@@ -196,8 +209,11 @@ impl ShardTelemetry {
 /// independent of the shard count.
 #[derive(Default)]
 pub(crate) struct WindowOut {
-    pub deliveries: Vec<Delivery>,
-    pub credits: Vec<(u32, u8)>,
+    /// Outboxes per destination shard, swapped into its `inbox` at the
+    /// barrier (this shard's own deliveries go straight into its wheel).
+    pub deliveries: Vec<Vec<Delivery>>,
+    /// Freed credits per owning shard, as `(local link, vc)`.
+    pub credits: Vec<Vec<(u32, u8)>>,
     /// Injection events, ascending port id.
     pub inject_events: Vec<EngineEvent>,
     /// Link transit events (hops and fault drops interleaved per link),
@@ -226,23 +242,26 @@ pub(crate) struct WindowOut {
 }
 
 impl WindowOut {
-    /// Resets for the next window, keeping buffer capacities.
+    /// Resets for the next window: zeroes the tallies and keeps the
+    /// buffers' capacities. The outboxes come back from the barrier empty.
     pub fn clear(&mut self) {
-        self.deliveries.clear();
-        self.credits.clear();
+        use std::mem::take;
         self.inject_events.clear();
         self.link_events.clear();
         self.eject_events.clear();
-        self.progress = 0;
-        self.drained = 0;
-        self.flit_hops = 0;
-        self.dropped = 0;
-        self.corrupted = 0;
-        self.retried = 0;
-        self.abandoned = 0;
-        self.last_drain = 0;
-        self.queued = 0;
-        self.outaged = 0;
-        self.stalls = 0;
+        *self = WindowOut {
+            deliveries: take(&mut self.deliveries),
+            credits: take(&mut self.credits),
+            inject_events: take(&mut self.inject_events),
+            link_events: take(&mut self.link_events),
+            eject_events: take(&mut self.eject_events),
+            ..WindowOut::default()
+        };
+    }
+
+    /// Returns a credit of global link `link` to its owning shard.
+    pub fn free_credit(&mut self, net: &Net, link: u32, vc: u8) {
+        let (shard, local) = net.link_owner[link as usize];
+        self.credits[shard as usize].push((local, vc));
     }
 }

@@ -11,23 +11,17 @@ use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::fault::{site, LinkFault};
 use memcomm_memsim::nic::TimedFifo;
 
-use super::build::Net;
-use super::sched::{word_rank, QEntry};
-use super::shard::{Shard, WindowOut, BUSY_ONE};
+use super::build::{net_word, Net, BACKOFF, QUEUE, WIRE};
+use super::sched::{word_rank, Delivery, QEntry};
+use super::shard::{Shard, BUSY_ONE};
 use super::{EngineEvent, EventKind};
 
 impl Shard {
-    /// Runs one window, reusing the shard's persistent output buffers (the
-    /// coordinator drains them at the barrier).
-    pub(crate) fn run_window_in_place(&mut self, t0: Cycle, t1: Cycle, net: &Net) {
-        let mut out = std::mem::take(&mut self.out);
-        out.clear();
-        self.window_core(t0, t1, net, &mut out);
-        self.out = out;
-    }
-
-    fn window_core(&mut self, t0: Cycle, t1: Cycle, net: &Net, out: &mut WindowOut) {
+    /// Runs one window, leaving its output in `self.out` for the
+    /// coordinator to fold and route at the barrier.
+    pub(crate) fn run_window(&mut self, t0: Cycle, t1: Cycle, net: &Net) {
         let Shard {
+            id,
             node_lo,
             tx,
             rx,
@@ -39,8 +33,9 @@ impl Shard {
             drain_free,
             eject,
             links,
-            link_globals,
+            link_lo,
             ports,
+            wheel,
             inbox,
             credit_inbox,
             arena,
@@ -49,66 +44,51 @@ impl Shard {
             lat_sums,
             stall_mark,
             telemetry,
+            out,
             ..
         } = self;
-        let node_lo = *node_lo;
+        let (id, node_lo, link_lo) = (*id, *node_lo, *link_lo);
+        // Busy time of an undelayed transmit, rounded once per window.
+        let wt_fp = (net.wt * BUSY_ONE).round() as u64;
+        out.clear();
 
         // Credits freed during the previous window become usable now.
-        for (local, vc) in credit_inbox.drain(..) {
+        for (local, vc) in credit_inbox.iter_mut().flat_map(|c| c.drain(..)) {
             links[local as usize].credits[vc as usize] += 1;
         }
 
-        // 1. Deliveries due this window (coordinator pre-sorted by
-        // (arrive, seq)): file each word into its next link queue, or into
-        // the destination's ejection queue. The word keeps occupying its
-        // upstream (via_link, vc) buffer until it moves on.
-        for d in inbox.iter().copied() {
+        // 1. Deliveries due this window, in (arrive, seq) order: file each
+        // word into its next link queue, or into the destination's ejection
+        // queue. The word keeps occupying its upstream (via_link, vc)
+        // buffer until it moves on.
+        for d in inbox.iter_mut().flat_map(|d| d.drain(..)) {
+            wheel.push(d.arrive, d);
+        }
+        wheel.drain_until(t1, |_, d| {
             let flow = &net.flows[(d.seq >> 32) as usize];
             let next = d.hop as usize + 1;
-            if next == flow.hops.len() {
-                let local = (d.to_node - node_lo) as usize;
-                eject[local].push_arrival(
+            let (queue, lane, hop) = match flow.hops.get(next) {
+                None => (
+                    &mut eject[(d.to_node - node_lo) as usize],
                     flow.eject_lane,
-                    QEntry {
-                        rank: word_rank(d.seq),
-                        ready: d.arrive,
-                        seq: d.seq,
-                        hop: d.hop,
-                        prev_link: d.via_link,
-                        prev_vc: d.vc,
-                        tries: 0,
-                        t_inject: d.t_inject,
-                        queue_cycles: d.queue_cycles,
-                        wire_cycles: d.wire_cycles,
-                        backoff_cycles: d.backoff_cycles,
-                    },
-                    arena,
-                );
-            } else {
-                let h = flow.hops[next];
-                let li = link_globals
-                    .binary_search(&h.link)
-                    .expect("delivery routed to a shard that does not own the link");
-                links[li].queues[usize::from(h.vc)].push_arrival(
-                    h.lane,
-                    QEntry {
-                        rank: word_rank(d.seq),
-                        ready: d.arrive,
-                        seq: d.seq,
-                        hop: next as u16,
-                        prev_link: d.via_link,
-                        prev_vc: d.vc,
-                        tries: 0,
-                        t_inject: d.t_inject,
-                        queue_cycles: d.queue_cycles,
-                        wire_cycles: d.wire_cycles,
-                        backoff_cycles: d.backoff_cycles,
-                    },
-                    arena,
-                );
-            }
-        }
-        inbox.clear();
+                    d.hop,
+                ),
+                Some(h) => {
+                    let queue = &mut links[(h.link - link_lo) as usize].queues[usize::from(h.vc)];
+                    (queue, h.lane, next as u16)
+                }
+            };
+            let e = QEntry {
+                rank: word_rank(d.seq),
+                ready: d.arrive,
+                t_inject: d.t_inject,
+                prev_link: d.via_link,
+                tries: 0,
+                hop,
+                prev_vc: d.vc,
+            };
+            queue.push_arrival(lane, e, arena);
+        });
 
         // 2. Source pump: memory feeds tx at its own pace, blocked by a full
         // FIFO (the processor stalls — the analytic model's port term).
@@ -131,7 +111,7 @@ impl Shard {
                     break;
                 }
                 let seq = (u64::from(fi) << 32) | u64::from(feed_word[i]);
-                let Some(at) = tx[i].push(t, net.word(seq)) else {
+                let Some(at) = tx[i].push(t, net_word(net.pairs, seq)) else {
                     break;
                 };
                 src_free[i] = at + net.source_wc;
@@ -166,26 +146,17 @@ impl Shard {
                     .expect("arbitration picked a non-empty tx FIFO");
                 let seq = w.data;
                 let h = net.flows[(seq >> 32) as usize].hops[0];
-                let li = link_globals
-                    .binary_search(&h.link)
-                    .expect("flow injected on a shard that does not own its first link");
                 p.inject_free = start + net.wt;
                 let entry = p.inject_free.ceil() as Cycle;
                 let port_id = p.id;
-                links[li].queues[usize::from(h.vc)].push_arrival(
+                links[(h.link - link_lo) as usize].queues[usize::from(h.vc)].push_arrival(
                     h.lane,
                     QEntry {
                         rank: word_rank(seq),
                         ready: entry,
-                        seq,
-                        hop: 0,
-                        prev_link: u32::MAX,
-                        prev_vc: 0,
-                        tries: 0,
                         t_inject: start.floor() as Cycle,
-                        queue_cycles: 0,
-                        wire_cycles: 0,
-                        backoff_cycles: 0,
+                        prev_link: u32::MAX,
+                        ..QEntry::default()
                     },
                     arena,
                 );
@@ -247,13 +218,14 @@ impl Shard {
                         continue;
                     }
                 }
-                let mut e = l.queues[vc].pop(arena);
+                let e = l.queues[vc].pop(arena);
+                let seq = e.seq();
+                let t_start = start.floor() as Cycle;
                 // Attribution: everything between the word's last milestone
                 // (`ready`) and the floor the transmit actually starts on is
                 // queueing — waiting for credits, the wire, or an outage.
-                e.queue_cycles = e
-                    .queue_cycles
-                    .saturating_add((start.floor() as Cycle).saturating_sub(e.ready));
+                net.attribution
+                    .charge(seq, QUEUE, t_start.saturating_sub(e.ready));
                 let fault = net
                     .fault
                     .link_fault(site::engine_link(l.global), l.attempts);
@@ -270,40 +242,37 @@ impl Shard {
                         // upstream buffer freed, and the run degrades with
                         // exact accounting instead of wedging.
                         l.free = start + wire;
-                        if net.sample_every > 0 {
-                            l.busy_fp += (wire * BUSY_ONE).round() as u64;
-                        }
+                        l.busy_fp += wt_fp;
                         out.link_events.push(EngineEvent {
-                            time: start.floor() as Cycle,
+                            time: t_start,
                             kind: EventKind::Drop,
                             site: l.global,
                             vc: vc as u8,
-                            seq: e.seq,
+                            seq,
                         });
                         out.dropped += 1;
                         out.progress += 1;
                         if e.tries >= net.retry.max_retries {
                             if e.prev_link != u32::MAX {
-                                out.credits.push((e.prev_link, e.prev_vc));
+                                out.free_credit(net, e.prev_link, e.prev_vc);
                             }
                             out.abandoned += 1;
                             continue;
                         }
-                        let lane = net.flows[(e.seq >> 32) as usize].hops[usize::from(e.hop)].lane;
+                        let lane = net.flows[(seq >> 32) as usize].hops[usize::from(e.hop)].lane;
                         let next_ready =
                             (l.free.ceil() as Cycle).saturating_add(net.retry.delay(e.tries));
+                        // Attribution: the span from this transmit's start
+                        // to the retry's ready cycle (wasted wire +
+                        // exponential backoff) is charged to backoff;
+                        // `ready` stays the milestone.
+                        net.attribution
+                            .charge(seq, BACKOFF, next_ready.saturating_sub(t_start));
                         l.queues[vc].push_retry(
                             lane,
                             QEntry {
                                 ready: next_ready,
                                 tries: e.tries + 1,
-                                // Attribution: the span from this transmit's
-                                // start to the retry's ready cycle (wasted
-                                // wire + exponential backoff) is charged to
-                                // backoff; `ready` stays the milestone.
-                                backoff_cycles: e.backoff_cycles.saturating_add(
-                                    next_ready.saturating_sub(start.floor() as Cycle),
-                                ),
                                 ..e
                             },
                             arena,
@@ -317,37 +286,41 @@ impl Shard {
                 }
                 l.credits[vc] -= 1;
                 l.free = start + wire;
-                if net.sample_every > 0 {
-                    l.busy_fp += (wire * BUSY_ONE).round() as u64;
-                }
+                l.busy_fp += if wire == net.wt {
+                    wt_fp
+                } else {
+                    (wire * BUSY_ONE).round() as u64
+                };
                 let arrive = (l.free.ceil() as Cycle) + net.latency;
                 if e.prev_link != u32::MAX {
-                    out.credits.push((e.prev_link, e.prev_vc));
+                    out.free_credit(net, e.prev_link, e.prev_vc);
                 }
                 out.link_events.push(EngineEvent {
-                    time: start.floor() as Cycle,
+                    time: t_start,
                     kind: EventKind::Hop,
                     site: l.global,
                     vc: vc as u8,
-                    seq: e.seq,
+                    seq,
                 });
-                out.deliveries.push(super::sched::Delivery {
+                // Attribution: transmit start to delivery (serialization,
+                // fault delay, and link latency) is wire time; `arrive`
+                // becomes the word's next milestone.
+                net.attribution
+                    .charge(seq, WIRE, arrive.saturating_sub(t_start));
+                let to_node = net.link_to[l.global as usize];
+                let d = Delivery {
                     arrive,
-                    seq: e.seq,
-                    hop: e.hop,
-                    to_node: net.link_to[l.global as usize],
-                    via_link: l.global,
-                    vc: vc as u8,
+                    seq,
                     t_inject: e.t_inject,
-                    queue_cycles: e.queue_cycles,
-                    // Attribution: transmit start to delivery (serialization,
-                    // fault delay, and link latency) is wire time; `arrive`
-                    // becomes the word's next milestone.
-                    wire_cycles: e
-                        .wire_cycles
-                        .saturating_add(arrive.saturating_sub(start.floor() as Cycle)),
-                    backoff_cycles: e.backoff_cycles,
-                });
+                    to_node,
+                    via_link: l.global,
+                    hop: e.hop,
+                    vc: vc as u8,
+                };
+                match net.shard_of_node[to_node as usize] {
+                    dest if dest == id => wheel.push(arrive, d),
+                    dest => out.deliveries[dest as usize].push(d),
+                }
                 out.flit_hops += 1;
                 out.progress += 1;
             }
@@ -380,41 +353,42 @@ impl Shard {
                 }
                 let local = (node - node_lo) as usize;
                 let e = eject[local].pop(arena);
+                let seq = e.seq();
+                let t_start = start.floor() as Cycle;
                 p.eject_free = start + net.wt;
                 let t_in = p.eject_free.ceil() as Cycle;
                 if net.record_latency {
-                    let class = usize::from(net.flows[(e.seq >> 32) as usize].class);
-                    let lat = (start.floor() as Cycle).saturating_sub(e.t_inject);
+                    let class = usize::from(net.flows[(seq >> 32) as usize].class);
+                    let lat = t_start.saturating_sub(e.t_inject);
                     lat_hist[class].record(lat);
                     if !lat_sums.is_empty() {
                         // The final queue charge: waiting for the ejection
                         // port. Inject wait is the residual, so the four
                         // components telescope to `lat` exactly.
-                        let queue = e
-                            .queue_cycles
-                            .saturating_add((start.floor() as Cycle).saturating_sub(e.ready));
+                        let [queue, wire, backoff] = net.attribution.read(seq);
+                        let queue = queue.saturating_add(t_start.saturating_sub(e.ready));
                         let b = &mut lat_sums[class];
                         b.count += 1;
                         b.queue += queue;
-                        b.wire += e.wire_cycles;
-                        b.backoff += e.backoff_cycles;
+                        b.wire += wire;
+                        b.backoff += backoff;
                         b.total += lat;
                         b.inject += lat
                             .saturating_sub(queue)
-                            .saturating_sub(e.wire_cycles)
-                            .saturating_sub(e.backoff_cycles);
+                            .saturating_sub(wire)
+                            .saturating_sub(backoff);
                     }
                 }
                 rx[local]
-                    .push(t_in, net.word(e.seq))
+                    .push(t_in, net_word(net.pairs, seq))
                     .expect("arbitration checked rx had space");
-                out.credits.push((e.prev_link, e.prev_vc));
+                out.free_credit(net, e.prev_link, e.prev_vc);
                 out.eject_events.push(EngineEvent {
-                    time: start.floor() as Cycle,
+                    time: t_start,
                     kind: EventKind::Eject,
                     site: p.id,
                     vc: e.prev_vc,
-                    seq: e.seq,
+                    seq,
                 });
                 out.progress += 1;
             }
@@ -460,24 +434,6 @@ impl Shard {
                 tel.sample(tx, rx, eject, links, arena);
                 tel.next_tick += net.sample_every;
             }
-        }
-    }
-
-    /// One extra sample covering the stub interval between the last on-grid
-    /// tick and the run's final window — called uniformly across shards by
-    /// the coordinator so counter series totals match the run ledger.
-    pub(crate) fn telemetry_tail_flush(&mut self) {
-        let Shard {
-            tx,
-            rx,
-            eject,
-            links,
-            arena,
-            telemetry,
-            ..
-        } = self;
-        if let Some(tel) = telemetry {
-            tel.sample(tx, rx, eject, links, arena);
         }
     }
 }
