@@ -63,23 +63,23 @@ pub struct SweepOptions {
     pub micro_words: u64,
     /// Payload words for end-to-end exchanges.
     pub exchange_words: u64,
-    /// Selected experiment keys (empty = all of [`SECTIONS`]).
+    /// Selected experiment keys (empty = all of [`SECTIONS`]). A set that
+    /// names no key, such as an `engine` request's `{"engine"}`, runs only
+    /// the opt-in sections.
     pub sections: BTreeSet<String>,
     /// Fault-injection settings for the robustness section. The zero-rate
     /// default makes the section a faultless baseline; its seed is never
     /// echoed into the report, so zero-rate runs are byte-identical
     /// whatever the seed.
     pub faults: experiments::FaultSettings,
-    /// Also run the per-stage phase-attribution breakdown (off by default;
-    /// not part of [`SECTIONS`] so default reports keep their exact bytes).
+    /// Also run the per-stage phase-attribution breakdown. Like `engine`
+    /// and `collectives`, it is opt-in and no [`SECTIONS`] key, so default
+    /// reports keep their exact bytes.
     pub phases: bool,
-    /// Also execute Table 6 on the discrete-event network engine (off by
-    /// default; like `phases`, not part of [`SECTIONS`] so default reports
-    /// keep their exact bytes).
+    /// Also execute Table 6 on the discrete-event network engine.
     pub engine: Option<experiments::EngineSettings>,
     /// Also run the collective-operations layer on the engine and the
-    /// analytic wire model (off by default; like `engine`, not part of
-    /// [`SECTIONS`] so default reports keep their exact bytes).
+    /// analytic wire model.
     pub collectives: Option<crate::collectives::CollectiveSettings>,
 }
 
@@ -135,8 +135,8 @@ pub struct CalRow {
 /// rendered, with the failure on record.
 #[derive(Debug, Clone)]
 pub struct SectionStatus {
-    /// Experiment key (one of [`SECTIONS`]; figures 7/8 report as
-    /// `section5`, matching the metrics breakdown).
+    /// Section name: a [`SECTIONS`] key, `section5` for figures 7/8, or
+    /// `phases`, `engine` or `collectives` for the opt-in sections.
     pub name: String,
     /// Whether the section completed.
     pub ok: bool,
@@ -184,17 +184,13 @@ pub struct FullReport {
     pub model_accuracy: Vec<MachineSeries<experiments::AccuracyRow>>,
     /// Robustness (fault-injection) series.
     pub faults: Vec<MachineSeries<experiments::FaultRow>>,
-    /// Per-stage phase attribution series (opt-in via
-    /// [`SweepOptions::phases`]; the JSON key is omitted when empty so
-    /// default runs render byte-identically to earlier versions).
+    /// Per-stage phase attribution series ([`SweepOptions::phases`]). This
+    /// and the two opt-in fields below render only when non-empty, so
+    /// default runs keep the bytes of earlier versions.
     pub phases: Vec<MachineSeries<crate::phases::PhaseRow>>,
-    /// Event-engine Table 6 rows (opt-in via [`SweepOptions::engine`]; the
-    /// JSON key is omitted when empty so default runs render
-    /// byte-identically to earlier versions).
+    /// Event-engine Table 6 rows ([`SweepOptions::engine`]).
     pub engine_table6: Vec<experiments::EngineRow>,
-    /// Collective-operations rows (opt-in via [`SweepOptions::collectives`];
-    /// the JSON key is omitted when empty so default runs render
-    /// byte-identically to earlier versions).
+    /// Collective-operations rows ([`SweepOptions::collectives`]).
     pub collectives: Vec<crate::collectives::CollectiveRow>,
     /// Per-section completion status, in evaluation order.
     pub sections: Vec<SectionStatus>,
@@ -448,7 +444,7 @@ fn rate_row(r: &experiments::RateRow) -> Json {
 /// Wall time and point count for one experiment.
 #[derive(Debug, Clone)]
 pub struct ExperimentMetrics {
-    /// Experiment key (one of [`SECTIONS`]).
+    /// Section name, as in [`SectionStatus::name`].
     pub name: String,
     /// Wall-clock milliseconds.
     pub wall_ms: f64,
@@ -550,34 +546,168 @@ impl RunMetrics {
     }
 }
 
-/// One experiment section, run behind a panic shield: a failing experiment
-/// (a typed simulation error, or a panic escaping a worker thread) records
-/// its status and zero points, and the sweep moves on with a partial
-/// report instead of tearing the whole run down.
-fn run_section(
-    name: &str,
-    statuses: &mut Vec<SectionStatus>,
-    metrics: &mut Vec<ExperimentMetrics>,
-    f: &mut dyn FnMut() -> SimResult<u64>,
-) {
-    let t = Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    let (points, ok, error) = match outcome {
-        Ok(Ok(points)) => (points, true, None),
-        Ok(Err(e)) => (0, false, Some(e.to_string())),
-        Err(payload) => (0, false, Some(panic_text(payload.as_ref()))),
-    };
-    metrics.push(ExperimentMetrics {
-        name: name.to_string(),
-        wall_ms: t.elapsed().as_secs_f64() * 1e3,
-        points,
-    });
-    statuses.push(SectionStatus {
-        name: name.to_string(),
-        ok,
-        error,
-    });
+/// How a section fills the report: it appends its rows and returns how many.
+type Fill = fn(&SweepOptions, &mut FullReport) -> SimResult<u64>;
+
+/// One report section: the name its status and metrics carry, whether the
+/// options select it (given that name), and how it fills the report.
+/// [`run_sweep`] runs the selected sections of [`TABLE`] in order.
+struct Section {
+    name: &'static str,
+    selected: fn(&SweepOptions, &str) -> bool,
+    fill: Fill,
 }
+
+impl Section {
+    /// A section selected by its own [`SECTIONS`] key.
+    const fn keyed(name: &'static str, fill: Fill) -> Section {
+        Section {
+            name,
+            selected: SweepOptions::wants,
+            fill,
+        }
+    }
+}
+
+/// Measures one series per machine into `series`; returns the rows added.
+fn per_machine<T>(
+    machines: &[Machine],
+    series: &mut Vec<MachineSeries<T>>,
+    rows: impl Fn(&Machine) -> SimResult<Vec<T>>,
+) -> SimResult<u64> {
+    let mut n = 0;
+    for m in machines {
+        let rows = rows(m)?;
+        n += rows.len() as u64;
+        series.push(MachineSeries {
+            machine: m.name.to_string(),
+            rows,
+        });
+    }
+    Ok(n)
+}
+
+/// [`per_machine`] over both of the paper's machines, T3D first.
+fn both<T>(
+    series: &mut Vec<MachineSeries<T>>,
+    rows: impl Fn(&Machine) -> SimResult<Vec<T>>,
+) -> SimResult<u64> {
+    per_machine(&[Machine::t3d(), Machine::paragon()], series, rows)
+}
+
+/// Every section, in evaluation (and report) order: one per [`SECTIONS`]
+/// key, except that figures 7 and 8 share `section5`, then the opt-in
+/// sections, each selected by its own option.
+const TABLE: &[Section] = &[
+    Section::keyed("calibration", |o, r| {
+        for m in &[Machine::t3d(), Machine::paragon()] {
+            for c in calibrate::calibration_report(m, o.micro_words)? {
+                r.calibration.push(CalRow {
+                    machine: m.name.to_string(),
+                    transfer: c.transfer.to_string(),
+                    simulated: c.simulated.as_mbps(),
+                    paper: c.paper.as_mbps(),
+                    ratio: c.ratio(),
+                });
+            }
+        }
+        Ok(r.calibration.len() as u64)
+    }),
+    Section::keyed("figure1", |_, r| both(&mut r.figure1, experiments::figure1)),
+    Section::keyed("table1", |o, r| {
+        both(&mut r.table1, |m| experiments::table1(m, o.micro_words))
+    }),
+    Section::keyed("table2", |o, r| {
+        both(&mut r.table2, |m| experiments::table2(m, o.micro_words))
+    }),
+    Section::keyed("table3", |o, r| {
+        both(&mut r.table3, |m| experiments::table3(m, o.micro_words))
+    }),
+    Section::keyed("figure4", |o, r| {
+        both(&mut r.figure4, |m| experiments::figure4(m, o.micro_words))
+    }),
+    Section::keyed("table4", |o, r| {
+        both(&mut r.table4, |m| Ok(experiments::table4(m, o.micro_words)))
+    }),
+    Section {
+        name: "section5",
+        selected: |o, _| o.wants("figure7") || o.wants("figure8"),
+        fill: |o, r| {
+            let wanted: Vec<Machine> =
+                [(Machine::t3d(), "figure7"), (Machine::paragon(), "figure8")]
+                    .into_iter()
+                    .filter_map(|(m, key)| o.wants(key).then_some(m))
+                    .collect();
+            per_machine(&wanted, &mut r.section5, |m| {
+                let rates = microbench::measure_table(m, o.micro_words)?;
+                experiments::section5(m, &rates, o.exchange_words)
+            })
+        },
+    },
+    Section::keyed("table5", |o, r| {
+        r.table5 = experiments::table5(o.exchange_words)?;
+        Ok(r.table5.len() as u64)
+    }),
+    Section::keyed("section341", |o, r| {
+        let rates = microbench::measure_table(&Machine::t3d(), o.micro_words)?;
+        r.section341 = Some(experiments::section341(&rates)?);
+        Ok(1)
+    }),
+    Section::keyed("table6", |o, r| {
+        let rates = microbench::measure_table(&Machine::t3d(), o.micro_words)?;
+        r.table6 = experiments::table6(&rates)?;
+        Ok(r.table6.len() as u64)
+    }),
+    Section::keyed("putget", |o, r| {
+        both(&mut r.put_vs_get, |m| {
+            experiments::put_vs_get(m, o.exchange_words)
+        })
+    }),
+    Section::keyed("scaling", |_, r| {
+        per_machine(&[Machine::t3d()], &mut r.scaling, experiments::scaling)
+    }),
+    Section::keyed("accuracy", |o, r| {
+        both(&mut r.model_accuracy, |m| {
+            let rates = microbench::measure_table(m, o.micro_words)?;
+            experiments::model_accuracy(m, &rates, o.exchange_words)
+        })
+    }),
+    Section::keyed("faults", |o, r| {
+        both(&mut r.faults, |m| {
+            Ok(experiments::faults(m, o.exchange_words, &o.faults))
+        })
+    }),
+    Section {
+        name: "phases",
+        selected: |o, _| o.phases,
+        fill: |o, r| {
+            both(&mut r.phases, |m| {
+                let rates = microbench::measure_table(m, o.micro_words)?;
+                crate::phases::phase_breakdown(m, &rates, o.exchange_words)
+            })
+        },
+    },
+    Section {
+        name: "engine",
+        selected: |o, _| o.engine.is_some(),
+        fill: |o, r| {
+            if let Some(engine) = &o.engine {
+                r.engine_table6 = experiments::engine_table6(engine)?;
+            }
+            Ok(r.engine_table6.len() as u64)
+        },
+    },
+    Section {
+        name: "collectives",
+        selected: |o, _| o.collectives.is_some(),
+        fill: |o, r| {
+            if let Some(settings) = &o.collectives {
+                r.collectives = crate::collectives::collectives_table(settings)?;
+            }
+            Ok(r.collectives.len() as u64)
+        },
+    },
+];
 
 /// Extracts the human-readable message from a caught panic payload.
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -596,8 +726,10 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Sets the process-wide default worker count as a side effect (the
 /// experiment functions fan out through it). Never panics on experiment
-/// failure: each section runs isolated, and the report's `sections` field
-/// records which completed.
+/// failure: each section runs behind a panic shield, so a typed simulation
+/// error or a panic escaping a worker records the section's status and
+/// zero points, and the sweep moves on with a partial report. The report's
+/// `sections` field records which completed.
 pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
     par::set_jobs(opts.jobs);
     // Fault/protocol counters live in a per-run registry, not process-wide
@@ -627,290 +759,27 @@ pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
         ..FullReport::default()
     };
     let mut experiment_metrics: Vec<ExperimentMetrics> = Vec::new();
-    let mut statuses: Vec<SectionStatus> = Vec::new();
-    let machines = [Machine::t3d(), Machine::paragon()];
-
-    if opts.wants("calibration") {
-        run_section(
-            "calibration",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                for m in &machines {
-                    for r in calibrate::calibration_report(m, opts.micro_words)? {
-                        report.calibration.push(CalRow {
-                            machine: m.name.to_string(),
-                            transfer: r.transfer.to_string(),
-                            simulated: r.simulated.as_mbps(),
-                            paper: r.paper.as_mbps(),
-                            ratio: r.ratio(),
-                        });
-                    }
-                }
-                Ok(report.calibration.len() as u64)
-            },
-        );
-    }
-
-    if opts.wants("figure1") {
-        run_section(
-            "figure1",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                for m in &machines {
-                    report.figure1.push(MachineSeries {
-                        machine: m.name.to_string(),
-                        rows: experiments::figure1(m)?,
-                    });
-                }
-                Ok(report.figure1.iter().map(|s| s.rows.len() as u64).sum())
-            },
-        );
-    }
-
-    for (key, f) in [
-        (
-            "table1",
-            experiments::table1 as fn(&Machine, u64) -> SimResult<Vec<experiments::RateRow>>,
-        ),
-        ("table2", experiments::table2),
-        ("table3", experiments::table3),
-    ] {
-        if !opts.wants(key) {
-            continue;
-        }
-        run_section(key, &mut statuses, &mut experiment_metrics, &mut || {
-            let mut n = 0u64;
-            for m in &machines {
-                let rows = f(m, opts.micro_words)?;
-                n += rows.len() as u64;
-                let s = MachineSeries {
-                    machine: m.name.to_string(),
-                    rows,
-                };
-                match key {
-                    "table1" => report.table1.push(s),
-                    "table2" => report.table2.push(s),
-                    _ => report.table3.push(s),
-                }
-            }
-            Ok(n)
+    for section in TABLE.iter().filter(|s| (s.selected)(opts, s.name)) {
+        let t = Instant::now();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (section.fill)(opts, &mut report)
+        }));
+        let (points, error) = match outcome {
+            Ok(Ok(points)) => (points, None),
+            Ok(Err(e)) => (0, Some(e.to_string())),
+            Err(payload) => (0, Some(panic_text(payload.as_ref()))),
+        };
+        experiment_metrics.push(ExperimentMetrics {
+            name: section.name.to_string(),
+            wall_ms: t.elapsed().as_secs_f64() * 1e3,
+            points,
+        });
+        report.sections.push(SectionStatus {
+            name: section.name.to_string(),
+            ok: error.is_none(),
+            error,
         });
     }
-
-    if opts.wants("figure4") {
-        run_section(
-            "figure4",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                for m in &machines {
-                    report.figure4.push(MachineSeries {
-                        machine: m.name.to_string(),
-                        rows: experiments::figure4(m, opts.micro_words)?,
-                    });
-                }
-                Ok(report.figure4.iter().map(|s| s.rows.len() as u64).sum())
-            },
-        );
-    }
-
-    if opts.wants("table4") {
-        run_section(
-            "table4",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                for m in &machines {
-                    report.table4.push(MachineSeries {
-                        machine: m.name.to_string(),
-                        rows: experiments::table4(m, opts.micro_words),
-                    });
-                }
-                Ok(report.table4.iter().map(|s| s.rows.len() as u64).sum())
-            },
-        );
-    }
-
-    if opts.wants("figure7") || opts.wants("figure8") {
-        run_section(
-            "section5",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                let mut n = 0u64;
-                for m in &machines {
-                    let is_t3d = m.name == "Cray T3D";
-                    if (is_t3d && !opts.wants("figure7")) || (!is_t3d && !opts.wants("figure8")) {
-                        continue;
-                    }
-                    let rates = microbench::measure_table(m, opts.micro_words)?;
-                    let rows = experiments::section5(m, &rates, opts.exchange_words)?;
-                    n += rows.len() as u64;
-                    report.section5.push(MachineSeries {
-                        machine: m.name.to_string(),
-                        rows,
-                    });
-                }
-                Ok(n)
-            },
-        );
-    }
-
-    if opts.wants("table5") {
-        run_section(
-            "table5",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                report.table5 = experiments::table5(opts.exchange_words)?;
-                Ok(report.table5.len() as u64)
-            },
-        );
-    }
-
-    if opts.wants("section341") {
-        run_section(
-            "section341",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                let rates = microbench::measure_table(&Machine::t3d(), opts.micro_words)?;
-                report.section341 = Some(experiments::section341(&rates)?);
-                Ok(1)
-            },
-        );
-    }
-
-    if opts.wants("table6") {
-        run_section(
-            "table6",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                let rates = microbench::measure_table(&Machine::t3d(), opts.micro_words)?;
-                report.table6 = experiments::table6(&rates)?;
-                Ok(report.table6.len() as u64)
-            },
-        );
-    }
-
-    if opts.wants("putget") {
-        run_section(
-            "putget",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                for m in &machines {
-                    report.put_vs_get.push(MachineSeries {
-                        machine: m.name.to_string(),
-                        rows: experiments::put_vs_get(m, opts.exchange_words)?,
-                    });
-                }
-                Ok(report.put_vs_get.iter().map(|s| s.rows.len() as u64).sum())
-            },
-        );
-    }
-
-    if opts.wants("scaling") {
-        run_section(
-            "scaling",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                let t3d = Machine::t3d();
-                report.scaling.push(MachineSeries {
-                    machine: t3d.name.to_string(),
-                    rows: experiments::scaling(&t3d)?,
-                });
-                Ok(report.scaling.iter().map(|s| s.rows.len() as u64).sum())
-            },
-        );
-    }
-
-    if opts.wants("accuracy") {
-        run_section(
-            "accuracy",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                for m in &machines {
-                    let rates = microbench::measure_table(m, opts.micro_words)?;
-                    report.model_accuracy.push(MachineSeries {
-                        machine: m.name.to_string(),
-                        rows: experiments::model_accuracy(m, &rates, opts.exchange_words)?,
-                    });
-                }
-                Ok(report
-                    .model_accuracy
-                    .iter()
-                    .map(|s| s.rows.len() as u64)
-                    .sum())
-            },
-        );
-    }
-
-    if opts.wants("faults") {
-        run_section(
-            "faults",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                for m in &machines {
-                    report.faults.push(MachineSeries {
-                        machine: m.name.to_string(),
-                        rows: experiments::faults(m, opts.exchange_words, &opts.faults),
-                    });
-                }
-                Ok(report.faults.iter().map(|s| s.rows.len() as u64).sum())
-            },
-        );
-    }
-
-    if opts.phases {
-        run_section(
-            "phases",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                for m in &machines {
-                    let rates = microbench::measure_table(m, opts.micro_words)?;
-                    report.phases.push(MachineSeries {
-                        machine: m.name.to_string(),
-                        rows: crate::phases::phase_breakdown(m, &rates, opts.exchange_words)?,
-                    });
-                }
-                Ok(report.phases.iter().map(|s| s.rows.len() as u64).sum())
-            },
-        );
-    }
-
-    if let Some(engine) = opts.engine {
-        run_section(
-            "engine",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                report.engine_table6 = experiments::engine_table6(&engine)?;
-                Ok(report.engine_table6.len() as u64)
-            },
-        );
-    }
-
-    if let Some(settings) = opts.collectives.clone() {
-        run_section(
-            "collectives",
-            &mut statuses,
-            &mut experiment_metrics,
-            &mut || {
-                report.collectives = crate::collectives::collectives_table(&settings)?;
-                Ok(report.collectives.len() as u64)
-            },
-        );
-    }
-
-    report.sections = statuses;
 
     let metrics = RunMetrics {
         jobs: opts.jobs,

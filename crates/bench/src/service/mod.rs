@@ -9,6 +9,7 @@
 //!
 //! * [`proto`] — the length-prefixed deterministic-JSON request protocol
 //!   and its strict parser;
+//! * [`argv`] — `repro`'s command line mapped onto the same requests;
 //! * [`server`] — the TCP server: an accept loop, per-connection handler
 //!   threads, and a permit gate bounding concurrent dispatches to the
 //!   configured worker budget;
@@ -29,12 +30,11 @@
 //! interleaving. The `service_vs_batch` tier and `loadgen --check` pin
 //! exactly this.
 
+pub mod argv;
 pub mod client;
 pub mod loadgen;
 pub mod proto;
 pub mod server;
-
-use std::collections::BTreeSet;
 
 use memcomm_machines::memo::{self, MemoConfig, MemoHandle};
 use memcomm_obs::Obs;
@@ -42,7 +42,7 @@ use memcomm_util::json::Json;
 
 pub use proto::Request;
 
-use crate::runner::{self, SweepOptions};
+use crate::runner;
 
 /// Everything a dispatch needs: the shared measurement cache, the
 /// server-lifetime metrics registry, and the worker budget (echoed in
@@ -78,31 +78,6 @@ pub struct Outcome {
     pub shutdown: bool,
 }
 
-fn reply(reply: Json) -> Outcome {
-    Outcome {
-        reply,
-        shutdown: false,
-    }
-}
-
-/// The sweep options an `engine`/`collectives` request desugars to: a
-/// sentinel section set that matches no sweep section, so the report
-/// carries only the opt-in rows.
-fn only(section_less: SweepOptions) -> SweepOptions {
-    let mut sections = BTreeSet::new();
-    sections.insert("service-none".to_string());
-    SweepOptions {
-        sections,
-        jobs: 1,
-        ..section_less
-    }
-}
-
-fn run_report(opts: &SweepOptions) -> Json {
-    let (report, _metrics) = runner::run_sweep(opts);
-    report.to_json()
-}
-
 /// Executes one parsed request against the service state and returns the
 /// response document. Installs the shared cache and metrics handles for
 /// the duration, so nested sweeps adopt them (and `par_map` fan-outs
@@ -114,77 +89,54 @@ pub fn dispatch(req: &Request, state: &ServiceState) -> Outcome {
     state
         .obs
         .count(&format!("service.requests.{}", req.class()), 1);
-    match req {
-        Request::Ping => reply(Json::obj([("kind", Json::str("pong"))])),
+    let answer = match req {
+        Request::Ping => Ok(Json::obj([("kind", Json::str("pong"))])),
         Request::Query {
             machine,
             transfer,
             words,
-        } => {
-            let m = match proto::parse_machine(machine) {
-                Ok(m) => m,
-                Err(e) => return error(state, &e),
-            };
-            match memcomm_machines::microbench::measure_basic(&m, *transfer, *words) {
-                Ok(result) => {
-                    let mbps = result.as_ref().map(|r| r.throughput(m.clock()).as_mbps());
-                    reply(proto::query_response(
-                        machine,
-                        *transfer,
-                        *words,
-                        result.as_ref(),
-                        mbps,
-                    ))
-                }
-                Err(e) => error(state, &e),
-            }
+        } => proto::parse_machine(machine).and_then(|m| {
+            let result = memcomm_machines::microbench::measure_basic(&m, *transfer, *words)?;
+            let mbps = result.as_ref().map(|r| r.throughput(m.clock()).as_mbps());
+            let doc = proto::query_response(machine, *transfer, *words, result.as_ref(), mbps);
+            Ok(doc)
+        }),
+        Request::Sweep(_) | Request::Engine(_) | Request::Collectives(_) => {
+            let opts = req.sweep_options().expect("report requests run a sweep");
+            let (report, _metrics) = runner::run_sweep(&opts);
+            Ok(Json::obj([
+                ("kind", Json::str(req.class())),
+                ("report", report.to_json()),
+            ]))
         }
-        Request::Sweep(opts) => reply(Json::obj([
-            ("kind", Json::str("sweep")),
-            ("report", run_report(opts)),
-        ])),
-        Request::Engine(settings) => reply(Json::obj([
-            ("kind", Json::str("engine")),
-            (
-                "report",
-                run_report(&only(SweepOptions {
-                    engine: Some(*settings),
-                    ..SweepOptions::default()
-                })),
-            ),
-        ])),
-        Request::Collectives(settings) => reply(Json::obj([
-            ("kind", Json::str("collectives")),
-            (
-                "report",
-                run_report(&only(SweepOptions {
-                    collectives: Some(settings.clone()),
-                    ..SweepOptions::default()
-                })),
-            ),
-        ])),
-        Request::Adversary(opts) => match crate::adversary::run_scenario(opts) {
-            Ok(scenario) => reply(Json::obj([
+        Request::Adversary(opts) => crate::adversary::run_scenario(opts).map(|scenario| {
+            Json::obj([
                 ("kind", Json::str("adversary")),
                 ("scenario", crate::adversary::scenario_json(opts, &scenario)),
-            ])),
-            Err(e) => error(state, &e),
-        },
-        Request::Stats => reply(stats_response(state)),
-        Request::Metrics => reply(Json::obj([
+            ])
+        }),
+        Request::Stats => Ok(stats_response(state)),
+        Request::Metrics => Ok(Json::obj([
             ("kind", Json::str("metrics")),
             ("body", Json::str(&metrics_exposition(state))),
         ])),
-        Request::Shutdown => Outcome {
-            reply: Json::obj([("kind", Json::str("bye"))]),
-            shutdown: true,
+        Request::Shutdown => Ok(Json::obj([("kind", Json::str("bye"))])),
+    };
+    match answer {
+        Ok(reply) => Outcome {
+            reply,
+            shutdown: matches!(req, Request::Shutdown),
         },
+        Err(e) => error(state, &e),
     }
 }
 
 fn error(state: &ServiceState, e: &memcomm_memsim::SimError) -> Outcome {
     state.obs.count("service.errors", 1);
-    reply(proto::error_response(e))
+    Outcome {
+        reply: proto::error_response(e),
+        shutdown: false,
+    }
 }
 
 /// Parses raw frame payload bytes, dispatches, and renders the reply —
@@ -272,25 +224,17 @@ fn stats_response(state: &ServiceState) -> Json {
 pub fn metrics_exposition(state: &ServiceState) -> String {
     let mut snapshot = state.obs.metrics_snapshot().unwrap_or_default();
     let cache = state.cache.stats();
-    snapshot
-        .counters
-        .push(("service.cache.hits".to_string(), cache.hits));
-    snapshot
-        .counters
-        .push(("service.cache.misses".to_string(), cache.misses));
-    snapshot
-        .counters
-        .push(("service.cache.evictions".to_string(), cache.evictions));
+    snapshot.counters.extend([
+        ("service.cache.hits".to_string(), cache.hits),
+        ("service.cache.misses".to_string(), cache.misses),
+        ("service.cache.evictions".to_string(), cache.evictions),
+    ]);
     for (i, s) in state.cache.shard_stats().iter().enumerate() {
-        snapshot
-            .counters
-            .push((format!("service.cache.shard{i}.hits"), s.hits));
-        snapshot
-            .counters
-            .push((format!("service.cache.shard{i}.misses"), s.misses));
-        snapshot
-            .counters
-            .push((format!("service.cache.shard{i}.evictions"), s.evictions));
+        snapshot.counters.extend([
+            (format!("service.cache.shard{i}.hits"), s.hits),
+            (format!("service.cache.shard{i}.misses"), s.misses),
+            (format!("service.cache.shard{i}.evictions"), s.evictions),
+        ]);
     }
     snapshot
         .gauges

@@ -3,12 +3,15 @@
 //! Every message on the wire is one [`memcomm_util::frame`] frame whose
 //! payload is the deterministic rendering of a JSON object. Requests carry
 //! a `kind` discriminator plus kind-specific fields; [`Request::parse`] is
-//! strict — unknown kinds, unknown fields, and ill-typed values are all
-//! protocol errors, so a typo'd client learns immediately instead of
-//! silently getting defaults. Responses echo a `kind` of their own; error
-//! responses are `{"kind": "error", "code": ..., "error": ...}` with the
-//! rendered [`SimError`] as the message.
+//! strict — unknown kinds, unknown fields, ill-typed values and values
+//! outside their range ([`Request::check`]) are all protocol errors, so a
+//! typo'd client learns immediately instead of silently getting defaults.
+//! Responses echo a `kind` of their own; error responses are
+//! `{"kind": "error", "code": ..., "error": ...}` with the rendered
+//! [`SimError`] as the message.
 //!
+//! `repro`'s command line maps onto the same `sweep` and `adversary`
+//! requests ([`Request::from_args`]) and passes the same range check.
 //! Response bytes are a pure function of the request: a served `sweep` is
 //! the same [`crate::runner::FullReport::to_json`] rendering the batch
 //! `repro --json` writes, an `adversary` the same
@@ -16,8 +19,7 @@
 //! basic transfer exactly as the tables do. The served-vs-batch
 //! differential tier pins this byte identity.
 
-use std::collections::BTreeSet;
-
+use memcomm_commops::Collective;
 use memcomm_machines::Machine;
 use memcomm_memsim::{Measurement, SimError, SimResult};
 use memcomm_model::BasicTransfer;
@@ -27,7 +29,7 @@ use memcomm_util::json::Json;
 use crate::adversary::ScenarioOptions;
 use crate::collectives::CollectiveSettings;
 use crate::experiments::{EngineSettings, FaultSettings};
-use crate::runner::SweepOptions;
+use crate::runner::{SweepOptions, SECTIONS};
 
 /// A parsed service request.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,55 +80,83 @@ impl Request {
         }
     }
 
-    /// Renders the request as its canonical wire JSON.
+    /// Renders the request as its canonical wire JSON, with its
+    /// [`Request::class`] as the `kind`.
     pub fn to_json(&self) -> Json {
-        match self {
-            Request::Ping => Json::obj([("kind", Json::str("ping"))]),
+        let fields = match self {
             Request::Query {
                 machine,
                 transfer,
                 words,
-            } => Json::obj([
-                ("kind", Json::str("query")),
+            } => vec![
                 ("machine", Json::str(machine)),
                 ("transfer", Json::str(&transfer.to_string())),
                 ("words", (*words).into()),
-            ]),
-            Request::Sweep(opts) => Json::obj([
-                ("kind", Json::str("sweep")),
-                ("options", sweep_to_json(opts)),
-            ]),
-            Request::Engine(s) => Json::obj([
-                ("kind", Json::str("engine")),
-                ("settings", engine_to_json(s)),
-            ]),
-            Request::Collectives(s) => Json::obj([
-                ("kind", Json::str("collectives")),
-                ("settings", collectives_to_json(s)),
-            ]),
-            Request::Adversary(s) => Json::obj([
-                ("kind", Json::str("adversary")),
-                ("options", scenario_to_json(s)),
-            ]),
-            Request::Stats => Json::obj([("kind", Json::str("stats"))]),
-            Request::Metrics => Json::obj([("kind", Json::str("metrics"))]),
-            Request::Shutdown => Json::obj([("kind", Json::str("shutdown"))]),
+            ],
+            Request::Sweep(opts) => vec![("options", sweep_to_json(opts))],
+            Request::Engine(s) => vec![("settings", engine_to_json(s))],
+            Request::Collectives(s) => vec![("settings", collectives_to_json(s))],
+            Request::Adversary(s) => vec![("options", scenario_to_json(s))],
+            Request::Ping | Request::Stats | Request::Metrics | Request::Shutdown => Vec::new(),
+        };
+        Json::obj(std::iter::once(("kind", Json::str(self.class()))).chain(fields))
+    }
+
+    /// The sweep a report request runs: a `sweep` as given; an `engine` or
+    /// `collectives` request as a one-worker sweep that selects only its
+    /// section, by the name its status reports. `None` for the other kinds.
+    pub fn sweep_options(&self) -> Option<SweepOptions> {
+        let (section, engine, collectives) = match self {
+            Request::Sweep(opts) => return Some(opts.clone()),
+            Request::Engine(s) => ("engine", Some(*s), None),
+            Request::Collectives(s) => ("collectives", None, Some(s.clone())),
+            _ => return None,
+        };
+        Some(SweepOptions {
+            jobs: 1,
+            sections: [section.to_string()].into(),
+            engine,
+            collectives,
+            ..SweepOptions::default()
+        })
+    }
+
+    /// The range rules both front ends apply, [`Request::parse`] and
+    /// [`Request::from_args`]: fault probabilities lie in [0, 1], since a
+    /// rate of 1 or more fires on every draw.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] naming the first field out of range.
+    pub fn check(&self) -> SimResult<()> {
+        let probabilities: &[(&str, f64)] = match self {
+            Request::Sweep(o) => &[
+                ("faults.rate", o.faults.rate),
+                ("faults.outage_rate", o.faults.outage_rate),
+            ],
+            Request::Adversary(o) => &[("rate", o.rate)],
+            _ => &[],
+        };
+        match probabilities.iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
+            Some((field, p)) => Err(protocol(format!(
+                "field {field:?} must be a probability in [0, 1], not {p}"
+            ))),
+            None => Ok(()),
         }
     }
 
-    /// Parses a request from its wire JSON.
+    /// Parses a request from its wire JSON and applies [`Request::check`].
     ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] describing the first violation: not an
-    /// object, missing/unknown `kind`, unknown field, or an ill-typed
-    /// value.
+    /// object, missing/unknown `kind`, unknown field, an ill-typed value,
+    /// or a value out of range.
     pub fn parse(doc: &Json) -> SimResult<Request> {
-        let kind = field_str(doc, "kind")?;
-        match kind {
+        let request = match field_str(doc, "kind")? {
             "ping" => {
                 check_fields(doc, &["kind"])?;
-                Ok(Request::Ping)
+                Request::Ping
             }
             "query" => {
                 check_fields(doc, &["kind", "machine", "transfer", "words"])?;
@@ -135,44 +165,44 @@ impl Request {
                 let transfer = field_str(doc, "transfer")?;
                 let transfer = BasicTransfer::parse(transfer)
                     .map_err(|e| protocol(format!("bad transfer {transfer:?}: {e}")))?;
-                Ok(Request::Query {
+                Request::Query {
                     machine,
                     transfer,
                     words: field_u64(doc, "words")?,
-                })
+                }
             }
             "sweep" => {
                 check_fields(doc, &["kind", "options"])?;
-                Ok(Request::Sweep(parse_sweep(doc.get("options"))?))
+                Request::Sweep(parse_sweep(doc.get("options"))?)
             }
             "engine" => {
                 check_fields(doc, &["kind", "settings"])?;
-                Ok(Request::Engine(parse_engine(doc.get("settings"))?))
+                Request::Engine(parse_engine(doc.get("settings"))?)
             }
             "collectives" => {
                 check_fields(doc, &["kind", "settings"])?;
-                Ok(Request::Collectives(parse_collectives(
-                    doc.get("settings"),
-                )?))
+                Request::Collectives(parse_collectives(doc.get("settings"))?)
             }
             "adversary" => {
                 check_fields(doc, &["kind", "options"])?;
-                Ok(Request::Adversary(parse_scenario(doc.get("options"))?))
+                Request::Adversary(parse_scenario(doc.get("options"))?)
             }
             "stats" => {
                 check_fields(doc, &["kind"])?;
-                Ok(Request::Stats)
+                Request::Stats
             }
             "metrics" => {
                 check_fields(doc, &["kind"])?;
-                Ok(Request::Metrics)
+                Request::Metrics
             }
             "shutdown" => {
                 check_fields(doc, &["kind"])?;
-                Ok(Request::Shutdown)
+                Request::Shutdown
             }
-            other => Err(protocol(format!("unknown request kind {other:?}"))),
-        }
+            other => return Err(protocol(format!("unknown request kind {other:?}"))),
+        };
+        request.check()?;
+        Ok(request)
     }
 }
 
@@ -247,12 +277,7 @@ fn opt_f64(doc: &Json, key: &str, default: f64) -> SimResult<f64> {
         None => Ok(default),
         Some(v) => v
             .as_f64()
-            .filter(|n| n.is_finite() && *n >= 0.0)
-            .ok_or_else(|| {
-                protocol(format!(
-                    "field {key:?} must be a finite non-negative number"
-                ))
-            }),
+            .ok_or_else(|| protocol(format!("field {key:?} must be a number"))),
     }
 }
 
@@ -262,6 +287,27 @@ fn opt_bool(doc: &Json, key: &str, default: bool) -> SimResult<bool> {
         Some(Json::Bool(b)) => Ok(*b),
         Some(_) => Err(protocol(format!("field {key:?} must be a boolean"))),
     }
+}
+
+/// The strings of an optional array field, each resolved by `resolve`;
+/// `what` names the items when one is not a string.
+fn opt_names<T>(
+    doc: &Json,
+    key: &str,
+    what: &str,
+    resolve: impl Fn(&str) -> SimResult<T>,
+) -> SimResult<Option<Vec<T>>> {
+    let Some(v) = doc.get(key) else {
+        return Ok(None);
+    };
+    let items = v
+        .as_arr()
+        .ok_or_else(|| protocol(format!("field {key:?} must be an array")))?;
+    let names = items.iter().map(|item| {
+        let name = item.as_str();
+        resolve(name.ok_or_else(|| protocol(format!("{what} must be strings")))?)
+    });
+    names.collect::<SimResult<Vec<T>>>().map(Some)
 }
 
 fn parse_faults(doc: Option<&Json>) -> SimResult<FaultSettings> {
@@ -303,27 +349,11 @@ fn parse_collectives(doc: Option<&Json>) -> SimResult<CollectiveSettings> {
         return Ok(default);
     };
     check_fields(doc, &["kinds", "nodes", "words", "jobs", "shards"])?;
-    let kinds = match doc.get("kinds") {
-        None => Vec::new(),
-        Some(v) => {
-            let items = v
-                .as_arr()
-                .ok_or_else(|| protocol("field \"kinds\" must be an array".to_string()))?;
-            let mut kinds = Vec::with_capacity(items.len());
-            for item in items {
-                let name = item
-                    .as_str()
-                    .ok_or_else(|| protocol("collective kinds must be strings".to_string()))?;
-                kinds.push(
-                    memcomm_commops::collectives::Collective::parse(name)
-                        .ok_or_else(|| protocol(format!("unknown collective {name:?}")))?,
-                );
-            }
-            kinds
-        }
-    };
+    let kinds = opt_names(doc, "kinds", "collective kinds", |name| {
+        Collective::parse(name).ok_or_else(|| protocol(format!("unknown collective {name:?}")))
+    })?;
     Ok(CollectiveSettings {
-        kinds,
+        kinds: kinds.unwrap_or_default(),
         nodes: opt_usize(doc, "nodes", default.nodes)?,
         words: opt_u64(doc, "words", default.words)?,
         jobs: opt_usize(doc, "jobs", default.jobs)?,
@@ -358,24 +388,18 @@ fn parse_sweep(doc: Option<&Json>) -> SimResult<SweepOptions> {
     opts.jobs = opt_usize(doc, "jobs", opts.jobs)?.max(1);
     opts.micro_words = opt_u64(doc, "micro_words", opts.micro_words)?;
     opts.exchange_words = opt_u64(doc, "exchange_words", opts.exchange_words)?;
-    if let Some(v) = doc.get("sections") {
-        let items = v
-            .as_arr()
-            .ok_or_else(|| protocol("field \"sections\" must be an array".to_string()))?;
-        let mut sections = BTreeSet::new();
-        for item in items {
-            let name = item
-                .as_str()
-                .ok_or_else(|| protocol("sections must be strings".to_string()))?;
-            if !crate::runner::SECTIONS.contains(&name) {
-                return Err(protocol(format!(
-                    "unknown section {name:?} (want one of {:?})",
-                    crate::runner::SECTIONS
-                )));
-            }
-            sections.insert(name.to_string());
-        }
-        opts.sections = sections;
+    let sections = opt_names(doc, "sections", "sections", |name| {
+        SECTIONS
+            .contains(&name)
+            .then(|| name.to_string())
+            .ok_or_else(|| {
+                protocol(format!(
+                    "unknown section {name:?} (want one of {SECTIONS:?})"
+                ))
+            })
+    })?;
+    if let Some(sections) = sections {
+        opts.sections = sections.into_iter().collect();
     }
     opts.faults = parse_faults(doc.get("faults"))?;
     opts.phases = opt_bool(doc, "phases", false)?;
@@ -584,6 +608,12 @@ mod tests {
         bad("{\"kind\": \"sweep\", \"options\": {\"sections\": [\"tableX\"]}}");
         bad("{\"kind\": \"adversary\"}");
         bad("{\"kind\": \"adversary\", \"options\": {\"kind\": \"meteor\"}}");
+        // Fault probabilities outside [0, 1].
+        bad(
+            r#"{"kind":"adversary","options":{"kind":"incast","nodes":16,"base_bytes":64,"rate":5}}"#,
+        );
+        bad(r#"{"kind":"sweep","options":{"faults":{"rate":3}}}"#);
+        bad(r#"{"kind":"sweep","options":{"faults":{"outage_rate":7}}}"#);
     }
 
     #[test]

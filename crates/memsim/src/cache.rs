@@ -265,18 +265,6 @@ impl Cache {
             self.stats.invalidations += 1;
         }
     }
-
-    /// Invalidates the whole cache (T3D synchronization-point flush).
-    pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.valid {
-                    line.valid = false;
-                    self.stats.invalidations += 1;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -387,16 +375,6 @@ mod tests {
         c.invalidate_line(64);
         assert!(matches!(c.load(64), LoadOutcome::Miss { .. }));
         assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn invalidate_all_clears_everything() {
-        let mut c = direct_mapped();
-        c.load(0);
-        c.load(32);
-        c.invalidate_all();
-        assert!(matches!(c.load(0), LoadOutcome::Miss { .. }));
-        assert!(matches!(c.load(32), LoadOutcome::Miss { .. }));
     }
 
     #[test]

@@ -227,19 +227,6 @@ impl Dram {
     pub fn free_at(&self, addr: u64) -> Cycle {
         self.bank_state[self.bank_of(addr)].free_at
     }
-
-    /// Whether an access to `addr` at this moment would hit the open row —
-    /// used by write buffers to decide drain regularity.
-    pub fn would_hit(&self, addr: u64) -> bool {
-        self.bank_state[self.bank_of(addr)].open_row == Some(self.row_of(addr))
-    }
-
-    /// Resets the open-row and busy state (between measurement phases).
-    pub fn quiesce(&mut self) {
-        for bank in &mut self.bank_state {
-            bank.open_row = None;
-        }
-    }
 }
 
 #[cfg(test)]

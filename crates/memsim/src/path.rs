@@ -158,11 +158,6 @@ impl MemPath {
         self.wbq.stats()
     }
 
-    /// Read-ahead counters.
-    pub fn readahead_stats(&self) -> crate::readahead::ReadAheadStats {
-        self.rdal.stats()
-    }
-
     fn arbitrate(&mut self, port: Port, t: Cycle) -> Cycle {
         let t = match self.last_port {
             Some((last, at))
@@ -387,11 +382,6 @@ impl MemPath {
     /// is consistent.
     pub fn flush(&mut self, t: Cycle) -> Cycle {
         self.forced_drain_until(t, Wbq::is_empty)
-    }
-
-    /// Invalidates the entire cache (T3D synchronization point).
-    pub fn invalidate_cache(&mut self) {
-        self.cache.invalidate_all();
     }
 }
 

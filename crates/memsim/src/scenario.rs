@@ -10,9 +10,7 @@
 //! node-side transfer exactly as the paper's experiments did.
 
 use crate::clock::Cycle;
-use crate::engines::{
-    Cpu, CpuReceiver, CpuSender, DepositEngine, DepositMode, Dma, LocalCopier, Step,
-};
+use crate::engines::{CpuReceiver, CpuSender, DepositEngine, DepositMode, Dma, LocalCopier, Step};
 use crate::error::{SimError, SimResult};
 use crate::nic::{NetWord, WordKind};
 use crate::node::{Node, Watchdog};
@@ -282,22 +280,6 @@ pub fn run_receive_deposit(
         }
     }
     Ok(Measurement::new(dst.len(), engine.t))
-}
-
-/// Drives a processor and a [`Cpu`]-owned walk pair through a whole copy —
-/// exposed for drivers that need the raw loop (ablations, custom kernels).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the copy engine.
-pub fn copy_to_completion(
-    cpu: &mut Cpu,
-    node: &mut Node,
-    src: &Walk,
-    dst: &Walk,
-) -> SimResult<Cycle> {
-    LocalCopier::new(src.clone(), dst.clone()).run(cpu, &mut node.path, &mut node.mem)?;
-    Ok(node.path.flush(cpu.t))
 }
 
 #[cfg(test)]

@@ -91,13 +91,6 @@ pub fn counters() -> SimCounters {
     }
 }
 
-/// Resets the counters to zero (test isolation; the counters are global).
-pub fn reset_counters() {
-    SIM_CYCLES.store(0, Ordering::Relaxed);
-    SIM_WORDS.store(0, Ordering::Relaxed);
-    MEASUREMENTS.store(0, Ordering::Relaxed);
-}
-
 impl SimCounters {
     /// Counter deltas since an earlier snapshot.
     pub fn since(self, earlier: SimCounters) -> SimCounters {

@@ -12,8 +12,6 @@
 //! `FaultPlan`, pinning that fault-injected reports serve deterministically
 //! too.
 
-use std::collections::BTreeSet;
-
 use memcomm_bench::adversary::{self, ScenarioOptions};
 use memcomm_bench::collectives::CollectiveSettings;
 use memcomm_bench::experiments::{EngineSettings, FaultSettings};
@@ -87,14 +85,12 @@ fn adversary_options() -> ScenarioOptions {
 }
 
 /// The sweep options an `engine`/`collectives` request desugars to on the
-/// server: the sentinel section set selects nothing, so the report carries
-/// only the opt-in rows. Reproduced here independently of the service
-/// layer.
-fn opt_in_only(base: SweepOptions) -> SweepOptions {
-    let mut sections = BTreeSet::new();
-    sections.insert("service-none".to_string());
+/// server: a one-worker sweep selecting only the opt-in section, by the
+/// name its status reports, so the report carries only the opt-in rows.
+/// Reproduced here independently of the service layer.
+fn opt_in_only(section: &str, base: SweepOptions) -> SweepOptions {
     SweepOptions {
-        sections,
+        sections: [section.to_string()].into_iter().collect(),
         jobs: 1,
         ..base
     }
@@ -189,10 +185,13 @@ fn exchanges() -> Vec<Exchange> {
             payload: wire(&Request::Engine(engine_settings())),
             expected: report_reply(
                 "engine",
-                &opt_in_only(SweepOptions {
-                    engine: Some(engine_settings()),
-                    ..SweepOptions::default()
-                }),
+                &opt_in_only(
+                    "engine",
+                    SweepOptions {
+                        engine: Some(engine_settings()),
+                        ..SweepOptions::default()
+                    },
+                ),
             ),
         },
         Exchange {
@@ -200,10 +199,13 @@ fn exchanges() -> Vec<Exchange> {
             payload: wire(&Request::Collectives(collective_settings())),
             expected: report_reply(
                 "collectives",
-                &opt_in_only(SweepOptions {
-                    collectives: Some(collective_settings()),
-                    ..SweepOptions::default()
-                }),
+                &opt_in_only(
+                    "collectives",
+                    SweepOptions {
+                        collectives: Some(collective_settings()),
+                        ..SweepOptions::default()
+                    },
+                ),
             ),
         },
         Exchange {
