@@ -23,12 +23,14 @@
 //! share one range check: `--fault-rate` must lie in [0, 1]. Each form
 //! reads only the flags listed for it; any other flag exits with status 2.
 //!
-//! With no SECTION flag every section runs. Experiments fan out across
-//! `--jobs` worker threads (default: all cores; `--serial` forces one) and
-//! share one measurement cache, so repeated points simulate once. `--json`
-//! writes the machine-readable results, byte-identical at any worker
-//! count; `--metrics` writes the run's observability data (wall times,
-//! cache hit rate, simulated cycles, fault counters); a one-line summary
+//! With no SECTION flag every section runs. The sections' measurement
+//! points simulate once each, in one fan-out across `--jobs` worker
+//! threads (default: all cores; `--serial` forces one), into one
+//! measurement cache the sections then render from. `--json` writes the
+//! machine-readable results, byte-identical at any worker count;
+//! `--metrics` writes the run's observability data (planned points,
+//! simulate and render times, cache hit rate, simulated cycles, fault
+//! counters); a one-line summary
 //! always prints to stderr. If a section fails, the failures are
 //! summarised on stderr and the exit status is 1.
 //!

@@ -1,22 +1,29 @@
-//! The experiment functions, one per table/figure.
+//! The experiment functions, one per table/figure, and the memo points
+//! each one looks up.
 //!
-//! Every function that sweeps independent points (message sizes, transfer
-//! notations, `xQy` operations) fans them out across the process-default
-//! worker count via [`memcomm_util::par::par_map_auto`]. Results come back
-//! in input order, and measurements memoized in the installed cache are
-//! pure functions of their points, so output is bit-identical whatever the
-//! worker count.
+//! An experiment over memoized points (basic transfers, pattern and get
+//! exchanges, library messages) has a `*_points` twin that lists those
+//! points in lookup order, built from the same constants through the same
+//! point constructors. The sweep runner simulates every selected section's
+//! points in one fan-out before any section measures, so the experiments
+//! themselves run serially and read the installed cache; called on their
+//! own, they simulate as they go. Only the uncached runs — Table 4's wire
+//! measurements and the faults grid — take a worker count of their own.
+//! Results are pure functions of their points, so output is bit-identical
+//! whatever the worker count.
 
-use memcomm_util::par::par_map_auto;
+use memcomm_util::par::par_map;
 
 use memcomm_commops::{
-    measure_message, run_exchange, run_get_exchange, run_resilient_transfer, ExchangeConfig,
-    LibraryProfile, ProtocolConfig, Style,
+    exchange_point, get_point, measure_message, message_point, run_exchange, run_get_exchange,
+    run_resilient_transfer, ExchangeConfig, LibraryProfile, ProtocolConfig, Style,
 };
 use memcomm_kernels::apps::{CommMethod, FemKernel, SorKernel, TransposeKernel};
 use memcomm_kernels::mesh::PartitionedMesh;
 use memcomm_kernels::netrun::{self, EngineOptions, Table6Kernel};
+use memcomm_kernels::KernelMeasurement;
 use memcomm_machines::calibrate;
+use memcomm_machines::memo::Point;
 use memcomm_machines::microbench::{self, StrideSide};
 use memcomm_machines::{reference, Machine};
 use memcomm_memsim::clock::Cycle;
@@ -24,7 +31,7 @@ use memcomm_memsim::fault::{FaultConfig, FaultPlan};
 use memcomm_memsim::SimResult;
 use memcomm_model::{
     buffer_packing_expr, chained_expr, AccessPattern, BasicTransfer, BufferPackingPlan,
-    ChainedPlan, RateTable, ReceiveEngine, SendEngine,
+    ChainedPlan, ModelError, RateTable, ReceiveEngine, SendEngine, Throughput, TransferExpr,
 };
 use memcomm_netsim::link::measure_wire_rate;
 
@@ -84,6 +91,28 @@ pub fn paper_exchange_cfg(machine: &Machine, words: u64) -> ExchangeConfig {
     }
 }
 
+/// Both implementation styles, in the order the experiments measure them.
+const STYLES: [Style; 2] = [Style::BufferPacking, Style::Chained];
+
+/// Runs `f` on every item, in order, then returns the results or the
+/// first error. Every item runs even after an error, as it did when each
+/// experiment fanned its items out itself, so a point that panics fails
+/// its section whatever errors come before it.
+fn every<T, R>(items: &[T], f: impl Fn(&T) -> SimResult<R>) -> SimResult<Vec<R>> {
+    let results: Vec<SimResult<R>> = items.iter().map(f).collect();
+    results.into_iter().collect()
+}
+
+/// The exchange points of `ops` in both styles under `cfg`, op by op.
+pub(crate) fn exchange_points(ops: &[&str], cfg: &ExchangeConfig) -> Vec<Point> {
+    ops.iter()
+        .flat_map(|op| {
+            let (x, y) = parse_q(op);
+            STYLES.map(|style| exchange_point(x, y, style, cfg))
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------- Figure 1
 
 /// One message size of Figure 1.
@@ -97,14 +126,16 @@ pub struct Figure1Point {
     pub low_level: f64,
 }
 
+/// Figure 1's message sizes, in words.
+const FIGURE1_SIZES: [u64; 7] = [16, 64, 256, 1024, 4096, 16384, 65536];
+
 /// Figure 1: library throughput vs message size on one machine.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures from the message measurements.
 pub fn figure1(machine: &Machine) -> SimResult<Vec<Figure1Point>> {
-    let sizes = [16u64, 64, 256, 1024, 4096, 16384, 65536];
-    par_map_auto(&sizes, |&words| {
+    every(&FIGURE1_SIZES, |&words| {
         Ok(Figure1Point {
             message_words: words,
             pvm: measure_message(machine, LibraryProfile::pvm(machine), words)?.as_mbps(),
@@ -112,8 +143,19 @@ pub fn figure1(machine: &Machine) -> SimResult<Vec<Figure1Point>> {
                 .as_mbps(),
         })
     })
-    .into_iter()
-    .collect()
+}
+
+/// The memo points [`figure1`] looks up, in its order.
+pub fn figure1_points(machine: &Machine) -> Vec<Point> {
+    FIGURE1_SIZES
+        .iter()
+        .flat_map(|&words| {
+            [
+                message_point(LibraryProfile::pvm(machine), words),
+                message_point(LibraryProfile::low_level(machine), words),
+            ]
+        })
+        .collect()
 }
 
 // ------------------------------------------------------------- Tables 1–3
@@ -129,10 +171,21 @@ pub struct RateRow {
     pub paper: Option<f64>,
 }
 
+/// Table 1's transfers: local memory-to-memory copies.
+pub const TABLE1: &[&str] = &["1C1", "1C64", "64C1", "1Cw", "wC1"];
+/// Table 2's transfers: sends.
+pub const TABLE2: &[&str] = &["1S0", "1F0", "64S0", "wS0"];
+/// Table 3's transfers: receives.
+pub const TABLE3: &[&str] = &["0R1", "0D1", "0R64", "0D64", "0Rw", "0Dw"];
+
+fn notation(s: &str) -> BasicTransfer {
+    BasicTransfer::parse(s).expect("notation constants")
+}
+
 fn rate_rows(machine: &Machine, notations: &[&str], words: u64) -> SimResult<Vec<RateRow>> {
     let paper = calibrate::reference_rates(machine);
-    let rows: SimResult<Vec<Option<RateRow>>> = par_map_auto(notations, |s| {
-        let t = BasicTransfer::parse(s).expect("notation constants");
+    let rows = every(notations, |s| {
+        let t = notation(s);
         Ok(
             microbench::measure_rate(machine, t, words)?.map(|rate| RateRow {
                 transfer: s.to_string(),
@@ -140,10 +193,17 @@ fn rate_rows(machine: &Machine, notations: &[&str], words: u64) -> SimResult<Vec
                 paper: paper.get(t).map(|p| p.as_mbps()),
             }),
         )
-    })
-    .into_iter()
-    .collect();
-    Ok(rows?.into_iter().flatten().collect())
+    })?;
+    Ok(rows.into_iter().flatten().collect())
+}
+
+/// The memo points a Tables 1–3 row set ([`TABLE1`], [`TABLE2`],
+/// [`TABLE3`]) looks up, in its order.
+pub fn rate_points(notations: &[&str], words: u64) -> Vec<Point> {
+    notations
+        .iter()
+        .map(|s| microbench::basic_point(notation(s), words))
+        .collect()
 }
 
 /// Table 1: local memory-to-memory copies.
@@ -152,7 +212,7 @@ fn rate_rows(machine: &Machine, notations: &[&str], words: u64) -> SimResult<Vec
 ///
 /// Propagates simulation failures from the rate measurements.
 pub fn table1(machine: &Machine, words: u64) -> SimResult<Vec<RateRow>> {
-    rate_rows(machine, &["1C1", "1C64", "64C1", "1Cw", "wC1"], words)
+    rate_rows(machine, TABLE1, words)
 }
 
 /// Table 2: send transfers.
@@ -161,7 +221,7 @@ pub fn table1(machine: &Machine, words: u64) -> SimResult<Vec<RateRow>> {
 ///
 /// Propagates simulation failures from the rate measurements.
 pub fn table2(machine: &Machine, words: u64) -> SimResult<Vec<RateRow>> {
-    rate_rows(machine, &["1S0", "1F0", "64S0", "wS0"], words)
+    rate_rows(machine, TABLE2, words)
 }
 
 /// Table 3: receive transfers.
@@ -170,11 +230,7 @@ pub fn table2(machine: &Machine, words: u64) -> SimResult<Vec<RateRow>> {
 ///
 /// Propagates simulation failures from the rate measurements.
 pub fn table3(machine: &Machine, words: u64) -> SimResult<Vec<RateRow>> {
-    rate_rows(
-        machine,
-        &["0R1", "0D1", "0R64", "0D64", "0Rw", "0Dw"],
-        words,
-    )
+    rate_rows(machine, TABLE3, words)
 }
 
 // --------------------------------------------------------------- Figure 4
@@ -190,15 +246,17 @@ pub struct StridePoint {
     pub stores: f64,
 }
 
+/// Figure 4's strides, in words.
+const FIGURE4_STRIDES: [u32; 13] = [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128];
+
 /// Figure 4: local copy throughput vs stride.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures from either stride sweep.
 pub fn figure4(machine: &Machine, words: u64) -> SimResult<Vec<StridePoint>> {
-    let strides = [2u32, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128];
-    let loads = microbench::stride_sweep(machine, &strides, words, StrideSide::Loads)?;
-    let stores = microbench::stride_sweep(machine, &strides, words, StrideSide::Stores)?;
+    let loads = microbench::stride_sweep(machine, &FIGURE4_STRIDES, words, StrideSide::Loads)?;
+    let stores = microbench::stride_sweep(machine, &FIGURE4_STRIDES, words, StrideSide::Stores)?;
     Ok(loads
         .into_iter()
         .zip(stores)
@@ -208,6 +266,19 @@ pub fn figure4(machine: &Machine, words: u64) -> SimResult<Vec<StridePoint>> {
             stores: s.as_mbps(),
         })
         .collect())
+}
+
+/// The memo points [`figure4`] looks up, in its order: every stride's
+/// strided loads, then every stride's strided stores.
+pub fn figure4_points(words: u64) -> Vec<Point> {
+    [StrideSide::Loads, StrideSide::Stores]
+        .into_iter()
+        .flat_map(|side| {
+            FIGURE4_STRIDES
+                .iter()
+                .map(move |&n| microbench::basic_point(side.transfer(n), words))
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------- Table 4
@@ -227,27 +298,31 @@ pub struct NetworkRow {
     pub paper_addr_data: f64,
 }
 
-/// Table 4: network bandwidth as a function of congestion.
-pub fn table4(machine: &Machine, words: u64) -> Vec<NetworkRow> {
+/// Table 4: network bandwidth as a function of congestion. The wire runs
+/// are not memo points; they fan out across `jobs` workers.
+pub fn table4(machine: &Machine, words: u64, jobs: usize) -> Vec<NetworkRow> {
     let paper = match machine.name {
         "Cray T3D" => reference::t3d_network(),
         _ => reference::paragon_network(),
     };
+    let runs: Vec<(f64, bool)> = paper
+        .iter()
+        .flat_map(|row| [(row.congestion, false), (row.congestion, true)])
+        .collect();
+    let mbps = par_map(jobs, &runs, |&(congestion, addressed)| {
+        measure_wire_rate(machine.link(congestion), words, addressed)
+            .throughput(machine.clock())
+            .as_mbps()
+    });
     paper
-        .into_iter()
-        .map(|row| {
-            let link = machine.link(row.congestion);
-            NetworkRow {
-                congestion: row.congestion,
-                data_only: measure_wire_rate(link, words, false)
-                    .throughput(machine.clock())
-                    .as_mbps(),
-                addr_data: measure_wire_rate(link, words, true)
-                    .throughput(machine.clock())
-                    .as_mbps(),
-                paper_data_only: row.data_only.as_mbps(),
-                paper_addr_data: row.addr_data.as_mbps(),
-            }
+        .iter()
+        .zip(mbps.chunks(2))
+        .map(|(row, run)| NetworkRow {
+            congestion: row.congestion,
+            data_only: run[0],
+            addr_data: run[1],
+            paper_data_only: row.data_only.as_mbps(),
+            paper_addr_data: row.addr_data.as_mbps(),
         })
         .collect()
 }
@@ -275,6 +350,11 @@ pub struct QRow {
     pub verified: bool,
 }
 
+/// Section 5's operations.
+const SECTION5_OPS: [&str; 9] = [
+    "1Q1", "1Q16", "16Q1", "1Q64", "64Q1", "16Q64", "1Qw", "wQ1", "wQw",
+];
+
 /// Section 5 (Figures 7/8): buffer packing vs chained for a spread of
 /// access patterns, simulated end to end and estimated by the model from
 /// the machine's simulated rate table.
@@ -286,11 +366,8 @@ pub fn section5(machine: &Machine, rates: &RateTable, words: u64) -> SimResult<V
         "Cray T3D" => reference::t3d_q_model(),
         _ => reference::paragon_q_model(),
     };
-    let ops = [
-        "1Q1", "1Q16", "16Q1", "1Q64", "64Q1", "16Q64", "1Qw", "wQ1", "wQw",
-    ];
     let cfg = paper_exchange_cfg(machine, words);
-    par_map_auto(&ops, |op| {
+    every(&SECTION5_OPS, |op| {
         let (x, y) = parse_q(op);
         let bp = run_exchange(machine, x, y, Style::BufferPacking, &cfg)?;
         let ch = run_exchange(machine, x, y, Style::Chained, &cfg)?;
@@ -314,8 +391,11 @@ pub fn section5(machine: &Machine, rates: &RateTable, words: u64) -> SimResult<V
             verified: bp.verified && ch.verified,
         })
     })
-    .into_iter()
-    .collect()
+}
+
+/// The exchange points [`section5`] looks up, in its order.
+pub fn section5_points(machine: &Machine, words: u64) -> Vec<Point> {
+    exchange_points(&SECTION5_OPS, &paper_exchange_cfg(machine, words))
 }
 
 // ---------------------------------------------------------------- Table 5
@@ -347,13 +427,8 @@ pub struct LoadsVsStoresRow {
 ///
 /// Propagates simulation failures from the co-simulated exchanges.
 pub fn table5(words: u64) -> SimResult<Vec<LoadsVsStoresRow>> {
-    let rows = reference::table5();
-    par_map_auto(&rows, |r| {
-        let machine = if r.machine == "Cray T3D" {
-            Machine::t3d()
-        } else {
-            Machine::paragon()
-        };
+    every(&reference::table5(), |r| {
+        let machine = table5_machine(r);
         let (x, y) = parse_q(r.op);
         let cfg = paper_exchange_cfg(&machine, words);
         let bp = run_exchange(&machine, x, y, Style::BufferPacking, &cfg)?;
@@ -369,8 +444,27 @@ pub fn table5(words: u64) -> SimResult<Vec<LoadsVsStoresRow>> {
             paper_model_chained: r.model_chained.as_mbps(),
         })
     })
-    .into_iter()
-    .collect()
+}
+
+fn table5_machine(row: &reference::Table5Row) -> Machine {
+    if row.machine == "Cray T3D" {
+        Machine::t3d()
+    } else {
+        Machine::paragon()
+    }
+}
+
+/// The exchange points [`table5`] looks up, row by row, each with the
+/// machine it runs on.
+pub fn table5_points(words: u64) -> Vec<(Machine, Vec<Point>)> {
+    reference::table5()
+        .iter()
+        .map(|r| {
+            let machine = table5_machine(r);
+            let points = exchange_points(&[r.op], &paper_exchange_cfg(&machine, words));
+            (machine, points)
+        })
+        .collect()
 }
 
 // --------------------------------------------- Extension: model accuracy
@@ -404,24 +498,16 @@ pub fn model_accuracy(
     words: u64,
 ) -> SimResult<Vec<AccuracyRow>> {
     let cfg = paper_exchange_cfg(machine, words);
-    let ops = [
-        "1Q1", "1Q8", "8Q1", "1Q64", "64Q1", "1Qw", "wQ1", "wQw", "16Q64",
-    ];
-    let grid: Vec<(&str, Style)> = ops
-        .iter()
-        .flat_map(|&op| [(op, Style::BufferPacking), (op, Style::Chained)])
-        .collect();
-    let rows: SimResult<Vec<Option<AccuracyRow>>> = par_map_auto(&grid, |&(op, style)| {
+    let rows = every(&accuracy_grid(machine), |(op, style, expr)| {
         let (x, y) = parse_q(op);
-        let expr = match style {
-            Style::BufferPacking => buffer_packing_expr(x, y, bp_plan(machine)),
-            Style::Chained => chained_expr(x, y, chained_plan(machine)),
+        // Looked up before the estimate, so the lookups are exactly
+        // `accuracy_points`; a point the table cannot estimate is dropped,
+        // its run and any error with it.
+        let run = run_exchange(machine, x, y, *style, &cfg);
+        let Ok(model) = expr.estimate(rates) else {
+            return Ok(None);
         };
-        let model = match expr.and_then(|e| e.estimate(rates)) {
-            Ok(t) => t,
-            Err(_) => return Ok(None),
-        };
-        let run = run_exchange(machine, x, y, style, &cfg)?;
+        let run = run?;
         debug_assert!(run.verified);
         let simulated = run.per_node(machine.clock()).as_mbps();
         Ok(Some(AccuracyRow {
@@ -434,10 +520,42 @@ pub fn model_accuracy(
             simulated,
             ratio: simulated / model.as_mbps(),
         }))
-    })
-    .into_iter()
-    .collect();
-    Ok(rows?.into_iter().flatten().collect())
+    })?;
+    Ok(rows.into_iter().flatten().collect())
+}
+
+/// The accuracy grid's operations.
+const ACCURACY_OPS: [&str; 9] = [
+    "1Q1", "1Q8", "8Q1", "1Q64", "64Q1", "1Qw", "wQ1", "wQw", "16Q64",
+];
+
+/// The grid's `(op, style)` points whose model expression builds on this
+/// machine, with that expression.
+fn accuracy_grid(machine: &Machine) -> Vec<(&'static str, Style, TransferExpr)> {
+    ACCURACY_OPS
+        .iter()
+        .flat_map(|&op| STYLES.map(|style| (op, style)))
+        .filter_map(|(op, style)| {
+            let (x, y) = parse_q(op);
+            let expr: Result<TransferExpr, ModelError> = match style {
+                Style::BufferPacking => buffer_packing_expr(x, y, bp_plan(machine)),
+                Style::Chained => chained_expr(x, y, chained_plan(machine)),
+            };
+            expr.ok().map(|e| (op, style, e))
+        })
+        .collect()
+}
+
+/// The exchange points [`model_accuracy`] looks up, in its order.
+pub fn accuracy_points(machine: &Machine, words: u64) -> Vec<Point> {
+    let cfg = paper_exchange_cfg(machine, words);
+    accuracy_grid(machine)
+        .into_iter()
+        .map(|(op, style, _)| {
+            let (x, y) = parse_q(op);
+            exchange_point(x, y, style, &cfg)
+        })
+        .collect()
 }
 
 /// Mean absolute log-ratio of an accuracy grid (0 = perfect).
@@ -475,27 +593,69 @@ pub struct ScalingPoint {
 ///
 /// Propagates simulation failures from the kernel measurements.
 pub fn scaling(machine: &Machine) -> SimResult<Vec<ScalingPoint>> {
-    // n = 2048 is the largest whose stride-n destination region fits the
-    // simulated node memory (a stride-4096 patch spans 256 MB).
-    let sizes = [128u64, 256, 512, 1024, 2048];
-    par_map_auto(&sizes, |&n| {
-        let kernel = TransposeKernel {
-            n,
-            words_per_element: 2,
-        };
-        let p = machine.topology.len() as u64;
-        let measure =
-            |method| -> SimResult<f64> { Ok(kernel.measure(machine, method)?.per_node.as_mbps()) };
+    every(&SCALING_SIZES, |&n| {
+        let (kernel, p, congestion) = scaling_case(machine, n)?;
+        let [pvm, buffer_packing, chained] = by_method(SCALING_METHODS, |method| {
+            kernel.measure_at(machine, method, p, congestion)
+        })?
+        .map(|m| m.per_node.as_mbps());
         Ok(ScalingPoint {
             n,
             patch_words: kernel.patch_words(p),
-            pvm: measure(CommMethod::Pvm)?,
-            buffer_packing: measure(CommMethod::BufferPacking)?,
-            chained: measure(CommMethod::Chained)?,
+            pvm,
+            buffer_packing,
+            chained,
         })
     })
-    .into_iter()
-    .collect()
+}
+
+/// The scaling sweep's matrix sizes. n = 2048 is the largest whose
+/// stride-n destination region fits the simulated node memory (a
+/// stride-4096 patch spans 256 MB).
+const SCALING_SIZES: [u64; 5] = [128, 256, 512, 1024, 2048];
+
+/// The scaling sweep's columns, in its measuring order.
+const SCALING_METHODS: [CommMethod; 3] = [
+    CommMethod::Pvm,
+    CommMethod::BufferPacking,
+    CommMethod::Chained,
+];
+
+/// The transpose of one scaling size on `machine`, with the node count and
+/// analytic congestion its three measurements share (what
+/// [`TransposeKernel::measure`] derives on every call).
+fn scaling_case(machine: &Machine, n: u64) -> SimResult<(TransposeKernel, u64, f64)> {
+    let kernel = TransposeKernel {
+        n,
+        words_per_element: 2,
+    };
+    let congestion = kernel.congestion(machine)?;
+    Ok((kernel, machine.topology.len() as u64, congestion))
+}
+
+/// The memo points [`scaling`] looks up, in its order.
+///
+/// # Errors
+///
+/// Propagates invalid-decomposition errors from the kernels.
+pub fn scaling_points(machine: &Machine) -> SimResult<Vec<Point>> {
+    let mut points = Vec::new();
+    for n in SCALING_SIZES {
+        let (kernel, p, congestion) = scaling_case(machine, n)?;
+        for method in SCALING_METHODS {
+            points.extend(kernel.points_at(method, p, congestion)?);
+        }
+    }
+    Ok(points)
+}
+
+/// One kernel measurement per method, in `methods` order.
+fn by_method(
+    methods: [CommMethod; 3],
+    measure: impl Fn(CommMethod) -> SimResult<KernelMeasurement>,
+) -> SimResult<[KernelMeasurement; 3]> {
+    let [a, b, c] = methods;
+    Ok([measure(a)?, measure(b)?, measure(c)?])
 }
 
 // --------------------------------------------------- Extension: put vs get
@@ -521,13 +681,9 @@ pub struct PutGetRow {
 ///
 /// Propagates simulation failures from either transfer direction.
 pub fn put_vs_get(machine: &Machine, words: u64) -> SimResult<Vec<PutGetRow>> {
-    let ops = ["1Q1", "1Q64", "wQw"];
-    par_map_auto(&ops, |op| {
+    let cfg = putget_cfg(words);
+    every(&PUTGET_OPS, |op| {
         let (x, y) = parse_q(op);
-        let cfg = ExchangeConfig {
-            words,
-            ..ExchangeConfig::default()
-        };
         let put = run_exchange(machine, x, y, Style::Chained, &cfg)?;
         let get = run_get_exchange(machine, x, y, &cfg)?;
         Ok(PutGetRow {
@@ -537,8 +693,31 @@ pub fn put_vs_get(machine: &Machine, words: u64) -> SimResult<Vec<PutGetRow>> {
             verified: put.verified && get.verified,
         })
     })
-    .into_iter()
-    .collect()
+}
+
+/// The put-vs-get operations.
+const PUTGET_OPS: [&str; 3] = ["1Q1", "1Q64", "wQw"];
+
+fn putget_cfg(words: u64) -> ExchangeConfig {
+    ExchangeConfig {
+        words,
+        ..ExchangeConfig::default()
+    }
+}
+
+/// The memo points [`put_vs_get`] looks up, in its order.
+pub fn putget_points(words: u64) -> Vec<Point> {
+    let cfg = putget_cfg(words);
+    PUTGET_OPS
+        .iter()
+        .flat_map(|op| {
+            let (x, y) = parse_q(op);
+            [
+                exchange_point(x, y, Style::Chained, &cfg),
+                get_point(x, y, &cfg),
+            ]
+        })
+        .collect()
 }
 
 // ------------------------------------------------------------ Section 3.4.1
@@ -581,6 +760,16 @@ pub fn section341(rates: &RateTable) -> SimResult<Section341> {
     })
 }
 
+/// The kernel points [`section341`] looks up (its rate table is the
+/// caller's).
+///
+/// # Errors
+///
+/// Propagates invalid-decomposition errors from the kernel.
+pub fn section341_points() -> SimResult<Vec<Point>> {
+    TransposeKernel::paper_instance().points(&Machine::t3d(), CommMethod::BufferPacking)
+}
+
 // ---------------------------------------------------------------- Table 6
 
 /// One kernel row of Table 6.
@@ -617,17 +806,14 @@ pub struct KernelRow {
 /// Propagates simulation failures from the kernel measurements.
 pub fn table6(rates: &RateTable) -> SimResult<Vec<KernelRow>> {
     let t3d = Machine::t3d();
+    let p = t3d.topology.len() as u64;
     let paper = reference::table6();
     let transpose = TransposeKernel::paper_instance();
     let fem = FemKernel::paper_instance();
     let sor = SorKernel::paper_instance();
 
     let mut rows = Vec::new();
-    let mut push = |name: &str,
-                    bp: memcomm_kernels::KernelMeasurement,
-                    ch: memcomm_kernels::KernelMeasurement,
-                    pvm: memcomm_kernels::KernelMeasurement,
-                    model: f64| {
+    let mut push = |name: &str, [bp, ch, pvm]: [KernelMeasurement; 3], model: f64| {
         let p = paper
             .iter()
             .find(|r| r.kernel == name)
@@ -646,36 +832,65 @@ pub fn table6(rates: &RateTable) -> SimResult<Vec<KernelRow>> {
             verified: bp.verified && ch.verified && pvm.verified,
         });
     };
+    let mbps = |t: Result<Throughput, ModelError>| t.map_or(f64::NAN, |t| t.as_mbps());
 
+    // Each kernel's analytic congestion, once for its three measurements.
+    let congestion = transpose.congestion(&t3d)?;
     push(
         "Transpose",
-        transpose.measure(&t3d, CommMethod::BufferPacking)?,
-        transpose.measure(&t3d, CommMethod::Chained)?,
-        transpose.measure(&t3d, CommMethod::Pvm)?,
-        transpose
-            .model_chained(rates)
-            .map(|t| t.as_mbps())
-            .unwrap_or(f64::NAN),
+        by_method(TABLE6_METHODS, |m| {
+            transpose.measure_at(&t3d, m, p, congestion)
+        })?,
+        mbps(transpose.model_chained(rates)),
     );
+    let congestion = fem.congestion(&t3d)?;
     push(
         "FEM",
-        fem.measure(&t3d, CommMethod::BufferPacking)?,
-        fem.measure(&t3d, CommMethod::Chained)?,
-        fem.measure(&t3d, CommMethod::Pvm)?,
-        fem.model_chained(rates)
-            .map(|t| t.as_mbps())
-            .unwrap_or(f64::NAN),
+        by_method(TABLE6_METHODS, |m| fem.measure_at(&t3d, m, congestion))?,
+        mbps(fem.model_chained(rates)),
     );
+    let congestion = sor.congestion(&t3d)?;
     push(
         "SOR",
-        sor.measure(&t3d, CommMethod::BufferPacking)?,
-        sor.measure(&t3d, CommMethod::Chained)?,
-        sor.measure(&t3d, CommMethod::Pvm)?,
-        sor.model_chained(rates)
-            .map(|t| t.as_mbps())
-            .unwrap_or(f64::NAN),
+        by_method(TABLE6_METHODS, |m| sor.measure_at(&t3d, m, congestion))?,
+        mbps(sor.model_chained(rates)),
     );
     Ok(rows)
+}
+
+/// Table 6's columns, in its measuring order.
+const TABLE6_METHODS: [CommMethod; 3] = [
+    CommMethod::BufferPacking,
+    CommMethod::Chained,
+    CommMethod::Pvm,
+];
+
+/// The kernel points [`table6`] looks up, in its order (its rate table is
+/// the caller's).
+///
+/// # Errors
+///
+/// Propagates invalid-decomposition errors from the kernels.
+pub fn table6_points() -> SimResult<Vec<Point>> {
+    let t3d = Machine::t3d();
+    let p = t3d.topology.len() as u64;
+    let transpose = TransposeKernel::paper_instance();
+    let fem = FemKernel::paper_instance();
+    let sor = SorKernel::paper_instance();
+    let mut points = Vec::new();
+    let congestion = transpose.congestion(&t3d)?;
+    for method in TABLE6_METHODS {
+        points.extend(transpose.points_at(method, p, congestion)?);
+    }
+    let congestion = fem.congestion(&t3d)?;
+    for method in TABLE6_METHODS {
+        points.extend(fem.points_at(method, congestion));
+    }
+    let congestion = sor.congestion(&t3d)?;
+    for method in TABLE6_METHODS {
+        points.extend(sor.points_at(method, congestion));
+    }
+    Ok(points)
 }
 
 /// Options of the event-engine reproduction of Table 6.
@@ -688,7 +903,8 @@ pub struct EngineSettings {
     pub transpose_n: u64,
     /// Halo row words of the SOR kernel.
     pub sor_n: u64,
-    /// Shard workers (0 = the process-wide setting). Never affects results.
+    /// Shard workers (0 = the sweep's worker count under `run_sweep`, else
+    /// the process-wide default). Never affects results.
     pub jobs: usize,
     /// Engine shard count (0 = auto: about two per worker). Never affects
     /// results either — the engine folds events in a canonical stage-major
@@ -882,8 +1098,14 @@ pub struct FaultRow {
 /// Robustness grid: sequence-numbered, checksummed, retried transfers under
 /// the configured fault plan. Every point reports `ok` or its own error, so
 /// a hostile plan degrades the report point by point instead of aborting
-/// the sweep.
-pub fn faults(machine: &Machine, words: u64, settings: &FaultSettings) -> Vec<FaultRow> {
+/// the sweep. The transfers are not memo points (their fault counters must
+/// reach the run's registry); they fan out across `jobs` workers.
+pub fn faults(
+    machine: &Machine,
+    words: u64,
+    settings: &FaultSettings,
+    jobs: usize,
+) -> Vec<FaultRow> {
     let ops = ["1Q1", "1Q64", "wQw"];
     let grid: Vec<(&str, Style)> = ops
         .iter()
@@ -894,7 +1116,7 @@ pub fn faults(machine: &Machine, words: u64, settings: &FaultSettings) -> Vec<Fa
         max_cycles: settings.max_cycles,
         ..ProtocolConfig::default()
     };
-    par_map_auto(&grid, |&(op, style)| {
+    par_map(jobs, &grid, |&(op, style)| {
         let (x, y) = parse_q(op);
         let style_label = match style {
             Style::BufferPacking => "buffer-packing",
@@ -966,7 +1188,7 @@ mod tests {
 
     #[test]
     fn table4_matches_congestion_halving() {
-        let rows = table4(&Machine::paragon(), 4096);
+        let rows = table4(&Machine::paragon(), 4096, 2);
         assert_eq!(rows.len(), 3);
         let r1 = &rows[0];
         let r2 = &rows[1];
@@ -1045,7 +1267,7 @@ mod tests {
 
     #[test]
     fn faults_grid_is_clean_without_a_plan() {
-        let rows = faults(&Machine::t3d(), 512, &FaultSettings::default());
+        let rows = faults(&Machine::t3d(), 512, &FaultSettings::default(), 2);
         assert_eq!(rows.len(), 6);
         for r in &rows {
             assert!(
@@ -1071,7 +1293,7 @@ mod tests {
             rate: 0.005,
             ..FaultSettings::default()
         };
-        let rows = faults(&Machine::t3d(), 512, &settings);
+        let rows = faults(&Machine::t3d(), 512, &settings, 2);
         for r in &rows {
             assert!(
                 r.verified && r.error.is_none(),
@@ -1089,7 +1311,7 @@ mod tests {
 
     #[test]
     fn fault_rows_ignore_the_seed_at_zero_rate() {
-        let a = faults(&Machine::t3d(), 256, &FaultSettings::default());
+        let a = faults(&Machine::t3d(), 256, &FaultSettings::default(), 1);
         let b = faults(
             &Machine::t3d(),
             256,
@@ -1097,6 +1319,7 @@ mod tests {
                 seed: 0xDEAD_BEEF,
                 ..FaultSettings::default()
             },
+            2,
         );
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.mbps, rb.mbps, "{}/{}", ra.op, ra.style);

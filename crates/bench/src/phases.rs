@@ -10,11 +10,12 @@
 //! *stage by stage*".
 
 use memcomm_commops::{run_exchange, PhaseTimeline, Style};
+use memcomm_machines::memo::Point;
 use memcomm_machines::Machine;
 use memcomm_memsim::{Cycle, SimResult};
 use memcomm_model::{AccessPattern, BasicTransfer, RateTable};
 
-use crate::experiments::{paper_exchange_cfg, parse_q};
+use crate::experiments::{exchange_points, paper_exchange_cfg, parse_q};
 
 /// The operations whose stage split we attribute (covers both pattern axes
 /// and the indexed `ω` extreme).
@@ -180,6 +181,12 @@ pub fn phase_breakdown(
         }
     }
     Ok(rows)
+}
+
+/// The exchange points [`phase_breakdown`] looks up, in its order (its
+/// rate table is the caller's).
+pub fn phase_points(machine: &Machine, words: u64) -> Vec<Point> {
+    exchange_points(&PHASE_OPS, &paper_exchange_cfg(machine, words))
 }
 
 #[cfg(test)]

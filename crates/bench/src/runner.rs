@@ -1,14 +1,23 @@
 //! The parallel, memoized sweep engine.
 //!
-//! [`run_sweep`] evaluates every selected experiment of the reproduction,
-//! fanning independent points across a configurable worker count
-//! ([`SweepOptions::jobs`]) while an installed measurement cache
-//! ([`memcomm_machines::memo`]) guarantees each distinct measurement point
-//! — a basic transfer, a pattern or get exchange, a library message, on
-//! one machine — simulates exactly once per cache: the run adopts the
-//! caller's installed [`memcomm_machines::memo::MemoHandle`] (the serving
-//! process shares one across requests) or installs a fresh one of its own.
-//! Only the faults section's resilient transfers always simulate.
+//! [`run_sweep`] evaluates every selected experiment of the reproduction in
+//! three phases:
+//!
+//! 1. **plan** — each selected section lists the memo points its fill will
+//!    look up (a basic transfer, a pattern or get exchange, a library
+//!    message, each on one machine), and the runner removes duplicates in
+//!    first-occurrence order;
+//! 2. **simulate** — the distinct points run in one fan-out across
+//!    [`SweepOptions::jobs`] workers, in plan order, into the measurement
+//!    cache ([`memcomm_machines::memo`]);
+//! 3. **render** — the sections fill the report one after another, in
+//!    report order, from the filled cache.
+//!
+//! So each distinct point simulates exactly once per cache: the run adopts
+//! the caller's installed [`memcomm_machines::memo::MemoHandle`] (the
+//! serving process shares one across requests) or installs a fresh one of
+//! its own. Only the faults section's resilient transfers and Table 4's
+//! wire runs are no memo points; they fan out within their own sections.
 //!
 //! The engine returns two artifacts with deliberately different contracts:
 //!
@@ -21,10 +30,12 @@
 //!   hit rate, simulated cycles). Timing is inherently nondeterministic, so
 //!   it lives here and never contaminates the report.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
-use memcomm_machines::memo::{self, CacheStats};
+use memcomm_commops::measure_point;
+use memcomm_machines::memo::{self, CacheStats, Point};
 use memcomm_machines::{calibrate, microbench, Machine};
 use memcomm_memsim::stats::{self as simstats, FaultCounters, SimCounters};
 use memcomm_memsim::SimResult;
@@ -57,7 +68,9 @@ pub const SECTIONS: &[&str] = &[
 /// What to run and how wide to fan out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOptions {
-    /// Worker threads for the point sweeps (1 = serial).
+    /// Worker threads for the point fan-out, the uncached wire and fault
+    /// runs, and an engine or collectives run that sets no worker count of
+    /// its own (1 = serial). Only this run reads it.
     pub jobs: usize,
     /// Payload words for microbenchmark measurements.
     pub micro_words: u64,
@@ -446,7 +459,9 @@ fn rate_row(r: &experiments::RateRow) -> Json {
 pub struct ExperimentMetrics {
     /// Section name, as in [`SectionStatus::name`].
     pub name: String,
-    /// Wall-clock milliseconds.
+    /// Wall-clock milliseconds of the section's render: its fill reading
+    /// the points the simulate phase cached, plus whatever it runs that is
+    /// no memo point.
     pub wall_ms: f64,
     /// Result rows produced.
     pub points: u64,
@@ -461,6 +476,15 @@ pub struct RunMetrics {
     pub jobs: usize,
     /// Total result rows across all experiments.
     pub points: u64,
+    /// Distinct memo points the selected sections planned, each simulated
+    /// at most once (a cold run on a fresh cache misses exactly these).
+    pub planned: u64,
+    /// Host milliseconds spent planning and simulating the planned points.
+    pub simulate_ms: f64,
+    /// Host milliseconds spent after the simulate phase: rendering the
+    /// sections from the cache (about the sum of the experiments'
+    /// `wall_ms`).
+    pub render_ms: f64,
     /// Measurement-cache counters for this run (hits, misses, entries).
     pub cache: CacheStats,
     /// Simulated-machine counters for this run (cycles, words, count).
@@ -483,6 +507,7 @@ impl RunMetrics {
         Json::obj([
             ("jobs", (self.jobs as u64).into()),
             ("points", self.points.into()),
+            ("planned", self.planned.into()),
             ("cache_hits", self.cache.hits.into()),
             ("cache_misses", self.cache.misses.into()),
             ("cache_entries", self.cache.entries.into()),
@@ -496,6 +521,8 @@ impl RunMetrics {
             ("faults_degraded", self.faults.degraded.into()),
             ("faults_dropped", self.faults.dropped.into()),
             ("wall_ms", self.wall_ms.into()),
+            ("simulate_ms", self.simulate_ms.into()),
+            ("render_ms", self.render_ms.into()),
             (
                 "histograms",
                 Json::arr(&self.histograms, |(name, h)| {
@@ -528,10 +555,13 @@ impl RunMetrics {
     /// One-line human summary (cache behaviour + wall time).
     pub fn summary(&self) -> String {
         format!(
-            "{} points in {:.0} ms on {} worker(s); cache: {} hits / {} misses ({:.0}% hit rate, {} entries); simulated {} cycles over {} measurements; faults: {} injected / {} retried / {} degraded / {} dropped",
+            "{} points in {:.0} ms on {} worker(s) ({} planned points simulated in {:.0} ms, rendered in {:.0} ms); cache: {} hits / {} misses ({:.0}% hit rate, {} entries); simulated {} cycles over {} measurements; faults: {} injected / {} retried / {} degraded / {} dropped",
             self.points,
             self.wall_ms,
             self.jobs,
+            self.planned,
+            self.simulate_ms,
+            self.render_ms,
             self.cache.hits,
             self.cache.misses,
             self.cache.hit_rate() * 100.0,
@@ -549,25 +579,37 @@ impl RunMetrics {
 /// How a section fills the report: it appends its rows and returns how many.
 type Fill = fn(&SweepOptions, &mut FullReport) -> SimResult<u64>;
 
+/// The memo points a section's fill will look up, grouped by the machine
+/// they run on, in lookup order. A kernel that cannot decompose plans no
+/// points: its fill then meets the same error and records it.
+type Plan = fn(&SweepOptions) -> Vec<(Machine, Vec<Point>)>;
+
 /// One report section: the name its status and metrics carry, whether the
-/// options select it (given that name), and how it fills the report.
-/// [`run_sweep`] runs the selected sections of [`TABLE`] in order.
+/// options select it (given that name), the points it will look up, and
+/// how it fills the report. [`run_sweep`] plans the selected sections of
+/// [`TABLE`], simulates their points, then fills them in order.
 struct Section {
     name: &'static str,
     selected: fn(&SweepOptions, &str) -> bool,
+    plan: Plan,
     fill: Fill,
 }
 
 impl Section {
     /// A section selected by its own [`SECTIONS`] key.
-    const fn keyed(name: &'static str, fill: Fill) -> Section {
+    const fn keyed(name: &'static str, plan: Plan, fill: Fill) -> Section {
         Section {
             name,
             selected: SweepOptions::wants,
+            plan,
             fill,
         }
     }
 }
+
+/// The plan of a section whose fill looks up no memo point: its runs
+/// always simulate, or depend on engine runs.
+const NO_POINTS: Plan = |_| Vec::new();
 
 /// Measures one series per machine into `series`; returns the rows added.
 fn per_machine<T>(
@@ -587,99 +629,205 @@ fn per_machine<T>(
     Ok(n)
 }
 
+/// Both of the paper's machines, T3D first.
+fn machines() -> [Machine; 2] {
+    [Machine::t3d(), Machine::paragon()]
+}
+
 /// [`per_machine`] over both of the paper's machines, T3D first.
 fn both<T>(
     series: &mut Vec<MachineSeries<T>>,
     rows: impl Fn(&Machine) -> SimResult<Vec<T>>,
 ) -> SimResult<u64> {
-    per_machine(&[Machine::t3d(), Machine::paragon()], series, rows)
+    per_machine(&machines(), series, rows)
+}
+
+/// A plan over `machines`: each one's points, in machine order.
+fn plan_per_machine(
+    machines: impl IntoIterator<Item = Machine>,
+    points: impl Fn(&Machine) -> Vec<Point>,
+) -> Vec<(Machine, Vec<Point>)> {
+    machines
+        .into_iter()
+        .map(|m| {
+            let points = points(&m);
+            (m, points)
+        })
+        .collect()
+}
+
+/// [`plan_per_machine`] over both of the paper's machines, T3D first.
+fn plan_both(points: impl Fn(&Machine) -> Vec<Point>) -> Vec<(Machine, Vec<Point>)> {
+    plan_per_machine(machines(), points)
+}
+
+/// The points of a fill that first measures the machine's rate table (at
+/// the microbenchmark size), then looks up `more`.
+fn after_rate_table(o: &SweepOptions, more: Vec<Point>) -> Vec<Point> {
+    let mut points = microbench::table_points(o.micro_words);
+    points.extend(more);
+    points
+}
+
+/// The machines Section 5 covers: the T3D for Figure 7, the Paragon for
+/// Figure 8, each when selected.
+fn section5_machines(o: &SweepOptions) -> Vec<Machine> {
+    [(Machine::t3d(), "figure7"), (Machine::paragon(), "figure8")]
+        .into_iter()
+        .filter_map(|(m, key)| o.wants(key).then_some(m))
+        .collect()
+}
+
+/// A worker count of an engine or collectives run: its own, or the
+/// sweep's when it sets none (0).
+fn or_sweep_jobs(jobs: usize, o: &SweepOptions) -> usize {
+    if jobs == 0 {
+        o.jobs
+    } else {
+        jobs
+    }
 }
 
 /// Every section, in evaluation (and report) order: one per [`SECTIONS`]
 /// key, except that figures 7 and 8 share `section5`, then the opt-in
 /// sections, each selected by its own option.
 const TABLE: &[Section] = &[
-    Section::keyed("calibration", |o, r| {
-        for m in &[Machine::t3d(), Machine::paragon()] {
-            for c in calibrate::calibration_report(m, o.micro_words)? {
-                r.calibration.push(CalRow {
-                    machine: m.name.to_string(),
-                    transfer: c.transfer.to_string(),
-                    simulated: c.simulated.as_mbps(),
-                    paper: c.paper.as_mbps(),
-                    ratio: c.ratio(),
-                });
+    Section::keyed(
+        "calibration",
+        |o| plan_both(|m| calibrate::calibration_points(m, o.micro_words)),
+        |o, r| {
+            for m in &machines() {
+                for c in calibrate::calibration_report(m, o.micro_words)? {
+                    r.calibration.push(CalRow {
+                        machine: m.name.to_string(),
+                        transfer: c.transfer.to_string(),
+                        simulated: c.simulated.as_mbps(),
+                        paper: c.paper.as_mbps(),
+                        ratio: c.ratio(),
+                    });
+                }
             }
-        }
-        Ok(r.calibration.len() as u64)
-    }),
-    Section::keyed("figure1", |_, r| both(&mut r.figure1, experiments::figure1)),
-    Section::keyed("table1", |o, r| {
-        both(&mut r.table1, |m| experiments::table1(m, o.micro_words))
-    }),
-    Section::keyed("table2", |o, r| {
-        both(&mut r.table2, |m| experiments::table2(m, o.micro_words))
-    }),
-    Section::keyed("table3", |o, r| {
-        both(&mut r.table3, |m| experiments::table3(m, o.micro_words))
-    }),
-    Section::keyed("figure4", |o, r| {
-        both(&mut r.figure4, |m| experiments::figure4(m, o.micro_words))
-    }),
-    Section::keyed("table4", |o, r| {
-        both(&mut r.table4, |m| Ok(experiments::table4(m, o.micro_words)))
+            Ok(r.calibration.len() as u64)
+        },
+    ),
+    Section::keyed(
+        "figure1",
+        |_| plan_both(experiments::figure1_points),
+        |_, r| both(&mut r.figure1, experiments::figure1),
+    ),
+    Section::keyed(
+        "table1",
+        |o| plan_both(|_| experiments::rate_points(experiments::TABLE1, o.micro_words)),
+        |o, r| both(&mut r.table1, |m| experiments::table1(m, o.micro_words)),
+    ),
+    Section::keyed(
+        "table2",
+        |o| plan_both(|_| experiments::rate_points(experiments::TABLE2, o.micro_words)),
+        |o, r| both(&mut r.table2, |m| experiments::table2(m, o.micro_words)),
+    ),
+    Section::keyed(
+        "table3",
+        |o| plan_both(|_| experiments::rate_points(experiments::TABLE3, o.micro_words)),
+        |o, r| both(&mut r.table3, |m| experiments::table3(m, o.micro_words)),
+    ),
+    Section::keyed(
+        "figure4",
+        |o| plan_both(|_| experiments::figure4_points(o.micro_words)),
+        |o, r| both(&mut r.figure4, |m| experiments::figure4(m, o.micro_words)),
+    ),
+    Section::keyed("table4", NO_POINTS, |o, r| {
+        both(&mut r.table4, |m| {
+            Ok(experiments::table4(m, o.micro_words, o.jobs))
+        })
     }),
     Section {
         name: "section5",
         selected: |o, _| o.wants("figure7") || o.wants("figure8"),
+        plan: |o| {
+            plan_per_machine(section5_machines(o), |m| {
+                after_rate_table(o, experiments::section5_points(m, o.exchange_words))
+            })
+        },
         fill: |o, r| {
-            let wanted: Vec<Machine> =
-                [(Machine::t3d(), "figure7"), (Machine::paragon(), "figure8")]
-                    .into_iter()
-                    .filter_map(|(m, key)| o.wants(key).then_some(m))
-                    .collect();
-            per_machine(&wanted, &mut r.section5, |m| {
+            per_machine(&section5_machines(o), &mut r.section5, |m| {
                 let rates = microbench::measure_table(m, o.micro_words)?;
                 experiments::section5(m, &rates, o.exchange_words)
             })
         },
     },
-    Section::keyed("table5", |o, r| {
-        r.table5 = experiments::table5(o.exchange_words)?;
-        Ok(r.table5.len() as u64)
-    }),
-    Section::keyed("section341", |o, r| {
-        let rates = microbench::measure_table(&Machine::t3d(), o.micro_words)?;
-        r.section341 = Some(experiments::section341(&rates)?);
-        Ok(1)
-    }),
-    Section::keyed("table6", |o, r| {
-        let rates = microbench::measure_table(&Machine::t3d(), o.micro_words)?;
-        r.table6 = experiments::table6(&rates)?;
-        Ok(r.table6.len() as u64)
-    }),
-    Section::keyed("putget", |o, r| {
-        both(&mut r.put_vs_get, |m| {
-            experiments::put_vs_get(m, o.exchange_words)
-        })
-    }),
-    Section::keyed("scaling", |_, r| {
-        per_machine(&[Machine::t3d()], &mut r.scaling, experiments::scaling)
-    }),
-    Section::keyed("accuracy", |o, r| {
-        both(&mut r.model_accuracy, |m| {
-            let rates = microbench::measure_table(m, o.micro_words)?;
-            experiments::model_accuracy(m, &rates, o.exchange_words)
-        })
-    }),
-    Section::keyed("faults", |o, r| {
+    Section::keyed(
+        "table5",
+        |o| experiments::table5_points(o.exchange_words),
+        |o, r| {
+            r.table5 = experiments::table5(o.exchange_words)?;
+            Ok(r.table5.len() as u64)
+        },
+    ),
+    Section::keyed(
+        "section341",
+        |o| {
+            plan_per_machine([Machine::t3d()], |_| {
+                after_rate_table(o, experiments::section341_points().unwrap_or_default())
+            })
+        },
+        |o, r| {
+            let rates = microbench::measure_table(&Machine::t3d(), o.micro_words)?;
+            r.section341 = Some(experiments::section341(&rates)?);
+            Ok(1)
+        },
+    ),
+    Section::keyed(
+        "table6",
+        |o| {
+            plan_per_machine([Machine::t3d()], |_| {
+                after_rate_table(o, experiments::table6_points().unwrap_or_default())
+            })
+        },
+        |o, r| {
+            let rates = microbench::measure_table(&Machine::t3d(), o.micro_words)?;
+            r.table6 = experiments::table6(&rates)?;
+            Ok(r.table6.len() as u64)
+        },
+    ),
+    Section::keyed(
+        "putget",
+        |o| plan_both(|_| experiments::putget_points(o.exchange_words)),
+        |o, r| {
+            both(&mut r.put_vs_get, |m| {
+                experiments::put_vs_get(m, o.exchange_words)
+            })
+        },
+    ),
+    Section::keyed(
+        "scaling",
+        |_| {
+            plan_per_machine([Machine::t3d()], |m| {
+                experiments::scaling_points(m).unwrap_or_default()
+            })
+        },
+        |_, r| per_machine(&[Machine::t3d()], &mut r.scaling, experiments::scaling),
+    ),
+    Section::keyed(
+        "accuracy",
+        |o| plan_both(|m| after_rate_table(o, experiments::accuracy_points(m, o.exchange_words))),
+        |o, r| {
+            both(&mut r.model_accuracy, |m| {
+                let rates = microbench::measure_table(m, o.micro_words)?;
+                experiments::model_accuracy(m, &rates, o.exchange_words)
+            })
+        },
+    ),
+    Section::keyed("faults", NO_POINTS, |o, r| {
         both(&mut r.faults, |m| {
-            Ok(experiments::faults(m, o.exchange_words, &o.faults))
+            Ok(experiments::faults(m, o.exchange_words, &o.faults, o.jobs))
         })
     }),
     Section {
         name: "phases",
         selected: |o, _| o.phases,
+        plan: |o| {
+            plan_both(|m| after_rate_table(o, crate::phases::phase_points(m, o.exchange_words)))
+        },
         fill: |o, r| {
             both(&mut r.phases, |m| {
                 let rates = microbench::measure_table(m, o.micro_words)?;
@@ -690,9 +838,13 @@ const TABLE: &[Section] = &[
     Section {
         name: "engine",
         selected: |o, _| o.engine.is_some(),
+        plan: NO_POINTS,
         fill: |o, r| {
             if let Some(engine) = &o.engine {
-                r.engine_table6 = experiments::engine_table6(engine)?;
+                r.engine_table6 = experiments::engine_table6(&experiments::EngineSettings {
+                    jobs: or_sweep_jobs(engine.jobs, o),
+                    ..*engine
+                })?;
             }
             Ok(r.engine_table6.len() as u64)
         },
@@ -700,14 +852,50 @@ const TABLE: &[Section] = &[
     Section {
         name: "collectives",
         selected: |o, _| o.collectives.is_some(),
+        plan: NO_POINTS,
         fill: |o, r| {
             if let Some(settings) = &o.collectives {
-                r.collectives = crate::collectives::collectives_table(settings)?;
+                r.collectives = crate::collectives::collectives_table(
+                    &crate::collectives::CollectiveSettings {
+                        jobs: or_sweep_jobs(settings.jobs, o),
+                        ..settings.clone()
+                    },
+                )?;
             }
             Ok(r.collectives.len() as u64)
         },
     },
 ];
+
+/// The distinct points of the selected sections' plans, in first-occurrence
+/// order, each with the index of its machine in the returned machine list.
+fn distinct_points(
+    opts: &SweepOptions,
+    sections: &[&Section],
+) -> (Vec<Machine>, Vec<(usize, Point)>) {
+    let mut machines: Vec<(u64, Machine)> = Vec::new();
+    let mut seen = HashSet::new();
+    let mut work = Vec::new();
+    for section in sections {
+        for (machine, points) in (section.plan)(opts) {
+            let fingerprint = memo::machine_fingerprint(&machine);
+            let m = match machines.iter().position(|&(f, _)| f == fingerprint) {
+                Some(m) => m,
+                None => {
+                    machines.push((fingerprint, machine));
+                    machines.len() - 1
+                }
+            };
+            work.extend(
+                points
+                    .into_iter()
+                    .filter(|&point| seen.insert((fingerprint, point)))
+                    .map(|point| (m, point)),
+            );
+        }
+    }
+    (machines.into_iter().map(|(_, m)| m).collect(), work)
+}
 
 /// Extracts the human-readable message from a caught panic payload.
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -724,14 +912,17 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs the selected experiments with `opts.jobs` workers and returns the
 /// deterministic report plus this run's metrics.
 ///
-/// Sets the process-wide default worker count as a side effect (the
-/// experiment functions fan out through it). Never panics on experiment
-/// failure: each section runs behind a panic shield, so a typed simulation
-/// error or a panic escaping a worker records the section's status and
-/// zero points, and the sweep moves on with a partial report. The report's
-/// `sections` field records which completed.
+/// Plans every selected section's memo points, simulates the distinct ones
+/// in one fan-out of `opts.jobs` workers, then renders the sections in
+/// order from the filled cache (see the module docs). The worker count is
+/// this run's alone: nothing process-wide changes, so concurrent sweeps in
+/// one process never change each other's width. Never panics on experiment
+/// failure: a point whose simulation panics is dropped from the cache, and
+/// each section renders behind a panic shield, so a typed simulation error
+/// or a panic records the section's status and zero points, and the sweep
+/// moves on with a partial report. The report's `sections` field records
+/// which completed.
 pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
-    par::set_jobs(opts.jobs);
     // Fault/protocol counters live in a per-run registry, not process-wide
     // statics: adopt the caller's installed observability handle (so traces
     // and histograms flow to it), or install a registry-only one of our own.
@@ -753,17 +944,28 @@ pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
     let faults_before = FaultCounters::from_obs(&obs);
     let start = Instant::now();
 
+    let sections: Vec<&Section> = TABLE
+        .iter()
+        .filter(|s| (s.selected)(opts, s.name))
+        .collect();
+    let (machines, work) = distinct_points(opts, &sections);
+    par::par_map(opts.jobs, &work, |&(m, point)| {
+        // A panicking simulation caches nothing, so the section that looks
+        // the point up meets the panic again and records it as its failure.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| measure_point(&machines[m], point)));
+    });
+    let simulate_ms = start.elapsed().as_secs_f64() * 1e3;
+
     let mut report = FullReport {
         micro_words: opts.micro_words,
         exchange_words: opts.exchange_words,
         ..FullReport::default()
     };
     let mut experiment_metrics: Vec<ExperimentMetrics> = Vec::new();
-    for section in TABLE.iter().filter(|s| (s.selected)(opts, s.name)) {
+    for section in sections {
         let t = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (section.fill)(opts, &mut report)
-        }));
+        let outcome =
+            std::panic::catch_unwind(AssertUnwindSafe(|| (section.fill)(opts, &mut report)));
         let (points, error) = match outcome {
             Ok(Ok(points)) => (points, None),
             Ok(Err(e)) => (0, Some(e.to_string())),
@@ -781,13 +983,17 @@ pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
         });
     }
 
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let metrics = RunMetrics {
         jobs: opts.jobs,
         points: experiment_metrics.iter().map(|e| e.points).sum(),
+        planned: work.len() as u64,
+        simulate_ms,
+        render_ms: wall_ms - simulate_ms,
         cache: memo::stats().since(cache_before),
         sim: simstats::counters().since(sim_before),
         faults: FaultCounters::from_obs(&obs).since(faults_before),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        wall_ms,
         histograms: obs
             .metrics_snapshot()
             .map(|s| s.histograms)
@@ -824,8 +1030,10 @@ mod tests {
         let total = metrics.cache.hits + metrics.cache.misses;
         assert!(total > 0, "the sweep must go through the memo cache");
         // Calibration and Table 1 overlap on local-copy transfers, so a
-        // combined run must hit the cache.
+        // combined run must hit the cache; and it simulates each planned
+        // point once, before rendering.
         assert!(metrics.cache.hits > 0, "{:?}", metrics.cache);
+        assert_eq!(metrics.cache.misses, metrics.planned, "{metrics:?}");
     }
 
     #[test]
@@ -838,7 +1046,9 @@ mod tests {
     fn metrics_render_without_wall_time_in_report() {
         let (report, metrics) = run_sweep(&small_opts(1));
         assert!(!report.to_json().render().contains("wall_ms"));
-        assert!(metrics.to_json().render().contains("wall_ms"));
+        for key in ["wall_ms", "planned", "simulate_ms", "render_ms"] {
+            assert!(metrics.to_json().render().contains(key), "{key}");
+        }
         assert!(metrics.summary().contains("hit rate"));
         assert!(metrics.summary().contains("injected"));
     }
@@ -849,6 +1059,38 @@ mod tests {
         let names: Vec<&str> = report.sections.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["calibration", "table1"]);
         assert!(report.sections.iter().all(|s| s.ok && s.error.is_none()));
+    }
+
+    #[test]
+    fn a_panicking_point_fails_only_its_section() {
+        // Indexed walks hold 32-bit index entries, so at this size Table 1's
+        // `1Cw` and `wC1` panic while its `1C1` errs (node memory). The
+        // simulate phase catches the panics; Table 1's render meets them
+        // again and fails with the panic, and Table 5 renders as usual.
+        for jobs in [1, 2] {
+            let opts = SweepOptions {
+                jobs,
+                micro_words: 5_000_000_000,
+                exchange_words: 256,
+                sections: ["table1", "table5"].iter().map(|s| s.to_string()).collect(),
+                ..SweepOptions::default()
+            };
+            let (report, _) = run_sweep(&opts);
+            let status: Vec<(&str, Option<&str>)> = report
+                .sections
+                .iter()
+                .map(|s| (s.name.as_str(), s.error.as_deref()))
+                .collect();
+            assert_eq!(
+                status,
+                [
+                    ("table1", Some("panic: index entries are 32-bit")),
+                    ("table5", None)
+                ],
+                "jobs {jobs}"
+            );
+            assert_eq!(report.table5.len(), 4, "jobs {jobs}");
+        }
     }
 
     #[test]

@@ -28,6 +28,21 @@ pub enum Style {
     Chained,
 }
 
+impl Style {
+    /// The style whose discriminant a memo point holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a byte that is no `Style` discriminant; only a point built
+    /// by hand instead of by [`exchange_point`] can hold one.
+    pub(crate) fn from_memo(style: u8) -> Style {
+        [Style::BufferPacking, Style::Chained]
+            .into_iter()
+            .find(|&s| s as u8 == style)
+            .unwrap_or_else(|| panic!("{style} is no Style discriminant"))
+    }
+}
+
 /// Parameters of an exchange measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExchangeConfig {
@@ -77,6 +92,29 @@ impl ExchangeConfig {
             words,
             chunk_words,
             congestion_bits: congestion.map(f64::to_bits),
+            full_duplex,
+            elide_contiguous_copies,
+            seed,
+            max_cycles,
+        }
+    }
+
+    /// The parameters a memo key holds: the inverse of
+    /// [`memo_key`](Self::memo_key), destructuring the key the same way.
+    pub(crate) fn from_memo_key(key: ExchangeKey) -> ExchangeConfig {
+        let ExchangeKey {
+            words,
+            chunk_words,
+            congestion_bits,
+            full_duplex,
+            elide_contiguous_copies,
+            seed,
+            max_cycles,
+        } = key;
+        ExchangeConfig {
+            words,
+            chunk_words,
+            congestion: congestion_bits.map(f64::from_bits),
             full_duplex,
             elide_contiguous_copies,
             seed,
@@ -396,13 +434,7 @@ pub fn run_exchange(
     style: Style,
     cfg: &ExchangeConfig,
 ) -> SimResult<ExchangeResult> {
-    let point = Point::Exchange {
-        x,
-        y,
-        style: style as u8,
-        cfg: cfg.memo_key(),
-    };
-    memo::cached(machine, point, || {
+    memo::cached(machine, exchange_point(x, y, style, cfg), || {
         run_exchange_specs(
             machine,
             &WalkSpec::Pattern(x),
@@ -411,6 +443,21 @@ pub fn run_exchange(
             cfg,
         )
     })
+}
+
+/// The memo point [`run_exchange`] looks up.
+pub fn exchange_point(
+    x: AccessPattern,
+    y: AccessPattern,
+    style: Style,
+    cfg: &ExchangeConfig,
+) -> Point {
+    Point::Exchange {
+        x,
+        y,
+        style: style as u8,
+        cfg: cfg.memo_key(),
+    }
 }
 
 /// Like [`run_exchange`], but with explicit walk specifications — the entry
@@ -667,6 +714,37 @@ mod tests {
         let fast = run_exchange(&m, C1, C1, Style::Chained, &c1).unwrap();
         let slow = run_exchange(&m, C1, C1, Style::Chained, &c4).unwrap();
         assert!(slow.end_cycle > 2 * fast.end_cycle);
+    }
+
+    #[test]
+    fn exchange_parameters_round_trip_through_their_memo_key() {
+        // Both sides name every field, so a field added to either type
+        // does not compile here until the round trip covers it.
+        let cfg = ExchangeConfig {
+            words: 777,
+            chunk_words: Some(64),
+            congestion: Some(2.5),
+            full_duplex: false,
+            elide_contiguous_copies: true,
+            seed: 42,
+            max_cycles: Some(1 << 20),
+        };
+        let key = ExchangeKey {
+            words: 777,
+            chunk_words: Some(64),
+            congestion_bits: Some(2.5f64.to_bits()),
+            full_duplex: false,
+            elide_contiguous_copies: true,
+            seed: 42,
+            max_cycles: Some(1 << 20),
+        };
+        assert_eq!(cfg.memo_key(), key);
+        assert_eq!(ExchangeConfig::from_memo_key(key), cfg);
+        let default = ExchangeConfig::default();
+        assert_eq!(ExchangeConfig::from_memo_key(default.memo_key()), default);
+        for style in [Style::BufferPacking, Style::Chained] {
+            assert_eq!(Style::from_memo(style as u8), style);
+        }
     }
 
     #[test]

@@ -190,12 +190,18 @@ pub fn run_get_exchange(
     y: AccessPattern,
     cfg: &ExchangeConfig,
 ) -> SimResult<ExchangeResult> {
-    let point = Point::Get {
+    memo::cached(machine, get_point(x, y, cfg), || {
+        simulate_get_exchange(machine, x, y, cfg)
+    })
+}
+
+/// The memo point [`run_get_exchange`] looks up.
+pub fn get_point(x: AccessPattern, y: AccessPattern, cfg: &ExchangeConfig) -> Point {
+    Point::Get {
         x,
         y,
         cfg: cfg.memo_key(),
-    };
-    memo::cached(machine, point, || simulate_get_exchange(machine, x, y, cfg))
+    }
 }
 
 fn simulate_get_exchange(

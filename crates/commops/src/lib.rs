@@ -56,9 +56,60 @@ pub mod roles;
 pub use collectives::Collective;
 pub use datatype::{run_datatype_exchange, Datatype, DatatypeMethod};
 pub use exchange::{
-    run_exchange, run_exchange_specs, ExchangeConfig, ExchangeResult, PhaseTimeline, Style,
+    exchange_point, run_exchange, run_exchange_specs, ExchangeConfig, ExchangeResult,
+    PhaseTimeline, Style,
 };
-pub use get::run_get_exchange;
+pub use get::{get_point, run_get_exchange};
 pub use layout::WalkSpec;
-pub use library::{measure_message, LibraryProfile};
+pub use library::{measure_message, message_point, LibraryProfile};
 pub use protocol::{blend_rates, run_resilient_transfer, ProtocolConfig, TransferReport};
+
+use memcomm_machines::memo::{Point, Value};
+use memcomm_machines::{microbench, Machine};
+use memcomm_memsim::SimResult;
+
+/// Measures one memo point on `machine` through the installed cache, by
+/// the entry function that looks the point up: [`microbench::measure_basic`],
+/// [`run_exchange`], [`run_get_exchange`] or [`measure_message`], called
+/// with the inputs the point holds. So a point measured here is a hit for
+/// that function's own later call with the same inputs, and a sweep can
+/// simulate every point it will look up before it looks any up.
+///
+/// # Errors
+///
+/// Propagates the entry function's simulation error (memoized like a
+/// value).
+pub fn measure_point(machine: &Machine, point: Point) -> SimResult<Value> {
+    Ok(match point {
+        Point::Basic { transfer, words } => {
+            Value::Basic(microbench::measure_basic(machine, transfer, words)?)
+        }
+        Point::Exchange { x, y, style, cfg } => Value::Exchange(run_exchange(
+            machine,
+            x,
+            y,
+            Style::from_memo(style),
+            &ExchangeConfig::from_memo_key(cfg),
+        )?),
+        Point::Get { x, y, cfg } => Value::Exchange(run_get_exchange(
+            machine,
+            x,
+            y,
+            &ExchangeConfig::from_memo_key(cfg),
+        )?),
+        Point::Message {
+            library,
+            per_message_cycles,
+            system_buffering,
+            words,
+        } => Value::Message(measure_message(
+            machine,
+            LibraryProfile {
+                name: library,
+                per_message_cycles,
+                system_buffering,
+            },
+            words,
+        )?),
+    })
+}

@@ -69,18 +69,24 @@ pub fn measure_message(
     profile: LibraryProfile,
     words: u64,
 ) -> SimResult<Throughput> {
+    memo::cached(machine, message_point(profile, words), || {
+        simulate_message(machine, profile, words)
+    })
+}
+
+/// The memo point [`measure_message`] looks up.
+pub fn message_point(profile: LibraryProfile, words: u64) -> Point {
     let LibraryProfile {
         name,
         per_message_cycles,
         system_buffering,
     } = profile;
-    let point = Point::Message {
+    Point::Message {
         library: name,
         per_message_cycles,
         system_buffering,
         words,
-    };
-    memo::cached(machine, point, || simulate_message(machine, profile, words))
+    }
 }
 
 fn simulate_message(

@@ -8,14 +8,18 @@
 //! changed point misses, returns exactly what an uncached run returns, and
 //! hits on the repeat. Exchange and get points share patterns and
 //! parameters, so the shared cache also shows the kinds never collide.
+//! And a point measured through `measure_point`, as the sweep's simulate
+//! phase measures it, is exactly the entry its own function looks up.
 
 use std::fmt::Debug;
 
 use memcomm_commops::{
-    measure_message, run_exchange, run_get_exchange, ExchangeConfig, LibraryProfile, Style,
+    exchange_point, get_point, measure_message, measure_point, message_point, run_exchange,
+    run_get_exchange, ExchangeConfig, LibraryProfile, Style,
 };
-use memcomm_machines::memo::{self, MemoCache, MemoHandle};
+use memcomm_machines::memo::{self, MemoCache, MemoHandle, Point, PointValue};
 use memcomm_machines::{microbench, Machine};
+use memcomm_memsim::SimResult;
 use memcomm_model::{AccessPattern, BasicTransfer};
 
 const C: AccessPattern = AccessPattern::Contiguous;
@@ -201,5 +205,56 @@ fn every_input_of_every_point_kind_is_in_the_key() {
         assert_new_point(&cache, &format!("basic {input}"), || {
             microbench::measure_basic(&m, transfer, words)
         });
+    }
+}
+
+/// Measures `point` through `measure_point` on a fresh cache, then runs its
+/// entry function: the run must hit the stored entry and return its value.
+fn assert_planned<T: PointValue + Debug>(
+    what: &str,
+    machine: &Machine,
+    point: Point,
+    run: impl Fn() -> SimResult<T>,
+) {
+    let cache = MemoCache::unbounded();
+    let _guard = memo::install(&cache);
+    let planned = measure_point(machine, point).map(T::from_value);
+    let before = cache.stats();
+    let got = run();
+    let delta = cache.stats().since(before);
+    assert_eq!((delta.hits, delta.misses), (1, 0), "{what}: lookup");
+    assert_eq!(format!("{got:?}"), format!("{planned:?}"), "{what}: value");
+}
+
+#[test]
+fn measure_point_stores_what_each_entry_function_looks_up() {
+    for (input, m, x, y, style, cfg) in exchange_cases() {
+        assert_planned(
+            &format!("exchange {input}"),
+            &m,
+            exchange_point(x, y, style, &cfg),
+            || run_exchange(&m, x, y, style, &cfg),
+        );
+        assert_planned(&format!("get {input}"), &m, get_point(x, y, &cfg), || {
+            run_get_exchange(&m, x, y, &cfg)
+        });
+    }
+    let t3d = Machine::t3d();
+    for profile in [LibraryProfile::pvm(&t3d), LibraryProfile::low_level(&t3d)] {
+        assert_planned(
+            &format!("message {}", profile.name),
+            &t3d,
+            message_point(profile, 256),
+            || measure_message(&t3d, profile, 256),
+        );
+    }
+    for transfer in ["1C1", "0D64", "1F0"] {
+        let t = BasicTransfer::parse(transfer).expect("parses");
+        assert_planned(
+            &format!("basic {transfer}"),
+            &t3d,
+            microbench::basic_point(t, 256),
+            || microbench::measure_basic(&t3d, t, 256),
+        );
     }
 }

@@ -7,13 +7,14 @@
 //! (`netsim` derives it), plus the per-message and synchronization costs of
 //! the communication layer in use.
 
-use memcomm_commops::{run_exchange, ExchangeConfig, Style};
-use memcomm_machines::Machine;
+use memcomm_commops::{exchange_point, run_exchange, ExchangeConfig, Style};
+use memcomm_machines::memo::Point;
+use memcomm_machines::{microbench, Machine};
 use memcomm_memsim::clock::Cycle;
-use memcomm_memsim::scenario;
-use memcomm_memsim::{Node, SimError, SimResult};
+use memcomm_memsim::{SimError, SimResult};
 use memcomm_model::{
-    chained_expr, AccessPattern, ChainedPlan, ModelError, RateTable, ReceiveEngine, Throughput,
+    chained_expr, AccessPattern, BasicTransfer, ChainedPlan, ModelError, RateTable, ReceiveEngine,
+    Throughput,
 };
 use memcomm_netsim::congestion::{pattern_congestion, scheduled_congestion};
 use memcomm_netsim::topology::Topology;
@@ -87,18 +88,28 @@ pub struct KernelMeasurement {
     pub verified: bool,
 }
 
-/// PVM's extra store-and-forward copies through system buffers: the cost of
-/// one contiguous copy of `words` on this machine, simulated.
-fn system_copy_cycles(machine: &Machine, words: u64) -> SimResult<Cycle> {
-    let mut node = Node::new(machine.node);
-    let src = node.alloc_walk(AccessPattern::Contiguous, words, None)?;
-    let dst = node.alloc_walk(AccessPattern::Contiguous, words, None)?;
-    Ok(scenario::run_local_copy(&mut node, &src, &dst)?.cycles)
+/// PVM's store-and-forward copy through a system buffer: one contiguous
+/// local copy of the round's words.
+fn system_copy() -> BasicTransfer {
+    BasicTransfer::copy(AccessPattern::Contiguous, AccessPattern::Contiguous)
 }
 
-#[allow(clippy::too_many_arguments)] // one knob per paper-visible parameter
-fn measure_round(
-    machine: &Machine,
+/// The simulated cycles of one [`system_copy`] of `words` on this machine,
+/// memoized like every basic transfer.
+fn system_copy_cycles(machine: &Machine, words: u64) -> SimResult<Cycle> {
+    let copy =
+        microbench::measure_basic(machine, system_copy(), words)?.ok_or(SimError::Protocol {
+            detail: "local copies always run".to_string(),
+            at: 0,
+        })?;
+    Ok(copy.cycles)
+}
+
+/// One representative round of a kernel's communication step: the
+/// exchange [`measure`](Round::measure) co-simulates, which for PVM adds a
+/// system-buffer copy on each side.
+#[derive(Debug, Clone, Copy)]
+struct Round {
     kernel: &'static str,
     x: AccessPattern,
     y: AccessPattern,
@@ -106,27 +117,48 @@ fn measure_round(
     words: u64,
     congestion: f64,
     elide_contiguous_copies: bool,
-) -> SimResult<(Cycle, KernelMeasurement)> {
-    let cfg = ExchangeConfig {
-        words,
-        congestion: Some(congestion),
-        // PVM always copies; hand-written code may elide.
-        elide_contiguous_copies: elide_contiguous_copies && method != CommMethod::Pvm,
-        ..ExchangeConfig::default()
-    };
-    let result = run_exchange(machine, x, y, method.style(), &cfg)?;
-    let mut round = result.end_cycle + method.per_message_cycles(machine);
-    if method == CommMethod::Pvm {
-        round += 2 * system_copy_cycles(machine, words)?;
+}
+
+impl Round {
+    fn cfg(&self) -> ExchangeConfig {
+        ExchangeConfig {
+            words: self.words,
+            congestion: Some(self.congestion),
+            // PVM always copies; hand-written code may elide.
+            elide_contiguous_copies: self.elide_contiguous_copies && self.method != CommMethod::Pvm,
+            ..ExchangeConfig::default()
+        }
     }
-    let m = KernelMeasurement {
-        kernel,
-        method: method.label(),
-        per_node: machine.clock().throughput(words * 8, round),
-        congestion,
-        verified: result.verified,
-    };
-    Ok((round, m))
+
+    /// The memo points [`measure`](Self::measure) looks up.
+    fn points(&self) -> Vec<Point> {
+        let mut points = vec![exchange_point(
+            self.x,
+            self.y,
+            self.method.style(),
+            &self.cfg(),
+        )];
+        if self.method == CommMethod::Pvm {
+            points.push(microbench::basic_point(system_copy(), self.words));
+        }
+        points
+    }
+
+    fn measure(&self, machine: &Machine) -> SimResult<(Cycle, KernelMeasurement)> {
+        let result = run_exchange(machine, self.x, self.y, self.method.style(), &self.cfg())?;
+        let mut round = result.end_cycle + self.method.per_message_cycles(machine);
+        if self.method == CommMethod::Pvm {
+            round += 2 * system_copy_cycles(machine, self.words)?;
+        }
+        let m = KernelMeasurement {
+            kernel: self.kernel,
+            method: self.method.label(),
+            per_node: machine.clock().throughput(self.words * 8, round),
+            congestion: self.congestion,
+            verified: result.verified,
+        };
+        Ok((round, m))
+    }
 }
 
 /// The 2D-FFT transpose kernel (Section 6.1.1): an `n × n` complex matrix
@@ -227,6 +259,21 @@ impl TransposeKernel {
         self.congestion_on(&machine.topology, machine.nodes_per_port)
     }
 
+    /// The round of `words`-word patches at `congestion`. The transpose
+    /// patch is short contiguous runs, not one block: the gather copy is
+    /// genuinely needed (the paper models it as 1C1).
+    fn round(&self, method: CommMethod, words: u64, congestion: f64) -> Round {
+        Round {
+            kernel: "Transpose",
+            x: AccessPattern::Contiguous,
+            y: AccessPattern::strided(self.n as u32).expect("n >= 2"),
+            method,
+            words,
+            congestion,
+            elide_contiguous_copies: false,
+        }
+    }
+
     /// Measures the communication step per node.
     ///
     /// # Errors
@@ -236,6 +283,19 @@ impl TransposeKernel {
         let p = machine.topology.len() as u64;
         let congestion = self.congestion(machine)?;
         self.measure_at(machine, method, p, congestion)
+    }
+
+    /// The memo points [`measure`](Self::measure) looks up, so a sweep can
+    /// simulate them before it measures.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] when the matrix does not decompose over the
+    /// machine's node count.
+    pub fn points(&self, machine: &Machine, method: CommMethod) -> SimResult<Vec<Point>> {
+        let p = machine.topology.len() as u64;
+        let congestion = self.congestion(machine)?;
+        self.points_at(method, p, congestion)
     }
 
     /// Measures at an explicit node count and congestion factor — the entry
@@ -253,19 +313,17 @@ impl TransposeKernel {
         congestion: f64,
     ) -> SimResult<KernelMeasurement> {
         let words = self.try_patch_words(p)?;
-        // The transpose patch is short contiguous runs, not one block: the
-        // gather copy is genuinely needed (the paper models it as 1C1).
-        let (_, m) = measure_round(
-            machine,
-            "Transpose",
-            AccessPattern::Contiguous,
-            AccessPattern::strided(self.n as u32).expect("n >= 2"),
-            method,
-            words,
-            congestion,
-            false,
-        )?;
-        Ok(m)
+        Ok(self.round(method, words, congestion).measure(machine)?.1)
+    }
+
+    /// The memo points [`measure_at`](Self::measure_at) looks up.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] for an invalid decomposition.
+    pub fn points_at(&self, method: CommMethod, p: u64, congestion: f64) -> SimResult<Vec<Point>> {
+        let words = self.try_patch_words(p)?;
+        Ok(self.round(method, words, congestion).points())
     }
 
     /// Measures the *entire* transpose — all `p − 1` rounds of the XOR
@@ -293,16 +351,7 @@ impl TransposeKernel {
                 .factor
                 .max(1.0);
             worst = worst.max(congestion);
-            let (cycles, m) = measure_round(
-                machine,
-                "Transpose",
-                AccessPattern::Contiguous,
-                AccessPattern::strided(self.n as u32).expect("n >= 2"),
-                method,
-                patch,
-                congestion,
-                false,
-            )?;
+            let (cycles, m) = self.round(method, patch, congestion).measure(machine)?;
             total_cycles += cycles;
             verified &= m.verified;
         }
@@ -427,6 +476,18 @@ impl FemKernel {
         self.congestion_on(&machine.topology, machine.nodes_per_port)
     }
 
+    fn round(&self, method: CommMethod, congestion: f64) -> Round {
+        Round {
+            kernel: "FEM",
+            x: AccessPattern::Indexed,
+            y: AccessPattern::Indexed,
+            method,
+            words: self.exchange_words(),
+            congestion,
+            elide_contiguous_copies: false,
+        }
+    }
+
     /// Measures the boundary-exchange step per node.
     ///
     /// # Errors
@@ -449,17 +510,12 @@ impl FemKernel {
         method: CommMethod,
         congestion: f64,
     ) -> SimResult<KernelMeasurement> {
-        let (_, m) = measure_round(
-            machine,
-            "FEM",
-            AccessPattern::Indexed,
-            AccessPattern::Indexed,
-            method,
-            self.exchange_words(),
-            congestion,
-            false,
-        )?;
-        Ok(m)
+        Ok(self.round(method, congestion).measure(machine)?.1)
+    }
+
+    /// The memo points [`measure_at`](Self::measure_at) looks up.
+    pub fn points_at(&self, method: CommMethod, congestion: f64) -> Vec<Point> {
+        self.round(method, congestion).points()
     }
 
     /// The model's chained estimate (`ωQ'ω`).
@@ -567,6 +623,21 @@ impl SorKernel {
         self.measure_at(machine, method, congestion)
     }
 
+    /// One halo-row exchange. Halo rows are contiguous: a hand-written
+    /// buffer-packing SOR does not copy them, which is why the paper's
+    /// Table 6 shows chained and buffer packing nearly equal for SOR.
+    fn round(&self, method: CommMethod, congestion: f64) -> Round {
+        Round {
+            kernel: "SOR",
+            x: AccessPattern::Contiguous,
+            y: AccessPattern::Contiguous,
+            method,
+            words: self.n,
+            congestion,
+            elide_contiguous_copies: true,
+        }
+    }
+
     /// Measures at an explicit congestion factor (the event engine
     /// substitutes its simulated factor here).
     ///
@@ -579,24 +650,17 @@ impl SorKernel {
         method: CommMethod,
         congestion: f64,
     ) -> SimResult<KernelMeasurement> {
-        // Halo rows are contiguous: a hand-written buffer-packing SOR does
-        // not copy them, which is why the paper's Table 6 shows chained and
-        // buffer packing nearly equal for SOR.
-        let (round, first) = measure_round(
-            machine,
-            "SOR",
-            AccessPattern::Contiguous,
-            AccessPattern::Contiguous,
-            method,
-            self.n,
-            congestion,
-            true,
-        )?;
+        let (round, first) = self.round(method, congestion).measure(machine)?;
         let iteration = 2 * round + method.sync_cycles(machine);
         Ok(KernelMeasurement {
             per_node: machine.clock().throughput(self.n * 8, iteration),
             ..first
         })
+    }
+
+    /// The memo points [`measure_at`](Self::measure_at) looks up.
+    pub fn points_at(&self, method: CommMethod, congestion: f64) -> Vec<Point> {
+        self.round(method, congestion).points()
     }
 
     /// The model's chained estimate (`1Q'1`), which ignores the per-message

@@ -5,6 +5,7 @@ use memcomm_memsim::SimResult;
 use memcomm_model::{BasicTransfer, RateTable, Throughput};
 
 use crate::machine::Machine;
+use crate::memo::Point;
 use crate::microbench;
 use crate::reference;
 
@@ -40,24 +41,31 @@ pub fn reference_rates(machine: &Machine) -> RateTable {
 }
 
 /// Measures the machine and joins against the paper's tables on the
-/// transfers the paper reports. Points fan out across the process-default
-/// worker count and come back in table order; measurements are memoized
-/// (see [`crate::memo`]).
+/// transfers the paper reports. Every transfer is looked up, one after
+/// another in table order, through the installed memo cache (see
+/// [`crate::memo`]); a sweep simulates them beforehand in its one fan-out
+/// (see [`calibration_points`]), so there they are lookups.
 ///
 /// # Errors
 ///
 /// Returns the first simulation error among the points (in table order).
 pub fn calibration_report(machine: &Machine, words: u64) -> SimResult<Vec<CalibrationRow>> {
-    let paper: Vec<(BasicTransfer, Throughput)> = reference_rates(machine).iter().collect();
-    let rows = memcomm_util::par::par_map_auto(&paper, |&(transfer, paper_rate)| {
-        Ok(
-            microbench::measure_rate(machine, transfer, words)?.map(|simulated| CalibrationRow {
-                transfer,
-                simulated,
-                paper: paper_rate,
-            }),
-        )
-    });
+    // Every transfer runs before the first error returns, as in
+    // `microbench::measure_table`.
+    let rows: Vec<_> = reference_rates(machine)
+        .iter()
+        .map(|(transfer, paper)| {
+            Ok(
+                microbench::measure_rate(machine, transfer, words)?.map(|simulated| {
+                    CalibrationRow {
+                        transfer,
+                        simulated,
+                        paper,
+                    }
+                }),
+            )
+        })
+        .collect();
     let mut out = Vec::new();
     for row in rows {
         if let Some(r) = row? {
@@ -65,6 +73,14 @@ pub fn calibration_report(machine: &Machine, words: u64) -> SimResult<Vec<Calibr
         }
     }
     Ok(out)
+}
+
+/// The memo points [`calibration_report`] looks up, in its order.
+pub fn calibration_points(machine: &Machine, words: u64) -> Vec<Point> {
+    reference_rates(machine)
+        .iter()
+        .map(|(transfer, _)| microbench::basic_point(transfer, words))
+        .collect()
 }
 
 /// Geometric-mean absolute log-ratio of a report: 0.0 means every simulated

@@ -5,8 +5,9 @@
 //! recur across its tables and figures:
 //!
 //! * basic transfers ([`microbench::measure_basic`](crate::microbench::measure_basic)),
-//!   shared by Tables 1–3, the calibration report and the rate tables
-//!   behind Section 5;
+//!   shared by Tables 1–3, the calibration report, the rate tables
+//!   behind Section 5 and the PVM system-buffer copies of the Table 6
+//!   kernels;
 //! * pattern exchanges (`commops::run_exchange`, which the Table 6 kernels
 //!   also call per round) and get exchanges (`commops::run_get_exchange`),
 //!   shared by Figures 7/8, Table 5, the accuracy grid and put/get;
@@ -17,7 +18,10 @@
 //! with one variant per kind, holding as plain data every input that
 //! determines the result. Callers build a point by destructuring their
 //! configuration without `..`, so a field added later does not compile
-//! until the key covers it. Two entry points stay uncached:
+//! until the key covers it. Because a point is plain data, a caller can
+//! name every point it will look up before it simulates any: the sweep
+//! plans its sections' points this way and simulates the distinct ones
+//! through `commops::measure_point`. Two entry points stay uncached:
 //! `commops::run_resilient_transfer`, whose fault counters and protocol
 //! histograms land in the run's metrics registry and would be lost on a
 //! hit, and `commops::run_exchange_specs`, whose explicit offset lists

@@ -16,6 +16,7 @@ use memcomm_model::{AccessPattern, BasicTransfer, Engine, RateTable, Throughput}
 use memcomm_netsim::link::measure_wire_rate;
 
 use crate::machine::Machine;
+use crate::memo::Point;
 
 /// Deterministic pseudo-random permutation of `0..n` for indexed walks
 /// (splitmix64-seeded xorshift64*, Fisher–Yates).
@@ -90,11 +91,14 @@ pub fn measure_basic(
     transfer: BasicTransfer,
     words: u64,
 ) -> SimResult<Option<Measurement>> {
-    crate::memo::cached(
-        machine,
-        crate::memo::Point::Basic { transfer, words },
-        || simulate_basic(machine, transfer, words),
-    )
+    crate::memo::cached(machine, basic_point(transfer, words), || {
+        simulate_basic(machine, transfer, words)
+    })
+}
+
+/// The memo point [`measure_basic`] looks up.
+pub fn basic_point(transfer: BasicTransfer, words: u64) -> Point {
+    Point::Basic { transfer, words }
 }
 
 /// Runs one basic-transfer simulation unconditionally, bypassing the memo
@@ -263,25 +267,35 @@ pub fn standard_transfers() -> Vec<BasicTransfer> {
 /// Measures the machine's full standard rate table. Unsupported transfers
 /// are simply absent, mirroring the "–" cells of the paper's tables.
 ///
-/// The sweep fans out across the process-default worker count
-/// ([`memcomm_util::par::set_jobs`]); results are order-preserving and
-/// memoized, so the table is identical whatever the worker count.
+/// Every transfer is looked up, one after another in table order, through
+/// the installed memo cache; a sweep simulates them beforehand in its one
+/// fan-out (see [`table_points`]), so there they are lookups.
 ///
 /// # Errors
 ///
 /// Returns the first simulation error among the transfers (in table order).
 pub fn measure_table(machine: &Machine, words: u64) -> SimResult<RateTable> {
-    let transfers = standard_transfers();
-    let points = memcomm_util::par::par_map_auto(&transfers, |&t| {
-        Ok(measure_rate(machine, t, words)?.map(|r| (t, r)))
-    });
+    // Every transfer runs before the first error returns, so a transfer
+    // that panics fails the caller whatever errors come before it.
+    let rates: Vec<_> = standard_transfers()
+        .into_iter()
+        .map(|t| Ok(measure_rate(machine, t, words)?.map(|r| (t, r))))
+        .collect();
     let mut table = RateTable::default();
-    for point in points {
-        if let Some((t, r)) = point? {
+    for rate in rates {
+        if let Some((t, r)) = rate? {
             table.insert(t, r);
         }
     }
     Ok(table)
+}
+
+/// The memo points [`measure_table`] looks up, in its order.
+pub fn table_points(words: u64) -> Vec<Point> {
+    standard_transfers()
+        .into_iter()
+        .map(|t| basic_point(t, words))
+        .collect()
 }
 
 /// Which side of a copy is strided in a stride sweep.
@@ -291,6 +305,21 @@ pub enum StrideSide {
     Loads,
     /// `1Cs`: contiguous loads, strided stores.
     Stores,
+}
+
+impl StrideSide {
+    /// The local copy a stride sweep measures at stride `n` on this side.
+    ///
+    /// # Panics
+    ///
+    /// Panics for `n == 0`.
+    pub fn transfer(self, n: u32) -> BasicTransfer {
+        let s = AccessPattern::strided(n).expect("sweep strides are >= 1");
+        match self {
+            StrideSide::Loads => BasicTransfer::copy(s, AccessPattern::Contiguous),
+            StrideSide::Stores => BasicTransfer::copy(AccessPattern::Contiguous, s),
+        }
+    }
 }
 
 /// Sweeps local-copy throughput over strides — the data for Figure 4.
@@ -304,19 +333,21 @@ pub fn stride_sweep(
     words: u64,
     side: StrideSide,
 ) -> SimResult<Vec<(u32, Throughput)>> {
-    let points = memcomm_util::par::par_map_auto(strides, |&n| {
-        let s = AccessPattern::strided(n).expect("sweep strides are >= 1");
-        let t = match side {
-            StrideSide::Loads => BasicTransfer::copy(s, AccessPattern::Contiguous),
-            StrideSide::Stores => BasicTransfer::copy(AccessPattern::Contiguous, s),
-        };
-        let rate = measure_rate(machine, t, words)?.ok_or(memcomm_memsim::SimError::Protocol {
-            detail: "local copies always run".to_string(),
-            at: 0,
-        })?;
-        Ok((n, rate))
-    });
-    points.into_iter().collect()
+    // Every stride runs before the first error returns, as in
+    // `measure_table`.
+    let rates: Vec<_> = strides
+        .iter()
+        .map(|&n| {
+            let rate = measure_rate(machine, side.transfer(n), words)?.ok_or(
+                memcomm_memsim::SimError::Protocol {
+                    detail: "local copies always run".to_string(),
+                    at: 0,
+                },
+            )?;
+            Ok((n, rate))
+        })
+        .collect();
+    rates.into_iter().collect()
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use crate::routing::{route, LinkId};
+use crate::routing::{for_each_hop, LinkId};
 use crate::topology::Topology;
 use crate::traffic::Flow;
 
@@ -34,9 +34,9 @@ pub struct CongestionReport {
 pub fn link_loads(topo: &Topology, flows: &[Flow]) -> HashMap<LinkId, u64> {
     let mut loads = HashMap::new();
     for f in flows {
-        for link in route(topo, f.src, f.dst) {
+        for_each_hop(topo, f.src, f.dst, |link| {
             *loads.entry(link).or_insert(0) += f.bytes;
-        }
+        });
     }
     loads
 }
@@ -66,21 +66,16 @@ pub fn pattern_congestion(
     };
 
     // Injection + ejection per shared port, whichever direction is worse.
-    let mut inject: HashMap<usize, u64> = HashMap::new();
-    let mut eject: HashMap<usize, u64> = HashMap::new();
+    let ports = topo.len().div_ceil(nodes_per_port as usize);
+    let mut inject = vec![0u64; ports];
+    let mut eject = vec![0u64; ports];
     for f in flows {
         if f.src != f.dst {
-            *inject.entry(f.src / nodes_per_port as usize).or_insert(0) += f.bytes;
-            *eject.entry(f.dst / nodes_per_port as usize).or_insert(0) += f.bytes;
+            inject[f.src / nodes_per_port as usize] += f.bytes;
+            eject[f.dst / nodes_per_port as usize] += f.bytes;
         }
     }
-    let port = inject
-        .values()
-        .chain(eject.values())
-        .copied()
-        .max()
-        .unwrap_or(0) as f64
-        / unit;
+    let port = inject.iter().chain(&eject).copied().max().unwrap_or(0) as f64 / unit;
 
     CongestionReport {
         max_link,

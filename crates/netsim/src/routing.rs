@@ -25,23 +25,43 @@ pub struct LinkId {
 /// Panics if either node is out of range.
 pub fn route(topo: &Topology, src: NodeId, dst: NodeId) -> Vec<LinkId> {
     let mut links = Vec::new();
-    let mut here = topo.coords(src);
-    let target = topo.coords(dst);
-    for dim in 0..topo.dims().len() {
-        let mut delta = topo.hop_delta(here[dim], target[dim], dim);
-        let d = topo.dims()[dim];
+    for_each_hop(topo, src, dst, |link| links.push(link));
+    links
+}
+
+/// Calls `hop` with each link of [`route`]'s route, in order, without
+/// building it: node ids step by the moving dimension's stride, so no
+/// coordinate vector is allocated either.
+///
+/// # Panics
+///
+/// Panics if either node is out of range.
+pub(crate) fn for_each_hop(topo: &Topology, src: NodeId, dst: NodeId, mut hop: impl FnMut(LinkId)) {
+    let len = topo.len();
+    assert!(
+        src < len && dst < len,
+        "route {src} -> {dst} outside machine"
+    );
+    let mut here = src;
+    // Node ids are row-major with the first dimension outermost, so a
+    // dimension's stride is the product of the sizes after it.
+    let mut stride = len;
+    for (dim, &size) in topo.dims().iter().enumerate() {
+        let d = size as usize;
+        stride /= d;
+        let mut at = here / stride % d;
+        let mut delta = topo.hop_delta(at as u32, (dst / stride % d) as u32, dim);
         while delta != 0 {
             let step = delta.signum();
-            let from = topo.node_at(&here);
-            let next = (i64::from(here[dim]) + step).rem_euclid(i64::from(d)) as u32;
-            here[dim] = next;
-            let to = topo.node_at(&here);
-            links.push(LinkId { from, to });
+            let next = (at as i64 + step).rem_euclid(size.into()) as usize;
+            let to = here - at * stride + next * stride;
+            hop(LinkId { from: here, to });
+            here = to;
+            at = next;
             delta -= step;
         }
     }
-    debug_assert_eq!(topo.node_at(&here), dst);
-    links
+    debug_assert_eq!(here, dst);
 }
 
 #[cfg(test)]
@@ -82,6 +102,53 @@ mod tests {
         // First hop moves in dimension 0.
         assert_eq!(r[0].to, t.node_at(&[1, 0]));
         assert_eq!(r[1].to, t.node_at(&[1, 1]));
+    }
+
+    /// The route stepped through coordinate vectors, hop by hop: the
+    /// reference the stride arithmetic of `for_each_hop` must match.
+    fn coordinate_route(topo: &Topology, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        let mut here = topo.coords(src);
+        let target = topo.coords(dst);
+        for dim in 0..topo.dims().len() {
+            let mut delta = topo.hop_delta(here[dim], target[dim], dim);
+            let d = topo.dims()[dim];
+            while delta != 0 {
+                let step = delta.signum();
+                let from = topo.node_at(&here);
+                here[dim] = (i64::from(here[dim]) + step).rem_euclid(i64::from(d)) as u32;
+                links.push(LinkId {
+                    from,
+                    to: topo.node_at(&here),
+                });
+                delta -= step;
+            }
+        }
+        links
+    }
+
+    #[test]
+    fn routes_match_coordinate_stepping_between_every_pair() {
+        for dims in [
+            vec![8u32],
+            vec![2, 2, 2],
+            vec![4, 4, 4],
+            vec![5, 3],
+            vec![1, 6, 2],
+            vec![8, 8, 4],
+        ] {
+            for topo in [Topology::torus(&dims), Topology::mesh(&dims)] {
+                for src in 0..topo.len() {
+                    for dst in 0..topo.len() {
+                        assert_eq!(
+                            route(&topo, src, dst),
+                            coordinate_route(&topo, src, dst),
+                            "{dims:?} {src} -> {dst}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Order-preserving parallel map over scoped threads, a barrier-stepped
 //! worker group, and a process-wide default worker count.
 //!
-//! The sweep engine fans independent simulation points out across cores
-//! with [`par_map`]. Results come back in input order regardless of worker
-//! scheduling, so a parallel sweep is bit-identical to the serial one —
-//! the property the equivalence tests assert. The event engine steps its
-//! shards through thousands of short windows with [`par_rounds`], which
-//! keeps one group of threads for the whole run.
+//! The sweep engine fans its distinct simulation points out across cores
+//! with [`par_map`], passing its own worker count. Results come back in
+//! input order regardless of worker scheduling, so a parallel sweep is
+//! bit-identical to the serial one — the property the equivalence tests
+//! assert. The event engine steps its shards through thousands of short
+//! windows with [`par_rounds`], which keeps one group of threads for the
+//! whole run.
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
@@ -56,8 +57,9 @@ fn capture_contexts() -> Vec<Box<dyn CrossThread>> {
     hooks.iter().filter_map(|capture| capture()).collect()
 }
 
-/// Sets the process-wide default worker count used by [`par_map_auto`].
-/// `0` or `1` mean serial execution.
+/// Sets the process-wide default worker count: what a caller that passes
+/// no count of its own reads through [`jobs`] (the event engine, when its
+/// configured worker count is 0). `0` or `1` mean serial execution.
 pub fn set_jobs(jobs: usize) {
     DEFAULT_JOBS.store(jobs.max(1), Ordering::Relaxed);
 }
@@ -242,16 +244,6 @@ impl Drop for Release<'_> {
         self.stop.store(true, Ordering::Relaxed);
         self.barrier.wait();
     }
-}
-
-/// [`par_map`] with the process-wide default worker count.
-pub fn par_map_auto<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map(jobs(), items, f)
 }
 
 #[cfg(test)]

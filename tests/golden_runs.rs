@@ -22,7 +22,7 @@
 //! MEMCOMM_UPDATE_GOLDEN=1 cargo test --test golden_runs
 //! ```
 //!
-//! One `#[test]`: `run_sweep` sets the process-wide worker count.
+//! One `#[test]`: every entry renders into the one golden file.
 
 use memcomm::commops::collectives::{self, analytic_cost};
 use memcomm::commops::{run_resilient_transfer, ProtocolConfig, Style};

@@ -3,7 +3,7 @@
 //! exchanges and library messages alike — and renders the cold pass's
 //! bytes, at one and at four workers, traced and untraced.
 //!
-//! One `#[test]`: `run_sweep` sets the process-wide worker count.
+//! One `#[test]`: every run must render the bytes of the first.
 
 use memcomm::commops::{
     measure_message, run_exchange, run_get_exchange, ExchangeConfig, LibraryProfile, Style,
