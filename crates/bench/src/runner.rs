@@ -923,6 +923,15 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// moves on with a partial report. The report's `sections` field records
 /// which completed.
 pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
+    let sections: Vec<&Section> = TABLE
+        .iter()
+        .filter(|s| (s.selected)(opts, s.name))
+        .collect();
+    sweep(opts, &sections)
+}
+
+/// [`run_sweep`] over `sections`, in order.
+fn sweep(opts: &SweepOptions, sections: &[&Section]) -> (FullReport, RunMetrics) {
     // Fault/protocol counters live in a per-run registry, not process-wide
     // statics: adopt the caller's installed observability handle (so traces
     // and histograms flow to it), or install a registry-only one of our own.
@@ -944,11 +953,7 @@ pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
     let faults_before = FaultCounters::from_obs(&obs);
     let start = Instant::now();
 
-    let sections: Vec<&Section> = TABLE
-        .iter()
-        .filter(|s| (s.selected)(opts, s.name))
-        .collect();
-    let (machines, work) = distinct_points(opts, &sections);
+    let (machines, work) = distinct_points(opts, sections);
     par::par_map(opts.jobs, &work, |&(m, point)| {
         // A panicking simulation caches nothing, so the section that looks
         // the point up meets the panic again and records it as its failure.
@@ -962,7 +967,7 @@ pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
         ..FullReport::default()
     };
     let mut experiment_metrics: Vec<ExperimentMetrics> = Vec::new();
-    for section in sections {
+    for section in sections.iter().copied() {
         let t = Instant::now();
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| (section.fill)(opts, &mut report)));
@@ -1006,6 +1011,7 @@ pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memcomm_model::BasicTransfer;
 
     fn small_opts(jobs: usize) -> SweepOptions {
         SweepOptions {
@@ -1062,11 +1068,11 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_point_fails_only_its_section() {
-        // Indexed walks hold 32-bit index entries, so at this size Table 1's
-        // `1Cw` and `wC1` panic while its `1C1` errs (node memory). The
-        // simulate phase catches the panics; Table 1's render meets them
-        // again and fails with the panic, and Table 5 renders as usual.
+    fn a_failing_point_fails_only_its_section() {
+        // At this size every Table 1 walk outgrows node memory, the indexed
+        // ones included (they are placed before their 32-bit permutation is
+        // built). Table 1 fails with its first point's typed error, and
+        // Table 5 renders as usual.
         for jobs in [1, 2] {
             let opts = SweepOptions {
                 jobs,
@@ -1084,12 +1090,76 @@ mod tests {
             assert_eq!(
                 status,
                 [
-                    ("table1", Some("panic: index entries are 32-bit")),
+                    (
+                        "table1",
+                        Some("node memory exhausted: need 40000000768 bytes, have 50331648")
+                    ),
                     ("table5", None)
                 ],
                 "jobs {jobs}"
             );
             assert_eq!(report.table5.len(), 4, "jobs {jobs}");
+        }
+    }
+
+    /// Words of the panicking point: past the 32-bit index range.
+    const PANIC_WORDS: u64 = 5_000_000_000;
+
+    /// A T3D with 2^40 words of node memory: `1Cw` at [`PANIC_WORDS`]
+    /// places both its walks, then panics building the permutation.
+    fn roomy_t3d() -> Machine {
+        let mut m = Machine::t3d();
+        m.node.memory_words = 1 << 40;
+        m
+    }
+
+    fn panicking_transfer() -> BasicTransfer {
+        BasicTransfer::parse("1Cw").unwrap()
+    }
+
+    #[test]
+    fn a_panicking_point_fails_only_its_section() {
+        // The simulate phase catches the point's panic and caches nothing,
+        // so the section's fill meets the panic again and records it, and
+        // the next section renders as usual.
+        let panicking = Section {
+            name: "panicking",
+            selected: |_, _| true,
+            plan: |_| {
+                let point = microbench::basic_point(panicking_transfer(), PANIC_WORDS);
+                vec![(roomy_t3d(), vec![point])]
+            },
+            fill: |_, _| {
+                microbench::measure_basic(&roomy_t3d(), panicking_transfer(), PANIC_WORDS)
+                    .map(|_| 1)
+            },
+        };
+        let table5 = TABLE.iter().find(|s| s.name == "table5").unwrap();
+        for jobs in [1, 2] {
+            let opts = SweepOptions {
+                jobs,
+                exchange_words: 256,
+                ..SweepOptions::default()
+            };
+            let (report, metrics) = sweep(&opts, &[&panicking, table5]);
+            let status: Vec<(&str, Option<&str>)> = report
+                .sections
+                .iter()
+                .map(|s| (s.name.as_str(), s.error.as_deref()))
+                .collect();
+            assert_eq!(
+                status,
+                [
+                    ("panicking", Some("panic: index entries are 32-bit")),
+                    ("table5", None)
+                ],
+                "jobs {jobs}"
+            );
+            assert_eq!(report.table5.len(), 4, "jobs {jobs}");
+            // Every planned point missed once; the panicking one missed
+            // again in its fill and is the only one not cached.
+            assert_eq!(metrics.cache.misses, metrics.planned + 1, "jobs {jobs}");
+            assert_eq!(metrics.cache.entries, metrics.planned - 1, "jobs {jobs}");
         }
     }
 

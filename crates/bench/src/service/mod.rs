@@ -263,6 +263,25 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_query_gets_a_typed_error() {
+        // 2^61 words: the allocation's byte count wraps u64.
+        let state = state();
+        let (bytes, shutdown) = dispatch_bytes(
+            br#"{"kind": "query", "machine": "t3d", "transfer": "1C1", "words": 2305843009213693952}"#,
+            &state,
+        );
+        assert!(!shutdown);
+        let doc = Json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("error"));
+        assert_eq!(doc.get("code").and_then(Json::as_str), Some("sim"));
+        assert_eq!(
+            doc.get("error").and_then(Json::as_str),
+            Some("node memory exhausted: need 18446744073709551615 bytes, have 50331648")
+        );
+        assert_eq!(state.obs.counter("service.errors"), 1);
+    }
+
+    #[test]
     fn queries_warm_the_shared_cache() {
         let state = state();
         let req = Request::Query {

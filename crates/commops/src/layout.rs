@@ -1,6 +1,6 @@
 //! Per-node memory layout of an exchange and its verification.
 
-use memcomm_machines::microbench::permutation_index;
+use memcomm_machines::microbench::alloc_pattern_walk;
 use memcomm_memsim::walk::Walk;
 use memcomm_memsim::{Node, SimError, SimResult};
 use memcomm_model::{classify_offsets, AccessPattern};
@@ -46,10 +46,7 @@ impl WalkSpec {
 
     fn build_walk(&self, node: &mut Node, words: u64, seed: u64) -> SimResult<Walk> {
         match self {
-            WalkSpec::Pattern(p) => {
-                let index = (*p == AccessPattern::Indexed).then(|| permutation_index(words, seed));
-                node.alloc_walk(*p, words, index)
-            }
+            WalkSpec::Pattern(p) => alloc_pattern_walk(node, *p, words, seed),
             WalkSpec::Offsets(offsets) => {
                 if offsets.len() as u64 != words {
                     return Err(SimError::InvalidWalk {
@@ -64,8 +61,7 @@ impl WalkSpec {
                         // Region spans the largest offset; the walk follows
                         // the explicit list.
                         let span = u64::from(*offsets.iter().max().expect("non-empty")) + 1;
-                        let region = node.mem.alloc(span)?;
-                        let index_region = node.mem.alloc((words).div_ceil(2))?;
+                        let (region, index_region) = node.mem.alloc_indexed(span, words)?;
                         Ok(
                             Walk::new(
                                 AccessPattern::Indexed,

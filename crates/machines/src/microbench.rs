@@ -48,6 +48,12 @@ pub fn make_node(machine: &Machine) -> Node {
 /// Allocates a walk of `words` elements with the given pattern (indexed
 /// walks get a seeded permutation).
 ///
+/// An indexed walk is placed
+/// ([`Memory::alloc_indexed`](memcomm_memsim::mem::Memory::alloc_indexed))
+/// before its permutation is built, so a walk the node cannot hold fails
+/// with [`SimError::OutOfMemory`](memcomm_memsim::SimError::OutOfMemory)
+/// before `words` index entries exist.
+///
 /// # Errors
 ///
 /// Propagates allocation and walk-construction errors from the node.
@@ -57,8 +63,12 @@ pub fn alloc_pattern_walk(
     words: u64,
     seed: u64,
 ) -> SimResult<Walk> {
-    let index = (pattern == AccessPattern::Indexed).then(|| permutation_index(words, seed));
-    node.alloc_walk(pattern, words, index)
+    if pattern != AccessPattern::Indexed {
+        return node.alloc_walk(pattern, words, None);
+    }
+    let (region, index_region) = node.mem.alloc_indexed(words, words)?;
+    let index = permutation_index(words, seed);
+    Ok(Walk::new(pattern, region, words, Some(index))?.with_index_region(index_region))
 }
 
 fn feed_cycles(machine: &Machine, addressed: bool) -> Cycle {
@@ -365,6 +375,27 @@ mod tests {
             seen[i as usize] = true;
         }
         assert_ne!(permutation_index(1000, 7), permutation_index(1000, 8));
+    }
+
+    #[test]
+    fn extreme_sizes_fail_with_out_of_memory() {
+        // 2^61 words wrap every byte count; 5e9 words is past the 32-bit
+        // index range. Indexed walks fail before building a permutation.
+        for words in [1 << 61, 5_000_000_000] {
+            for notation in ["1C1", "1C64", "64C1", "1Cw", "wC1"] {
+                let t = BasicTransfer::parse(notation).unwrap();
+                for m in [Machine::t3d(), Machine::paragon()] {
+                    assert!(
+                        matches!(
+                            simulate_basic(&m, t, words),
+                            Err(memcomm_memsim::SimError::OutOfMemory { .. })
+                        ),
+                        "{} {notation} at {words} words",
+                        m.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Property-based tests of the memory-system components against reference
 //! models (oracles) and physical invariants.
 
+use std::collections::BTreeMap;
+
 use memcomm_memsim::cache::{Cache, CacheParams, LoadOutcome, WritePolicy};
 use memcomm_memsim::dram::{Dram, DramOp, DramParams};
 use memcomm_memsim::engines::LocalCopier;
+use memcomm_memsim::mem::{Memory, WORD_BYTES};
 use memcomm_memsim::nic::{NetWord, TimedFifo};
 use memcomm_memsim::node::{Node, NodeParams};
+use memcomm_memsim::walk::Walk;
 use memcomm_memsim::wbq::{Wbq, WbqParams};
+use memcomm_memsim::SimError;
 use memcomm_model::AccessPattern;
 use memcomm_util::check::forall;
+use memcomm_util::rng::Rng;
 
 /// A trivially correct LRU cache oracle: a vector of line tags per set,
 /// most recently used last.
@@ -239,5 +245,106 @@ fn copy_time_scales_sanely() {
         let t2 = time(2 * n);
         let ratio = t2 as f64 / t1 as f64;
         assert!((1.6..2.6).contains(&ratio), "doubling n gave ratio {ratio}");
+    });
+}
+
+/// An aligned byte address to read or write: a walk element, a word
+/// between strided elements, a guard gap on either side of a region (past
+/// the newest region that is free space a later allocation may cover), or
+/// anywhere below capacity.
+fn pick_addr(rng: &mut Rng, walks: &[Walk], capacity_words: u64) -> u64 {
+    if walks.is_empty() || rng.range_u32(0, 5) == 0 {
+        return rng.range_u64(0, capacity_words) * WORD_BYTES;
+    }
+    let w = rng.choose(walks);
+    let region = w.region();
+    let addr = match rng.range_u32(0, 4) {
+        0 => w.addr(rng.range_u64(0, w.len())),
+        1 => region.addr(rng.range_u64(0, region.words)),
+        // Every guard gap is at least one 256-byte alignment unit.
+        2 => region.base - rng.range_u64(1, 33) * WORD_BYTES,
+        _ => region.end() + rng.range_u64(0, 32) * WORD_BYTES,
+    };
+    addr.min((capacity_words - 1) * WORD_BYTES)
+}
+
+/// Node memory agrees with a plain word map (every written word by byte
+/// address; unwritten words read 0) over random allocation, read and write
+/// sequences: contiguous, strided and indexed walks (permutations and
+/// explicit offset lists) and plain regions, accesses on and off each
+/// walk's element set, and reads of words never written. The map shares no
+/// code with `Memory`.
+#[test]
+fn memory_matches_a_word_map() {
+    forall("memory_matches_a_word_map", 96, |rng| {
+        let capacity_words = 1 << 14;
+        let mut mem = Memory::new(capacity_words, 256);
+        let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut walks: Vec<Walk> = Vec::new();
+        for step in 0..rng.range_u64(1, 400) {
+            match rng.range_u32(0, 12) {
+                0 | 1 => {
+                    let words = rng.range_u64(0, 65);
+                    let walk = match rng.range_u32(0, 4) {
+                        0 => mem.alloc_walk(AccessPattern::Contiguous, words, None),
+                        1 => {
+                            let pattern = AccessPattern::Strided(rng.range_u32(2, 65));
+                            mem.alloc_walk(pattern, words, None)
+                        }
+                        2 => {
+                            let mut ix: Vec<u32> = (0..words as u32).collect();
+                            rng.shuffle(&mut ix);
+                            mem.alloc_walk(AccessPattern::Indexed, words, Some(ix))
+                        }
+                        // An explicit offset list, whose data region spans
+                        // its largest offset rather than its length.
+                        _ => {
+                            let span = words + rng.range_u64(0, 9);
+                            let ix: Vec<u32> =
+                                (0..words).map(|_| rng.range_u32(0, span as u32)).collect();
+                            mem.alloc_indexed(span, words)
+                                .and_then(|(region, index_region)| {
+                                    let w =
+                                        Walk::new(AccessPattern::Indexed, region, words, Some(ix))?;
+                                    Ok(w.with_index_region(index_region))
+                                })
+                        }
+                    };
+                    match walk {
+                        Ok(w) if !w.is_empty() => walks.push(w),
+                        Ok(_) | Err(SimError::OutOfMemory { .. }) => {}
+                        Err(e) => panic!("step {step}: {e}"),
+                    }
+                }
+                2 => match mem.alloc(rng.range_u64(0, 65)) {
+                    Ok(region) if region.words > 0 => walks.push(
+                        Walk::new(AccessPattern::Contiguous, region, region.words, None).unwrap(),
+                    ),
+                    Ok(_) | Err(SimError::OutOfMemory { .. }) => {}
+                    Err(e) => panic!("step {step}: {e}"),
+                },
+                3..=6 => {
+                    let addr = pick_addr(rng, &walks, capacity_words);
+                    let value = rng.next_u64();
+                    mem.write(addr, value);
+                    oracle.insert(addr, value);
+                }
+                _ => {
+                    let addr = pick_addr(rng, &walks, capacity_words);
+                    let want = oracle.get(&addr).copied().unwrap_or(0);
+                    assert_eq!(mem.read(addr), want, "step {step}: read at {addr:#x}");
+                }
+            }
+        }
+        for w in &walks {
+            let region = w.region();
+            let want: Vec<u64> = (0..region.words)
+                .map(|i| oracle.get(&region.addr(i)).copied().unwrap_or(0))
+                .collect();
+            assert_eq!(mem.dump(region), want, "region at {:#x}", region.base);
+        }
+        for (&addr, &value) in &oracle {
+            assert_eq!(mem.read(addr), value, "word at {addr:#x}");
+        }
     });
 }
