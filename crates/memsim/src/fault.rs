@@ -241,11 +241,38 @@ impl FaultPlan {
             if cycle - w * period < len {
                 let mut rng = self.decider(site, Self::OUTAGE_WINDOW_BASE.wrapping_add(w));
                 if self.fires(self.cfg.outage_window_rate, &mut rng) {
-                    return Some(w * period + len);
+                    return Some((w * period).saturating_add(len));
                 }
             }
         }
         None
+    }
+
+    /// [`FaultPlan::link_outage_until`]`(site, cycle)`, plus the span
+    /// `[lo, hi)` around `cycle` over which that answer holds: the transient
+    /// window, the rest of its period, or the whole run. `hi` saturates at
+    /// [`Cycle::MAX`], so the last cycle's span ends where it starts.
+    pub fn link_outage_span(&self, site: u64, cycle: Cycle) -> (Option<Cycle>, Cycle, Cycle) {
+        let mut rng = self.decider(site, Self::PERMANENT_OUTAGE_INDEX);
+        if self.fires(self.cfg.permanent_outage_rate, &mut rng) {
+            return (Some(Cycle::MAX), 0, Cycle::MAX);
+        }
+        if self.cfg.outage_window_rate <= 0.0 {
+            return (None, 0, Cycle::MAX);
+        }
+        let period = self.cfg.outage_period_cycles.max(1);
+        let len = self.cfg.outage_window_cycles.min(period);
+        let w = cycle / period;
+        let (start, end) = (w * period, (w * period).saturating_add(period));
+        let head = start.saturating_add(len);
+        let mut rng = self.decider(site, Self::OUTAGE_WINDOW_BASE.wrapping_add(w));
+        if cycle - start >= len {
+            (None, head, end)
+        } else if self.fires(self.cfg.outage_window_rate, &mut rng) {
+            (Some(head), start, head)
+        } else {
+            (None, start, end)
+        }
     }
 }
 

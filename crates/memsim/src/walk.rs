@@ -73,7 +73,8 @@ impl Walk {
                 if index.is_some() {
                     return invalid("strided walk takes no index array".to_string());
                 }
-                if count.saturating_sub(1) * u64::from(s) >= region.words && count != 0 {
+                let last = count.saturating_sub(1).checked_mul(u64::from(s));
+                if last.is_none_or(|last| last >= region.words) && count != 0 {
                     return invalid(format!(
                         "strided walk of {count} at stride {s} overruns region of {} words",
                         region.words
@@ -283,6 +284,21 @@ mod tests {
     #[test]
     fn strided_walk_must_fit() {
         let detail = invalid_detail(Walk::new(AccessPattern::Strided(4), region(8), 4, None));
+        assert!(detail.contains("overruns region"), "{detail}");
+    }
+
+    #[test]
+    fn strided_walk_whose_last_offset_wraps_is_rejected() {
+        // Regression: `(count - 1) * stride` wrapped, so 2^58 + 1 elements
+        // at stride 64 (last offset 2^64 ≡ 0) passed the fit check in release
+        // and panicked on the multiply in debug.
+        let walk = Walk::new(
+            AccessPattern::Strided(64),
+            region(1024),
+            (1 << 58) + 1,
+            None,
+        );
+        let detail = invalid_detail(walk);
         assert!(detail.contains("overruns region"), "{detail}");
     }
 

@@ -348,3 +348,59 @@ fn memory_matches_a_word_map() {
         }
     });
 }
+
+/// `link_outage_span` answers exactly what `link_outage_until` answers at
+/// the asked cycle, and its span is honest: the same answer holds at both
+/// ends of `[lo, hi)`, which always contains the cycle (bar `Cycle::MAX`
+/// itself, where the saturated span ends on the cycle). Spans are pure
+/// period arithmetic, so agreement at the ends means agreement throughout.
+#[test]
+fn outage_spans_are_exact() {
+    use memcomm_memsim::fault::{site, FaultConfig, FaultPlan};
+    forall("outage_spans_are_exact", 256, |rng| {
+        let period = match rng.range_u64(0, 4) {
+            0 => 1,
+            1 => rng.range_u64(1, 64),
+            2 => rng.range_u64(1, 1 << 20),
+            _ => rng.next_u64() | 1,
+        };
+        let window = match rng.range_u64(0, 3) {
+            0 => rng.range_u64(0, period.saturating_add(1)),
+            // At least as long as its period: the window is the period.
+            1 => period.saturating_add(rng.range_u64(0, 1000)),
+            _ => rng.range_u64(0, 4096),
+        };
+        let plan = FaultPlan::new(FaultConfig {
+            seed: rng.next_u64(),
+            permanent_outage_rate: *rng.choose(&[0.0, 0.0, 0.5, 1.0]),
+            outage_window_rate: *rng.choose(&[0.0, 0.2, 1.0]),
+            outage_window_cycles: window,
+            outage_period_cycles: period,
+            ..FaultConfig::default()
+        });
+        let link = site::engine_link(rng.range_u32(0, 4096));
+        for _ in 0..16 {
+            let c = match rng.range_u64(0, 4) {
+                0 => rng.range_u64(0, 1 << 16),
+                1 => u64::MAX - rng.range_u64(0, 1 << 12),
+                2 => rng.range_u64(0, period.saturating_mul(8).max(1)),
+                _ => rng.next_u64(),
+            };
+            let (until, lo, hi) = plan.link_outage_span(link, c);
+            assert_eq!(until, plan.link_outage_until(link, c), "cycle {c}");
+            assert!(lo <= c, "span [{lo}, {hi}) starts after {c}");
+            if c == u64::MAX {
+                assert_eq!(hi, u64::MAX, "the last cycle's span saturates");
+                continue;
+            }
+            assert!(c < hi, "span [{lo}, {hi}) ends before {c}");
+            for x in [lo, hi - 1] {
+                assert_eq!(
+                    plan.link_outage_until(link, x),
+                    until,
+                    "span [{lo}, {hi}) of cycle {c} disagrees at {x}"
+                );
+            }
+        }
+    });
+}

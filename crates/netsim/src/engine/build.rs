@@ -10,13 +10,12 @@ use memcomm_memsim::fault::{site, FaultPlan};
 use memcomm_memsim::nic::{NetWord, TimedFifo};
 use memcomm_util::arena::Arena;
 use memcomm_util::par;
-use memcomm_util::wheel::TimingWheel;
 
 use crate::routing::{route, LinkId};
 use crate::topology::Topology;
 use crate::traffic::Flow;
 
-use super::sched::LaneQueue;
+use super::sched::{DeliveryRing, LaneQueue};
 use super::shard::{LinkState, PortState, Shard, ShardTelemetry, WindowOut};
 use super::EngineConfig;
 
@@ -188,9 +187,9 @@ pub(crate) struct Sim<'a> {
     pub total_words: u64,
 }
 
-/// Most cycles a delivery wheel's bucket ring covers: adversarial fault
-/// jitter bounds must not size one ring per shard in the gigabytes.
-const WHEEL_HORIZON_CAP: Cycle = 4096;
+/// Most cycles a delivery ring covers: adversarial fault jitter bounds
+/// must not size one ring per shard in the gigabytes.
+const DELIVERY_HORIZON_CAP: Cycle = 4096;
 
 pub(crate) fn protocol(detail: String) -> SimError {
     SimError::Protocol { detail, at: 0 }
@@ -347,7 +346,7 @@ pub(crate) fn build_sim<'a>(
     let total_words: u64 = paths.iter().map(|p| u64::from(p.words)).sum();
 
     // A delivery lands at most wire + latency (+ fault jitter) cycles past
-    // the window that transmitted it; anything further takes the wheel's
+    // the window that transmitted it; anything further takes the ring's
     // overflow path, so the horizon only sets the fast-path hit rate, never
     // correctness.
     let jitter = if cfg.fault.is_active() {
@@ -359,7 +358,7 @@ pub(crate) fn build_sim<'a>(
     let horizon = (latency.max(1).saturating_add(latency))
         .saturating_add(cfg.word_cycles().ceil() as Cycle)
         .saturating_add(jitter.saturating_add(4))
-        .min(WHEEL_HORIZON_CAP);
+        .min(DELIVERY_HORIZON_CAP);
 
     let mut shards: Vec<Shard> = (0..shard_count)
         .map(|id| Shard {
@@ -377,7 +376,7 @@ pub(crate) fn build_sim<'a>(
             links: Vec::new(),
             link_lo: 0,
             ports: Vec::new(),
-            wheel: TimingWheel::new(horizon),
+            ring: DeliveryRing::new(latency.max(1), horizon),
             inbox: vec![Vec::new(); shard_count],
             credit_inbox: vec![Vec::new(); shard_count],
             arena: Arena::new(),
@@ -466,6 +465,7 @@ pub(crate) fn build_sim<'a>(
             attempts: 0,
             outages: 0,
             outage_mark: 0,
+            outage_span: (None, 0, 0),
             busy_fp: 0,
         });
         link_owner.push((s as u32, local));

@@ -53,21 +53,22 @@
 //!
 //! # Scheduler
 //!
-//! Each shard keeps the words in flight to its nodes in its own
-//! cycle-bucketed [`TimingWheel`](memcomm_util::wheel::TimingWheel)
-//! (deliveries *are* time-keyed — a window releases everything below `t1`,
-//! in `(arrive, seq)` order). Words and freed credits bound for another
-//! shard wait in per-destination outboxes, which the barrier swaps into
-//! the owners' inboxes whole: the coordinator never touches a word. Each
-//! router queue is a set of per-flow FIFO *lanes* carved from a shared
+//! Each shard keeps the words in flight to its nodes in its own window
+//! ring ([`sched::DeliveryRing`]): deliveries *are* time-keyed, and a
+//! window releases its slot in push order, unsorted — each lane still
+//! receives its words in rank order, and the head heaps return the minimum
+//! rank whatever order lanes fill in. Words and freed credits bound for
+//! another shard wait in per-destination outboxes, which the barrier swaps
+//! into the owners' inboxes whole: the coordinator never touches a word.
+//! Each router queue is a set of per-flow FIFO *lanes* carved from a shared
 //! freelist [`Arena`](memcomm_util::arena::Arena) of 40-byte entries, with
-//! a small lazy heap over the lane heads. Router queues are *rank*-ordered,
-//! not time-ordered, so a cycle wheel cannot express them; lanes are the
-//! rank-domain analogue — a flow's words reach any given queue in ascending
-//! rank order, so each lane is pre-sorted and the queue minimum is always a
-//! lane head. Push is `O(1)`, pop is `O(log F)` in the handful of *flows*
-//! contending a queue rather than `O(log N)` in the hundreds of queued
-//! *words*.
+//! an exact heap of one key per lane head and the top key cached inline.
+//! Router queues are *rank*-ordered, not time-ordered, so a time ring
+//! cannot express them; lanes are the rank-domain analogue — a flow's words
+//! reach any given queue in ascending rank order, so each lane is
+//! pre-sorted and the queue minimum is always a lane head. Pop is
+//! `O(log F)` in the handful of *flows* contending a queue rather than
+//! `O(log N)` in the hundreds of queued *words*.
 //!
 //! The differential reference for all of this is an independent,
 //! deliberately naive engine that lives only in the test tree
@@ -632,7 +633,7 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
                 drained += out.drained;
                 queued += out.queued;
                 let sent: usize = out.deliveries.iter().map(Vec::len).sum();
-                in_flight += (shard.wheel.len() + sent) as u64;
+                in_flight += (shard.ring.len() + sent) as u64;
                 stalls_w += out.stalls;
                 shard_peaks[i] = shard_peaks[i].max(out.queued);
                 outcome.flit_hops += out.flit_hops;
@@ -689,7 +690,7 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
             // Hand-off: every outbox becomes its destination's inbox by a
             // vector swap (the inbox coming back was emptied by the window
             // that filed it); each shard files its arrivals into its own
-            // wheel inside the next window.
+            // ring inside the next window.
             for s in 0..guards.len() {
                 for d in 0..guards.len() {
                     let sent = take(&mut guards[s].out.deliveries[d]);
@@ -1187,7 +1188,7 @@ mod tests {
         // Regression: the idle-slack arithmetic used to add stall and
         // jitter bounds unchecked, so a plan advertising near-u64 bounds
         // overflowed (a debug panic) before the first window ran; and the
-        // delivery wheels sized their bucket rings from the jitter bound
+        // per-shard delivery buckets were sized from the jitter bound
         // uncapped (`1 << 32` asked for a 200 GB ring, `u64::MAX` wrapped).
         use memcomm_memsim::fault::FaultConfig;
         let topo = Topology::torus(&[4]);
@@ -1209,6 +1210,28 @@ mod tests {
             assert_eq!(out.words, 8, "stall {stall} jitter {jitter}");
             assert!(out.degraded.is_none());
         }
+        // A firing plan: a Delay near the jitter bound pushes the wire past
+        // `u64::MAX` cycles. Regression: the link's busy-time and arrival
+        // adds overflowed (a panic under overflow checks); both saturate
+        // now, the saturated arrival parks in the delivery ring's overflow
+        // list, and the watchdog ends the run with a typed error.
+        let mut ended = 0;
+        for jitter in [1 << 40, 1 << 62, u64::MAX] {
+            let mut cfg = small_cfg();
+            cfg.max_windows = 1 << 14;
+            cfg.fault = FaultPlan::new(FaultConfig {
+                seed: 5,
+                rate: 0.5,
+                max_jitter_cycles: jitter,
+                ..FaultConfig::default()
+            });
+            match run_flows(&topo, &flows, &cfg) {
+                Ok(out) => assert_eq!(out.words, 8, "jitter {jitter}"),
+                Err(SimError::Wedged { .. } | SimError::CycleBudget { .. }) => ended += 1,
+                Err(e) => panic!("jitter {jitter}: {e}"),
+            }
+        }
+        assert!(ended > 0, "some delay must land beyond the watchdog");
     }
 
     #[test]

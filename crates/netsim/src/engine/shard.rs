@@ -1,5 +1,5 @@
 //! Per-shard simulation state: structure-of-arrays node state, link and
-//! port records, the delivery wheel, and the window output buffers the
+//! port records, the delivery ring, and the window output buffers the
 //! coordinator folds.
 //!
 //! A shard owns a contiguous run of whole port groups — the nodes of those
@@ -17,10 +17,9 @@ use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::nic::TimedFifo;
 use memcomm_obs::{Histogram, Series, SeriesKind};
 use memcomm_util::arena::Arena;
-use memcomm_util::wheel::TimingWheel;
 
 use super::build::Net;
-use super::sched::{Delivery, LaneQueue, QEntry};
+use super::sched::{Delivery, DeliveryRing, LaneQueue, QEntry};
 use super::{ClassBreakdown, EngineEvent};
 
 /// Ring capacity of every telemetry series: identical on all shards, so
@@ -43,6 +42,9 @@ pub(crate) struct LinkState {
     /// Recovery cycle of the last counted outage (so re-encountering the
     /// same window across engine windows counts once).
     pub outage_mark: Cycle,
+    /// The outage calendar's last `(answer, lo, hi)`: the link asks again
+    /// only when a transmit starts outside `[lo, hi)`.
+    pub outage_span: (Option<Cycle>, Cycle, Cycle),
     /// Cycles this wire spent transmitting (drops included), in 16.16
     /// fixed point; read only when sampling is on.
     pub busy_fp: u64,
@@ -86,11 +88,10 @@ pub(crate) struct Shard {
     pub links: Vec<LinkState>,
     pub link_lo: u32,
     pub ports: Vec<PortState>,
-    /// Words in flight to this shard's nodes, released in `(arrive, seq)`
-    /// order.
-    pub wheel: TimingWheel<Delivery>,
+    /// Words in flight to this shard's nodes, released window by window.
+    pub ring: DeliveryRing,
     /// Deliveries other shards sent here last window, per source shard
-    /// (swapped in at the barrier, emptied into `wheel` by the window).
+    /// (swapped in at the barrier, emptied into `ring` by the window).
     pub inbox: Vec<Vec<Delivery>>,
     /// Credits freed for this shard's links last window, as `(local link,
     /// vc)` per source shard.
@@ -210,7 +211,7 @@ impl ShardTelemetry {
 #[derive(Default)]
 pub(crate) struct WindowOut {
     /// Outboxes per destination shard, swapped into its `inbox` at the
-    /// barrier (this shard's own deliveries go straight into its wheel).
+    /// barrier (this shard's own deliveries go straight into its ring).
     pub deliveries: Vec<Vec<Delivery>>,
     /// Freed credits per owning shard, as `(local link, vc)`.
     pub credits: Vec<Vec<(u32, u8)>>,

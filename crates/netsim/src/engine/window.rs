@@ -16,6 +16,13 @@ use super::sched::{word_rank, Delivery, QEntry};
 use super::shard::{Shard, BUSY_ONE};
 use super::{EngineEvent, EventKind};
 
+/// `x.ceil() as Cycle` for `x ≥ 0` without the libm call the baseline x86-64
+/// target makes (as `x as Cycle` is `x.floor() as Cycle`): exact, saturating.
+fn ceil_cycle(x: f64) -> Cycle {
+    let t = x as Cycle;
+    t.saturating_add(u64::from((t as f64) < x))
+}
+
 impl Shard {
     /// Runs one window, leaving its output in `self.out` for the
     /// coordinator to fold and route at the barrier.
@@ -35,7 +42,7 @@ impl Shard {
             links,
             link_lo,
             ports,
-            wheel,
+            ring,
             inbox,
             credit_inbox,
             arena,
@@ -57,14 +64,14 @@ impl Shard {
             links[local as usize].credits[vc as usize] += 1;
         }
 
-        // 1. Deliveries due this window, in (arrive, seq) order: file each
-        // word into its next link queue, or into the destination's ejection
-        // queue. The word keeps occupying its upstream (via_link, vc)
-        // buffer until it moves on.
+        // 1. Deliveries due this window, in push order (see `DeliveryRing`
+        // for why no sort is needed): file each word into its next link
+        // queue, or into the destination's ejection queue. The word keeps
+        // occupying its upstream (via_link, vc) buffer until it moves on.
         for d in inbox.iter_mut().flat_map(|d| d.drain(..)) {
-            wheel.push(d.arrive, d);
+            ring.push(d);
         }
-        wheel.drain_until(t1, |_, d| {
+        ring.drain(t0, |d| {
             let flow = &net.flows[(d.seq >> 32) as usize];
             let next = d.hop as usize + 1;
             let (queue, lane, hop) = match flow.hops.get(next) {
@@ -141,27 +148,28 @@ impl Shard {
                     break;
                 }
                 let local = (node - node_lo) as usize;
+                let t_start = start as Cycle;
                 let (_, w) = tx[local]
-                    .pop(start.floor() as Cycle)
+                    .pop(t_start)
                     .expect("arbitration picked a non-empty tx FIFO");
                 let seq = w.data;
                 let h = net.flows[(seq >> 32) as usize].hops[0];
                 p.inject_free = start + net.wt;
-                let entry = p.inject_free.ceil() as Cycle;
+                let entry = ceil_cycle(p.inject_free);
                 let port_id = p.id;
                 links[(h.link - link_lo) as usize].queues[usize::from(h.vc)].push_arrival(
                     h.lane,
                     QEntry {
                         rank: word_rank(seq),
                         ready: entry,
-                        t_inject: start.floor() as Cycle,
+                        t_inject: t_start,
                         prev_link: u32::MAX,
                         ..QEntry::default()
                     },
                     arena,
                 );
                 out.inject_events.push(EngineEvent {
-                    time: start.floor() as Cycle,
+                    time: t_start,
                     kind: EventKind::Inject,
                     site: port_id,
                     vc: h.vc,
@@ -174,20 +182,24 @@ impl Shard {
         // 4. Links: transmit queued words while the wire and window allow,
         // earliest feasible (start, seq) first across the two VCs; a
         // transmit consumes a credit of this link's downstream buffer and
-        // returns the upstream one.
+        // returns the upstream one. Arbitration reads only the queues'
+        // cached heads; an idle link is skipped outright.
         for l in links.iter_mut() {
+            if l.queues.iter().all(|q| q.len() == 0) {
+                continue;
+            }
             loop {
                 let mut best: Option<(f64, u64, usize)> = None;
                 for vc in 0..2usize {
                     if l.credits[vc] == 0 {
                         continue;
                     }
-                    let Some(e) = l.queues[vc].peek(arena) else {
+                    let Some((rank, ready)) = l.queues[vc].head() else {
                         continue;
                     };
-                    let start = (e.ready as f64).max(l.free).max(t0 as f64);
-                    if best.is_none_or(|(bs, bq, _)| (start, e.rank) < (bs, bq)) {
-                        best = Some((start, e.rank, vc));
+                    let start = (ready as f64).max(l.free).max(t0 as f64);
+                    if best.is_none_or(|(bs, bq, _)| (start, rank) < (bs, bq)) {
+                        best = Some((start, rank, vc));
                     }
                 }
                 let Some((start, _, vc)) = best else {
@@ -196,15 +208,20 @@ impl Shard {
                 if start >= t1 as f64 {
                     break;
                 }
+                let t_start = start as Cycle;
                 // Outage calendar: a link inside an outage window cannot
                 // transmit; it parks until the window's recovery cycle (or
                 // forever — the degraded accounting picks up what a
-                // permanently dead link strands).
+                // permanently dead link strands). The link caches the
+                // calendar's answer over the span it holds for.
                 if net.outages {
-                    if let Some(end) = net
-                        .fault
-                        .link_outage_until(site::engine_link(l.global), start.floor() as Cycle)
-                    {
+                    let (_, lo, hi) = l.outage_span;
+                    if !(lo..hi).contains(&t_start) {
+                        l.outage_span = net
+                            .fault
+                            .link_outage_span(site::engine_link(l.global), t_start);
+                    }
+                    if let Some(end) = l.outage_span.0 {
                         if end > l.outage_mark {
                             l.outages += 1;
                             out.outaged += 1;
@@ -218,9 +235,9 @@ impl Shard {
                         continue;
                     }
                 }
-                let e = l.queues[vc].pop(arena);
+                // The head stays queued: a retried Drop re-arms it in place.
+                let e = l.queues[vc].front(arena);
                 let seq = e.seq();
-                let t_start = start.floor() as Cycle;
                 // Attribution: everything between the word's last milestone
                 // (`ready`) and the floor the transmit actually starts on is
                 // queueing — waiting for credits, the wire, or an outage.
@@ -242,7 +259,7 @@ impl Shard {
                         // upstream buffer freed, and the run degrades with
                         // exact accounting instead of wedging.
                         l.free = start + wire;
-                        l.busy_fp += wt_fp;
+                        l.busy_fp = l.busy_fp.saturating_add(wt_fp);
                         out.link_events.push(EngineEvent {
                             time: t_start,
                             kind: EventKind::Drop,
@@ -253,30 +270,22 @@ impl Shard {
                         out.dropped += 1;
                         out.progress += 1;
                         if e.tries >= net.retry.max_retries {
+                            l.queues[vc].pop(arena);
                             if e.prev_link != u32::MAX {
                                 out.free_credit(net, e.prev_link, e.prev_vc);
                             }
                             out.abandoned += 1;
                             continue;
                         }
-                        let lane = net.flows[(seq >> 32) as usize].hops[usize::from(e.hop)].lane;
                         let next_ready =
-                            (l.free.ceil() as Cycle).saturating_add(net.retry.delay(e.tries));
+                            ceil_cycle(l.free).saturating_add(net.retry.delay(e.tries));
                         // Attribution: the span from this transmit's start
                         // to the retry's ready cycle (wasted wire +
                         // exponential backoff) is charged to backoff;
                         // `ready` stays the milestone.
                         net.attribution
                             .charge(seq, BACKOFF, next_ready.saturating_sub(t_start));
-                        l.queues[vc].push_retry(
-                            lane,
-                            QEntry {
-                                ready: next_ready,
-                                tries: e.tries + 1,
-                                ..e
-                            },
-                            arena,
-                        );
+                        l.queues[vc].retry_front(next_ready, arena);
                         out.retried += 1;
                         continue;
                     }
@@ -284,14 +293,17 @@ impl Shard {
                     Some(LinkFault::Delay(d)) => wire += d as f64,
                     None => {}
                 }
+                l.queues[vc].pop(arena);
                 l.credits[vc] -= 1;
                 l.free = start + wire;
-                l.busy_fp += if wire == net.wt {
+                // Saturating: a Delay near a `u64::MAX` jitter bound parks
+                // its arrival in the ring's overflow list for the watchdog.
+                l.busy_fp = l.busy_fp.saturating_add(if wire == net.wt {
                     wt_fp
                 } else {
                     (wire * BUSY_ONE).round() as u64
-                };
-                let arrive = (l.free.ceil() as Cycle) + net.latency;
+                });
+                let arrive = ceil_cycle(l.free).saturating_add(net.latency);
                 if e.prev_link != u32::MAX {
                     out.free_credit(net, e.prev_link, e.prev_vc);
                 }
@@ -318,7 +330,7 @@ impl Shard {
                     vc: vc as u8,
                 };
                 match net.shard_of_node[to_node as usize] {
-                    dest if dest == id => wheel.push(arrive, d),
+                    dest if dest == id => ring.push(d),
                     dest => out.deliveries[dest as usize].push(d),
                 }
                 out.flit_hops += 1;
@@ -335,13 +347,12 @@ impl Shard {
                 let mut best: Option<(u64, Cycle, u32)> = None;
                 for node in p_lo..p_hi {
                     let local = (node - node_lo) as usize;
-                    if rx[local].len() == rx[local].capacity() {
+                    let Some((rank, ready)) = eject[local].head() else {
                         continue;
-                    }
-                    if let Some(e) = eject[local].peek(arena) {
-                        if best.is_none_or(|(br, bq, _)| (e.rank, e.ready) < (br, bq)) {
-                            best = Some((e.rank, e.ready, node));
-                        }
+                    };
+                    let full = rx[local].len() == rx[local].capacity();
+                    if !full && best.is_none_or(|(br, bq, _)| (rank, ready) < (br, bq)) {
+                        best = Some((rank, ready, node));
                     }
                 }
                 let Some((_, ready, node)) = best else {
@@ -354,9 +365,9 @@ impl Shard {
                 let local = (node - node_lo) as usize;
                 let e = eject[local].pop(arena);
                 let seq = e.seq();
-                let t_start = start.floor() as Cycle;
+                let t_start = start as Cycle;
                 p.eject_free = start + net.wt;
-                let t_in = p.eject_free.ceil() as Cycle;
+                let t_in = ceil_cycle(p.eject_free);
                 if net.record_latency {
                     let class = usize::from(net.flows[(seq >> 32) as usize].class);
                     let lat = t_start.saturating_sub(e.t_inject);

@@ -292,8 +292,8 @@ fn engine_matches_oracle_at_scale_under_random_sharding() {
 
 /// Retry storms under faulty links: adversarial spray traffic over a
 /// drop-heavy plan with transient outage windows and a tight, real-backoff
-/// retry budget — the path where lane prepends, the wheel's overflow
-/// bucket and the outage calendar all interact.
+/// retry budget — the path where in-place retries, the delivery ring's
+/// overflow list and the outage calendar's cached spans all interact.
 #[test]
 fn engine_matches_oracle_under_retry_storms() {
     forall("engine_matches_oracle_under_retry_storms", 10, |rng| {

@@ -13,8 +13,6 @@
 //! * [`check`] — a tiny property-test harness over [`rng`] (replaces
 //!   `proptest` for the repository's property tiers);
 //! * [`arena`] — a freelist slab with intrusive links (replaces `slab`);
-//! * [`wheel`] — a cycle-bucketed timing wheel for conservative-window
-//!   event schedulers;
 //! * [`frame`] — length-prefixed message framing over `io::Read`/`Write`
 //!   streams, the wire discipline of the simulation service.
 
@@ -28,4 +26,3 @@ pub mod frame;
 pub mod json;
 pub mod par;
 pub mod rng;
-pub mod wheel;
