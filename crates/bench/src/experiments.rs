@@ -1,29 +1,29 @@
-//! The experiment functions, one per table/figure, and the memo points
-//! each one looks up.
+//! The experiment functions, one per table/figure.
 //!
 //! An experiment over memoized points (basic transfers, pattern and get
-//! exchanges, library messages) has a `*_points` twin that lists those
-//! points in lookup order, built from the same constants through the same
-//! point constructors. The sweep runner simulates every selected section's
-//! points in one fan-out before any section measures, so the experiments
-//! themselves run serially and read the installed cache; called on their
-//! own, they simulate as they go. Only the uncached runs — Table 4's wire
-//! measurements and the faults grid — take a worker count of their own.
-//! Results are pure functions of their points, so output is bit-identical
-//! whatever the worker count.
+//! exchanges, library messages) looks each one up through the entry
+//! function that measures it. The sweep runner records every selected
+//! section's lookups (`memo::record`) and simulates the distinct points in
+//! one fan-out before any section measures, so the experiments themselves
+//! run serially and read the installed cache; called on their own, they
+//! simulate as they go. So that a recording names exactly the points a
+//! real run looks up, no experiment chooses a lookup from a value it
+//! looked up before. Only the uncached runs — Table 4's wire measurements
+//! and the faults grid — take a worker count of their own. Results are
+//! pure functions of their points, so output is bit-identical whatever the
+//! worker count.
 
 use memcomm_util::par::par_map;
 
 use memcomm_commops::{
-    exchange_point, get_point, measure_message, message_point, run_exchange, run_get_exchange,
-    run_resilient_transfer, ExchangeConfig, LibraryProfile, ProtocolConfig, Style,
+    measure_message, run_exchange, run_get_exchange, run_resilient_transfer, ExchangeConfig,
+    LibraryProfile, ProtocolConfig, Style,
 };
 use memcomm_kernels::apps::{CommMethod, FemKernel, SorKernel, TransposeKernel};
 use memcomm_kernels::mesh::PartitionedMesh;
 use memcomm_kernels::netrun::{self, EngineOptions, Table6Kernel};
 use memcomm_kernels::KernelMeasurement;
 use memcomm_machines::calibrate;
-use memcomm_machines::memo::Point;
 use memcomm_machines::microbench::{self, StrideSide};
 use memcomm_machines::{reference, Machine};
 use memcomm_memsim::clock::Cycle;
@@ -91,9 +91,6 @@ pub fn paper_exchange_cfg(machine: &Machine, words: u64) -> ExchangeConfig {
     }
 }
 
-/// Both implementation styles, in the order the experiments measure them.
-const STYLES: [Style; 2] = [Style::BufferPacking, Style::Chained];
-
 /// Runs `f` on every item, in order, then returns the results or the
 /// first error. Every item runs even after an error, as it did when each
 /// experiment fanned its items out itself, so a point that panics fails
@@ -101,16 +98,6 @@ const STYLES: [Style; 2] = [Style::BufferPacking, Style::Chained];
 fn every<T, R>(items: &[T], f: impl Fn(&T) -> SimResult<R>) -> SimResult<Vec<R>> {
     let results: Vec<SimResult<R>> = items.iter().map(f).collect();
     results.into_iter().collect()
-}
-
-/// The exchange points of `ops` in both styles under `cfg`, op by op.
-pub(crate) fn exchange_points(ops: &[&str], cfg: &ExchangeConfig) -> Vec<Point> {
-    ops.iter()
-        .flat_map(|op| {
-            let (x, y) = parse_q(op);
-            STYLES.map(|style| exchange_point(x, y, style, cfg))
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------- Figure 1
@@ -126,16 +113,13 @@ pub struct Figure1Point {
     pub low_level: f64,
 }
 
-/// Figure 1's message sizes, in words.
-const FIGURE1_SIZES: [u64; 7] = [16, 64, 256, 1024, 4096, 16384, 65536];
-
 /// Figure 1: library throughput vs message size on one machine.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures from the message measurements.
 pub fn figure1(machine: &Machine) -> SimResult<Vec<Figure1Point>> {
-    every(&FIGURE1_SIZES, |&words| {
+    every(&[16u64, 64, 256, 1024, 4096, 16384, 65536], |&words| {
         Ok(Figure1Point {
             message_words: words,
             pvm: measure_message(machine, LibraryProfile::pvm(machine), words)?.as_mbps(),
@@ -143,19 +127,6 @@ pub fn figure1(machine: &Machine) -> SimResult<Vec<Figure1Point>> {
                 .as_mbps(),
         })
     })
-}
-
-/// The memo points [`figure1`] looks up, in its order.
-pub fn figure1_points(machine: &Machine) -> Vec<Point> {
-    FIGURE1_SIZES
-        .iter()
-        .flat_map(|&words| {
-            [
-                message_point(LibraryProfile::pvm(machine), words),
-                message_point(LibraryProfile::low_level(machine), words),
-            ]
-        })
-        .collect()
 }
 
 // ------------------------------------------------------------- Tables 1–3
@@ -171,21 +142,10 @@ pub struct RateRow {
     pub paper: Option<f64>,
 }
 
-/// Table 1's transfers: local memory-to-memory copies.
-pub const TABLE1: &[&str] = &["1C1", "1C64", "64C1", "1Cw", "wC1"];
-/// Table 2's transfers: sends.
-pub const TABLE2: &[&str] = &["1S0", "1F0", "64S0", "wS0"];
-/// Table 3's transfers: receives.
-pub const TABLE3: &[&str] = &["0R1", "0D1", "0R64", "0D64", "0Rw", "0Dw"];
-
-fn notation(s: &str) -> BasicTransfer {
-    BasicTransfer::parse(s).expect("notation constants")
-}
-
 fn rate_rows(machine: &Machine, notations: &[&str], words: u64) -> SimResult<Vec<RateRow>> {
     let paper = calibrate::reference_rates(machine);
     let rows = every(notations, |s| {
-        let t = notation(s);
+        let t = BasicTransfer::parse(s).expect("notation constants");
         Ok(
             microbench::measure_rate(machine, t, words)?.map(|rate| RateRow {
                 transfer: s.to_string(),
@@ -197,22 +157,13 @@ fn rate_rows(machine: &Machine, notations: &[&str], words: u64) -> SimResult<Vec
     Ok(rows.into_iter().flatten().collect())
 }
 
-/// The memo points a Tables 1–3 row set ([`TABLE1`], [`TABLE2`],
-/// [`TABLE3`]) looks up, in its order.
-pub fn rate_points(notations: &[&str], words: u64) -> Vec<Point> {
-    notations
-        .iter()
-        .map(|s| microbench::basic_point(notation(s), words))
-        .collect()
-}
-
 /// Table 1: local memory-to-memory copies.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures from the rate measurements.
 pub fn table1(machine: &Machine, words: u64) -> SimResult<Vec<RateRow>> {
-    rate_rows(machine, TABLE1, words)
+    rate_rows(machine, &["1C1", "1C64", "64C1", "1Cw", "wC1"], words)
 }
 
 /// Table 2: send transfers.
@@ -221,7 +172,7 @@ pub fn table1(machine: &Machine, words: u64) -> SimResult<Vec<RateRow>> {
 ///
 /// Propagates simulation failures from the rate measurements.
 pub fn table2(machine: &Machine, words: u64) -> SimResult<Vec<RateRow>> {
-    rate_rows(machine, TABLE2, words)
+    rate_rows(machine, &["1S0", "1F0", "64S0", "wS0"], words)
 }
 
 /// Table 3: receive transfers.
@@ -230,7 +181,11 @@ pub fn table2(machine: &Machine, words: u64) -> SimResult<Vec<RateRow>> {
 ///
 /// Propagates simulation failures from the rate measurements.
 pub fn table3(machine: &Machine, words: u64) -> SimResult<Vec<RateRow>> {
-    rate_rows(machine, TABLE3, words)
+    rate_rows(
+        machine,
+        &["0R1", "0D1", "0R64", "0D64", "0Rw", "0Dw"],
+        words,
+    )
 }
 
 // --------------------------------------------------------------- Figure 4
@@ -246,17 +201,15 @@ pub struct StridePoint {
     pub stores: f64,
 }
 
-/// Figure 4's strides, in words.
-const FIGURE4_STRIDES: [u32; 13] = [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128];
-
 /// Figure 4: local copy throughput vs stride.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures from either stride sweep.
 pub fn figure4(machine: &Machine, words: u64) -> SimResult<Vec<StridePoint>> {
-    let loads = microbench::stride_sweep(machine, &FIGURE4_STRIDES, words, StrideSide::Loads)?;
-    let stores = microbench::stride_sweep(machine, &FIGURE4_STRIDES, words, StrideSide::Stores)?;
+    let strides = [2u32, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128];
+    let loads = microbench::stride_sweep(machine, &strides, words, StrideSide::Loads)?;
+    let stores = microbench::stride_sweep(machine, &strides, words, StrideSide::Stores)?;
     Ok(loads
         .into_iter()
         .zip(stores)
@@ -266,19 +219,6 @@ pub fn figure4(machine: &Machine, words: u64) -> SimResult<Vec<StridePoint>> {
             stores: s.as_mbps(),
         })
         .collect())
-}
-
-/// The memo points [`figure4`] looks up, in its order: every stride's
-/// strided loads, then every stride's strided stores.
-pub fn figure4_points(words: u64) -> Vec<Point> {
-    [StrideSide::Loads, StrideSide::Stores]
-        .into_iter()
-        .flat_map(|side| {
-            FIGURE4_STRIDES
-                .iter()
-                .map(move |&n| microbench::basic_point(side.transfer(n), words))
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------- Table 4
@@ -350,11 +290,6 @@ pub struct QRow {
     pub verified: bool,
 }
 
-/// Section 5's operations.
-const SECTION5_OPS: [&str; 9] = [
-    "1Q1", "1Q16", "16Q1", "1Q64", "64Q1", "16Q64", "1Qw", "wQ1", "wQw",
-];
-
 /// Section 5 (Figures 7/8): buffer packing vs chained for a spread of
 /// access patterns, simulated end to end and estimated by the model from
 /// the machine's simulated rate table.
@@ -366,8 +301,11 @@ pub fn section5(machine: &Machine, rates: &RateTable, words: u64) -> SimResult<V
         "Cray T3D" => reference::t3d_q_model(),
         _ => reference::paragon_q_model(),
     };
+    let ops = [
+        "1Q1", "1Q16", "16Q1", "1Q64", "64Q1", "16Q64", "1Qw", "wQ1", "wQw",
+    ];
     let cfg = paper_exchange_cfg(machine, words);
-    every(&SECTION5_OPS, |op| {
+    every(&ops, |op| {
         let (x, y) = parse_q(op);
         let bp = run_exchange(machine, x, y, Style::BufferPacking, &cfg)?;
         let ch = run_exchange(machine, x, y, Style::Chained, &cfg)?;
@@ -391,11 +329,6 @@ pub fn section5(machine: &Machine, rates: &RateTable, words: u64) -> SimResult<V
             verified: bp.verified && ch.verified,
         })
     })
-}
-
-/// The exchange points [`section5`] looks up, in its order.
-pub fn section5_points(machine: &Machine, words: u64) -> Vec<Point> {
-    exchange_points(&SECTION5_OPS, &paper_exchange_cfg(machine, words))
 }
 
 // ---------------------------------------------------------------- Table 5
@@ -428,7 +361,11 @@ pub struct LoadsVsStoresRow {
 /// Propagates simulation failures from the co-simulated exchanges.
 pub fn table5(words: u64) -> SimResult<Vec<LoadsVsStoresRow>> {
     every(&reference::table5(), |r| {
-        let machine = table5_machine(r);
+        let machine = if r.machine == "Cray T3D" {
+            Machine::t3d()
+        } else {
+            Machine::paragon()
+        };
         let (x, y) = parse_q(r.op);
         let cfg = paper_exchange_cfg(&machine, words);
         let bp = run_exchange(&machine, x, y, Style::BufferPacking, &cfg)?;
@@ -444,27 +381,6 @@ pub fn table5(words: u64) -> SimResult<Vec<LoadsVsStoresRow>> {
             paper_model_chained: r.model_chained.as_mbps(),
         })
     })
-}
-
-fn table5_machine(row: &reference::Table5Row) -> Machine {
-    if row.machine == "Cray T3D" {
-        Machine::t3d()
-    } else {
-        Machine::paragon()
-    }
-}
-
-/// The exchange points [`table5`] looks up, row by row, each with the
-/// machine it runs on.
-pub fn table5_points(words: u64) -> Vec<(Machine, Vec<Point>)> {
-    reference::table5()
-        .iter()
-        .map(|r| {
-            let machine = table5_machine(r);
-            let points = exchange_points(&[r.op], &paper_exchange_cfg(&machine, words));
-            (machine, points)
-        })
-        .collect()
 }
 
 // --------------------------------------------- Extension: model accuracy
@@ -500,9 +416,10 @@ pub fn model_accuracy(
     let cfg = paper_exchange_cfg(machine, words);
     let rows = every(&accuracy_grid(machine), |(op, style, expr)| {
         let (x, y) = parse_q(op);
-        // Looked up before the estimate, so the lookups are exactly
-        // `accuracy_points`; a point the table cannot estimate is dropped,
-        // its run and any error with it.
+        // Looked up before the estimate, which reads measured rates, so
+        // which points the grid looks up follows from the machine alone; a
+        // point the table cannot estimate is dropped, its run and any error
+        // with it.
         let run = run_exchange(machine, x, y, *style, &cfg);
         let Ok(model) = expr.estimate(rates) else {
             return Ok(None);
@@ -524,17 +441,14 @@ pub fn model_accuracy(
     Ok(rows.into_iter().flatten().collect())
 }
 
-/// The accuracy grid's operations.
-const ACCURACY_OPS: [&str; 9] = [
-    "1Q1", "1Q8", "8Q1", "1Q64", "64Q1", "1Qw", "wQ1", "wQw", "16Q64",
-];
-
-/// The grid's `(op, style)` points whose model expression builds on this
-/// machine, with that expression.
+/// The accuracy grid's `(op, style)` points whose model expression builds
+/// on this machine, with that expression.
 fn accuracy_grid(machine: &Machine) -> Vec<(&'static str, Style, TransferExpr)> {
-    ACCURACY_OPS
-        .iter()
-        .flat_map(|&op| STYLES.map(|style| (op, style)))
+    let ops = [
+        "1Q1", "1Q8", "8Q1", "1Q64", "64Q1", "1Qw", "wQ1", "wQw", "16Q64",
+    ];
+    ops.into_iter()
+        .flat_map(|op| [Style::BufferPacking, Style::Chained].map(|style| (op, style)))
         .filter_map(|(op, style)| {
             let (x, y) = parse_q(op);
             let expr: Result<TransferExpr, ModelError> = match style {
@@ -542,18 +456,6 @@ fn accuracy_grid(machine: &Machine) -> Vec<(&'static str, Style, TransferExpr)> 
                 Style::Chained => chained_expr(x, y, chained_plan(machine)),
             };
             expr.ok().map(|e| (op, style, e))
-        })
-        .collect()
-}
-
-/// The exchange points [`model_accuracy`] looks up, in its order.
-pub fn accuracy_points(machine: &Machine, words: u64) -> Vec<Point> {
-    let cfg = paper_exchange_cfg(machine, words);
-    accuracy_grid(machine)
-        .into_iter()
-        .map(|(op, style, _)| {
-            let (x, y) = parse_q(op);
-            exchange_point(x, y, style, &cfg)
         })
         .collect()
 }
@@ -593,9 +495,22 @@ pub struct ScalingPoint {
 ///
 /// Propagates simulation failures from the kernel measurements.
 pub fn scaling(machine: &Machine) -> SimResult<Vec<ScalingPoint>> {
-    every(&SCALING_SIZES, |&n| {
-        let (kernel, p, congestion) = scaling_case(machine, n)?;
-        let [pvm, buffer_packing, chained] = by_method(SCALING_METHODS, |method| {
+    let p = machine.topology.len() as u64;
+    // n = 2048 is the largest whose stride-n destination region fits the
+    // simulated node memory (a stride-4096 patch spans 256 MB).
+    every(&[128u64, 256, 512, 1024, 2048], |&n| {
+        let kernel = TransposeKernel {
+            n,
+            words_per_element: 2,
+        };
+        // The analytic congestion, once for the three measurements.
+        let congestion = kernel.congestion(machine)?;
+        let methods = [
+            CommMethod::Pvm,
+            CommMethod::BufferPacking,
+            CommMethod::Chained,
+        ];
+        let [pvm, buffer_packing, chained] = by_method(methods, |method| {
             kernel.measure_at(machine, method, p, congestion)
         })?
         .map(|m| m.per_node.as_mbps());
@@ -607,46 +522,6 @@ pub fn scaling(machine: &Machine) -> SimResult<Vec<ScalingPoint>> {
             chained,
         })
     })
-}
-
-/// The scaling sweep's matrix sizes. n = 2048 is the largest whose
-/// stride-n destination region fits the simulated node memory (a
-/// stride-4096 patch spans 256 MB).
-const SCALING_SIZES: [u64; 5] = [128, 256, 512, 1024, 2048];
-
-/// The scaling sweep's columns, in its measuring order.
-const SCALING_METHODS: [CommMethod; 3] = [
-    CommMethod::Pvm,
-    CommMethod::BufferPacking,
-    CommMethod::Chained,
-];
-
-/// The transpose of one scaling size on `machine`, with the node count and
-/// analytic congestion its three measurements share (what
-/// [`TransposeKernel::measure`] derives on every call).
-fn scaling_case(machine: &Machine, n: u64) -> SimResult<(TransposeKernel, u64, f64)> {
-    let kernel = TransposeKernel {
-        n,
-        words_per_element: 2,
-    };
-    let congestion = kernel.congestion(machine)?;
-    Ok((kernel, machine.topology.len() as u64, congestion))
-}
-
-/// The memo points [`scaling`] looks up, in its order.
-///
-/// # Errors
-///
-/// Propagates invalid-decomposition errors from the kernels.
-pub fn scaling_points(machine: &Machine) -> SimResult<Vec<Point>> {
-    let mut points = Vec::new();
-    for n in SCALING_SIZES {
-        let (kernel, p, congestion) = scaling_case(machine, n)?;
-        for method in SCALING_METHODS {
-            points.extend(kernel.points_at(method, p, congestion)?);
-        }
-    }
-    Ok(points)
 }
 
 /// One kernel measurement per method, in `methods` order.
@@ -681,8 +556,11 @@ pub struct PutGetRow {
 ///
 /// Propagates simulation failures from either transfer direction.
 pub fn put_vs_get(machine: &Machine, words: u64) -> SimResult<Vec<PutGetRow>> {
-    let cfg = putget_cfg(words);
-    every(&PUTGET_OPS, |op| {
+    let cfg = ExchangeConfig {
+        words,
+        ..ExchangeConfig::default()
+    };
+    every(&["1Q1", "1Q64", "wQw"], |op| {
         let (x, y) = parse_q(op);
         let put = run_exchange(machine, x, y, Style::Chained, &cfg)?;
         let get = run_get_exchange(machine, x, y, &cfg)?;
@@ -693,31 +571,6 @@ pub fn put_vs_get(machine: &Machine, words: u64) -> SimResult<Vec<PutGetRow>> {
             verified: put.verified && get.verified,
         })
     })
-}
-
-/// The put-vs-get operations.
-const PUTGET_OPS: [&str; 3] = ["1Q1", "1Q64", "wQw"];
-
-fn putget_cfg(words: u64) -> ExchangeConfig {
-    ExchangeConfig {
-        words,
-        ..ExchangeConfig::default()
-    }
-}
-
-/// The memo points [`put_vs_get`] looks up, in its order.
-pub fn putget_points(words: u64) -> Vec<Point> {
-    let cfg = putget_cfg(words);
-    PUTGET_OPS
-        .iter()
-        .flat_map(|op| {
-            let (x, y) = parse_q(op);
-            [
-                exchange_point(x, y, Style::Chained, &cfg),
-                get_point(x, y, &cfg),
-            ]
-        })
-        .collect()
 }
 
 // ------------------------------------------------------------ Section 3.4.1
@@ -758,16 +611,6 @@ pub fn section341(rates: &RateTable) -> SimResult<Section341> {
         paper_estimate: paper_est.as_mbps(),
         paper_measured: paper_meas.as_mbps(),
     })
-}
-
-/// The kernel points [`section341`] looks up (its rate table is the
-/// caller's).
-///
-/// # Errors
-///
-/// Propagates invalid-decomposition errors from the kernel.
-pub fn section341_points() -> SimResult<Vec<Point>> {
-    TransposeKernel::paper_instance().points(&Machine::t3d(), CommMethod::BufferPacking)
 }
 
 // ---------------------------------------------------------------- Table 6
@@ -864,34 +707,6 @@ const TABLE6_METHODS: [CommMethod; 3] = [
     CommMethod::Chained,
     CommMethod::Pvm,
 ];
-
-/// The kernel points [`table6`] looks up, in its order (its rate table is
-/// the caller's).
-///
-/// # Errors
-///
-/// Propagates invalid-decomposition errors from the kernels.
-pub fn table6_points() -> SimResult<Vec<Point>> {
-    let t3d = Machine::t3d();
-    let p = t3d.topology.len() as u64;
-    let transpose = TransposeKernel::paper_instance();
-    let fem = FemKernel::paper_instance();
-    let sor = SorKernel::paper_instance();
-    let mut points = Vec::new();
-    let congestion = transpose.congestion(&t3d)?;
-    for method in TABLE6_METHODS {
-        points.extend(transpose.points_at(method, p, congestion)?);
-    }
-    let congestion = fem.congestion(&t3d)?;
-    for method in TABLE6_METHODS {
-        points.extend(fem.points_at(method, congestion));
-    }
-    let congestion = sor.congestion(&t3d)?;
-    for method in TABLE6_METHODS {
-        points.extend(sor.points_at(method, congestion));
-    }
-    Ok(points)
-}
 
 /// Options of the event-engine reproduction of Table 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

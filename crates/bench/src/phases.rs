@@ -10,12 +10,11 @@
 //! *stage by stage*".
 
 use memcomm_commops::{run_exchange, PhaseTimeline, Style};
-use memcomm_machines::memo::Point;
 use memcomm_machines::Machine;
 use memcomm_memsim::{Cycle, SimResult};
 use memcomm_model::{AccessPattern, BasicTransfer, RateTable};
 
-use crate::experiments::{exchange_points, paper_exchange_cfg, parse_q};
+use crate::experiments::{paper_exchange_cfg, parse_q};
 
 /// The operations whose stage split we attribute (covers both pattern axes
 /// and the indexed `ω` extreme).
@@ -77,7 +76,7 @@ pub fn model_stages(
     words: u64,
 ) -> [f64; 5] {
     let (x, y) = parse_q(op);
-    let bytes = words * 8;
+    let bytes = words.saturating_mul(8);
     let cyc = |t, b| stage_cycles(machine, rates, t, b);
     match style {
         Style::BufferPacking => {
@@ -102,7 +101,11 @@ pub fn model_stages(
             } else {
                 BasicTransfer::net_addr_data()
             };
-            let wire_bytes = if contiguous { bytes } else { bytes * 2 };
+            let wire_bytes = if contiguous {
+                bytes
+            } else {
+                bytes.saturating_mul(2)
+            };
             let deposit = if machine.caps.deposit_noncontiguous {
                 BasicTransfer::receive_deposit(y)
             } else {
@@ -181,12 +184,6 @@ pub fn phase_breakdown(
         }
     }
     Ok(rows)
-}
-
-/// The exchange points [`phase_breakdown`] looks up, in its order (its
-/// rate table is the caller's).
-pub fn phase_points(machine: &Machine, words: u64) -> Vec<Point> {
-    exchange_points(&PHASE_OPS, &paper_exchange_cfg(machine, words))
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 //! [`run_sweep`] evaluates every selected experiment of the reproduction in
 //! three phases:
 //!
-//! 1. **plan** — each selected section lists the memo points its fill will
-//!    look up (a basic transfer, a pattern or get exchange, a library
-//!    message, each on one machine), and the runner removes duplicates in
-//!    first-occurrence order;
+//! 1. **plan** — each selected section's fill runs once under
+//!    [`memo::record`], which collects the memo points it looks up (a basic
+//!    transfer, a pattern or get exchange, a library message, each on one
+//!    machine) and simulates none of them, and the runner removes
+//!    duplicates in first-lookup order;
 //! 2. **simulate** — the distinct points run in one fan-out across
 //!    [`SweepOptions::jobs`] workers, in plan order, into the measurement
 //!    cache ([`memcomm_machines::memo`]);
@@ -37,7 +38,7 @@ use std::time::Instant;
 use memcomm_commops::measure_point;
 use memcomm_machines::memo::{self, CacheStats, Point};
 use memcomm_machines::{calibrate, microbench, Machine};
-use memcomm_memsim::stats::{self as simstats, FaultCounters, SimCounters};
+use memcomm_memsim::stats::{FaultCounters, SimCounters};
 use memcomm_memsim::SimResult;
 use memcomm_obs::{HistogramSummary, Obs};
 use memcomm_util::json::Json;
@@ -476,8 +477,9 @@ pub struct RunMetrics {
     pub jobs: usize,
     /// Total result rows across all experiments.
     pub points: u64,
-    /// Distinct memo points the selected sections planned, each simulated
-    /// at most once (a cold run on a fresh cache misses exactly these).
+    /// Distinct memo points the selected sections' recorded fills look up,
+    /// each simulated at most once (a cold run on a fresh cache misses
+    /// exactly these).
     pub planned: u64,
     /// Host milliseconds spent planning and simulating the planned points.
     pub simulate_ms: f64,
@@ -579,37 +581,32 @@ impl RunMetrics {
 /// How a section fills the report: it appends its rows and returns how many.
 type Fill = fn(&SweepOptions, &mut FullReport) -> SimResult<u64>;
 
-/// The memo points a section's fill will look up, grouped by the machine
-/// they run on, in lookup order. A kernel that cannot decompose plans no
-/// points: its fill then meets the same error and records it.
-type Plan = fn(&SweepOptions) -> Vec<(Machine, Vec<Point>)>;
-
 /// One report section: the name its status and metrics carry, whether the
-/// options select it (given that name), the points it will look up, and
-/// how it fills the report. [`run_sweep`] plans the selected sections of
-/// [`TABLE`], simulates their points, then fills them in order.
+/// options select it (given that name), whether its fill is recorded for
+/// the memo points it looks up, and how it fills the report. [`run_sweep`]
+/// records the selected sections of [`TABLE`], simulates the points they
+/// look up, then fills them in order.
 struct Section {
     name: &'static str,
     selected: fn(&SweepOptions, &str) -> bool,
-    plan: Plan,
+    /// Whether [`distinct_points`] records the fill. It is false for a
+    /// fill whose runs always simulate (Table 4's wire runs, the faults
+    /// grid) or depend on engine runs: recording it would run those.
+    recorded: bool,
     fill: Fill,
 }
 
 impl Section {
-    /// A section selected by its own [`SECTIONS`] key.
-    const fn keyed(name: &'static str, plan: Plan, fill: Fill) -> Section {
+    /// A recorded section selected by its own [`SECTIONS`] key.
+    const fn keyed(name: &'static str, fill: Fill) -> Section {
         Section {
             name,
             selected: SweepOptions::wants,
-            plan,
+            recorded: true,
             fill,
         }
     }
 }
-
-/// The plan of a section whose fill looks up no memo point: its runs
-/// always simulate, or depend on engine runs.
-const NO_POINTS: Plan = |_| Vec::new();
 
 /// Measures one series per machine into `series`; returns the rows added.
 fn per_machine<T>(
@@ -629,44 +626,12 @@ fn per_machine<T>(
     Ok(n)
 }
 
-/// Both of the paper's machines, T3D first.
-fn machines() -> [Machine; 2] {
-    [Machine::t3d(), Machine::paragon()]
-}
-
 /// [`per_machine`] over both of the paper's machines, T3D first.
 fn both<T>(
     series: &mut Vec<MachineSeries<T>>,
     rows: impl Fn(&Machine) -> SimResult<Vec<T>>,
 ) -> SimResult<u64> {
-    per_machine(&machines(), series, rows)
-}
-
-/// A plan over `machines`: each one's points, in machine order.
-fn plan_per_machine(
-    machines: impl IntoIterator<Item = Machine>,
-    points: impl Fn(&Machine) -> Vec<Point>,
-) -> Vec<(Machine, Vec<Point>)> {
-    machines
-        .into_iter()
-        .map(|m| {
-            let points = points(&m);
-            (m, points)
-        })
-        .collect()
-}
-
-/// [`plan_per_machine`] over both of the paper's machines, T3D first.
-fn plan_both(points: impl Fn(&Machine) -> Vec<Point>) -> Vec<(Machine, Vec<Point>)> {
-    plan_per_machine(machines(), points)
-}
-
-/// The points of a fill that first measures the machine's rate table (at
-/// the microbenchmark size), then looks up `more`.
-fn after_rate_table(o: &SweepOptions, more: Vec<Point>) -> Vec<Point> {
-    let mut points = microbench::table_points(o.micro_words);
-    points.extend(more);
-    points
+    per_machine(&[Machine::t3d(), Machine::paragon()], series, rows)
 }
 
 /// The machines Section 5 covers: the T3D for Figure 7, the Paragon for
@@ -692,62 +657,45 @@ fn or_sweep_jobs(jobs: usize, o: &SweepOptions) -> usize {
 /// key, except that figures 7 and 8 share `section5`, then the opt-in
 /// sections, each selected by its own option.
 const TABLE: &[Section] = &[
-    Section::keyed(
-        "calibration",
-        |o| plan_both(|m| calibrate::calibration_points(m, o.micro_words)),
-        |o, r| {
-            for m in &machines() {
-                for c in calibrate::calibration_report(m, o.micro_words)? {
-                    r.calibration.push(CalRow {
-                        machine: m.name.to_string(),
-                        transfer: c.transfer.to_string(),
-                        simulated: c.simulated.as_mbps(),
-                        paper: c.paper.as_mbps(),
-                        ratio: c.ratio(),
-                    });
-                }
+    Section::keyed("calibration", |o, r| {
+        for m in [Machine::t3d(), Machine::paragon()] {
+            for c in calibrate::calibration_report(&m, o.micro_words)? {
+                r.calibration.push(CalRow {
+                    machine: m.name.to_string(),
+                    transfer: c.transfer.to_string(),
+                    simulated: c.simulated.as_mbps(),
+                    paper: c.paper.as_mbps(),
+                    ratio: c.ratio(),
+                });
             }
-            Ok(r.calibration.len() as u64)
-        },
-    ),
-    Section::keyed(
-        "figure1",
-        |_| plan_both(experiments::figure1_points),
-        |_, r| both(&mut r.figure1, experiments::figure1),
-    ),
-    Section::keyed(
-        "table1",
-        |o| plan_both(|_| experiments::rate_points(experiments::TABLE1, o.micro_words)),
-        |o, r| both(&mut r.table1, |m| experiments::table1(m, o.micro_words)),
-    ),
-    Section::keyed(
-        "table2",
-        |o| plan_both(|_| experiments::rate_points(experiments::TABLE2, o.micro_words)),
-        |o, r| both(&mut r.table2, |m| experiments::table2(m, o.micro_words)),
-    ),
-    Section::keyed(
-        "table3",
-        |o| plan_both(|_| experiments::rate_points(experiments::TABLE3, o.micro_words)),
-        |o, r| both(&mut r.table3, |m| experiments::table3(m, o.micro_words)),
-    ),
-    Section::keyed(
-        "figure4",
-        |o| plan_both(|_| experiments::figure4_points(o.micro_words)),
-        |o, r| both(&mut r.figure4, |m| experiments::figure4(m, o.micro_words)),
-    ),
-    Section::keyed("table4", NO_POINTS, |o, r| {
-        both(&mut r.table4, |m| {
-            Ok(experiments::table4(m, o.micro_words, o.jobs))
-        })
+        }
+        Ok(r.calibration.len() as u64)
     }),
+    Section::keyed("figure1", |_, r| both(&mut r.figure1, experiments::figure1)),
+    Section::keyed("table1", |o, r| {
+        both(&mut r.table1, |m| experiments::table1(m, o.micro_words))
+    }),
+    Section::keyed("table2", |o, r| {
+        both(&mut r.table2, |m| experiments::table2(m, o.micro_words))
+    }),
+    Section::keyed("table3", |o, r| {
+        both(&mut r.table3, |m| experiments::table3(m, o.micro_words))
+    }),
+    Section::keyed("figure4", |o, r| {
+        both(&mut r.figure4, |m| experiments::figure4(m, o.micro_words))
+    }),
+    Section {
+        recorded: false,
+        ..Section::keyed("table4", |o, r| {
+            both(&mut r.table4, |m| {
+                Ok(experiments::table4(m, o.micro_words, o.jobs))
+            })
+        })
+    },
     Section {
         name: "section5",
         selected: |o, _| o.wants("figure7") || o.wants("figure8"),
-        plan: |o| {
-            plan_per_machine(section5_machines(o), |m| {
-                after_rate_table(o, experiments::section5_points(m, o.exchange_words))
-            })
-        },
+        recorded: true,
         fill: |o, r| {
             per_machine(&section5_machines(o), &mut r.section5, |m| {
                 let rates = microbench::measure_table(m, o.micro_words)?;
@@ -755,79 +703,46 @@ const TABLE: &[Section] = &[
             })
         },
     },
-    Section::keyed(
-        "table5",
-        |o| experiments::table5_points(o.exchange_words),
-        |o, r| {
-            r.table5 = experiments::table5(o.exchange_words)?;
-            Ok(r.table5.len() as u64)
-        },
-    ),
-    Section::keyed(
-        "section341",
-        |o| {
-            plan_per_machine([Machine::t3d()], |_| {
-                after_rate_table(o, experiments::section341_points().unwrap_or_default())
-            })
-        },
-        |o, r| {
-            let rates = microbench::measure_table(&Machine::t3d(), o.micro_words)?;
-            r.section341 = Some(experiments::section341(&rates)?);
-            Ok(1)
-        },
-    ),
-    Section::keyed(
-        "table6",
-        |o| {
-            plan_per_machine([Machine::t3d()], |_| {
-                after_rate_table(o, experiments::table6_points().unwrap_or_default())
-            })
-        },
-        |o, r| {
-            let rates = microbench::measure_table(&Machine::t3d(), o.micro_words)?;
-            r.table6 = experiments::table6(&rates)?;
-            Ok(r.table6.len() as u64)
-        },
-    ),
-    Section::keyed(
-        "putget",
-        |o| plan_both(|_| experiments::putget_points(o.exchange_words)),
-        |o, r| {
-            both(&mut r.put_vs_get, |m| {
-                experiments::put_vs_get(m, o.exchange_words)
-            })
-        },
-    ),
-    Section::keyed(
-        "scaling",
-        |_| {
-            plan_per_machine([Machine::t3d()], |m| {
-                experiments::scaling_points(m).unwrap_or_default()
-            })
-        },
-        |_, r| per_machine(&[Machine::t3d()], &mut r.scaling, experiments::scaling),
-    ),
-    Section::keyed(
-        "accuracy",
-        |o| plan_both(|m| after_rate_table(o, experiments::accuracy_points(m, o.exchange_words))),
-        |o, r| {
-            both(&mut r.model_accuracy, |m| {
-                let rates = microbench::measure_table(m, o.micro_words)?;
-                experiments::model_accuracy(m, &rates, o.exchange_words)
-            })
-        },
-    ),
-    Section::keyed("faults", NO_POINTS, |o, r| {
-        both(&mut r.faults, |m| {
-            Ok(experiments::faults(m, o.exchange_words, &o.faults, o.jobs))
+    Section::keyed("table5", |o, r| {
+        r.table5 = experiments::table5(o.exchange_words)?;
+        Ok(r.table5.len() as u64)
+    }),
+    Section::keyed("section341", |o, r| {
+        let rates = microbench::measure_table(&Machine::t3d(), o.micro_words)?;
+        r.section341 = Some(experiments::section341(&rates)?);
+        Ok(1)
+    }),
+    Section::keyed("table6", |o, r| {
+        let rates = microbench::measure_table(&Machine::t3d(), o.micro_words)?;
+        r.table6 = experiments::table6(&rates)?;
+        Ok(r.table6.len() as u64)
+    }),
+    Section::keyed("putget", |o, r| {
+        both(&mut r.put_vs_get, |m| {
+            experiments::put_vs_get(m, o.exchange_words)
+        })
+    }),
+    Section::keyed("scaling", |_, r| {
+        per_machine(&[Machine::t3d()], &mut r.scaling, experiments::scaling)
+    }),
+    Section::keyed("accuracy", |o, r| {
+        both(&mut r.model_accuracy, |m| {
+            let rates = microbench::measure_table(m, o.micro_words)?;
+            experiments::model_accuracy(m, &rates, o.exchange_words)
         })
     }),
     Section {
+        recorded: false,
+        ..Section::keyed("faults", |o, r| {
+            both(&mut r.faults, |m| {
+                Ok(experiments::faults(m, o.exchange_words, &o.faults, o.jobs))
+            })
+        })
+    },
+    Section {
         name: "phases",
         selected: |o, _| o.phases,
-        plan: |o| {
-            plan_both(|m| after_rate_table(o, crate::phases::phase_points(m, o.exchange_words)))
-        },
+        recorded: true,
         fill: |o, r| {
             both(&mut r.phases, |m| {
                 let rates = microbench::measure_table(m, o.micro_words)?;
@@ -838,7 +753,7 @@ const TABLE: &[Section] = &[
     Section {
         name: "engine",
         selected: |o, _| o.engine.is_some(),
-        plan: NO_POINTS,
+        recorded: false,
         fill: |o, r| {
             if let Some(engine) = &o.engine {
                 r.engine_table6 = experiments::engine_table6(&experiments::EngineSettings {
@@ -852,7 +767,7 @@ const TABLE: &[Section] = &[
     Section {
         name: "collectives",
         selected: |o, _| o.collectives.is_some(),
-        plan: NO_POINTS,
+        recorded: false,
         fill: |o, r| {
             if let Some(settings) = &o.collectives {
                 r.collectives = crate::collectives::collectives_table(
@@ -867,34 +782,23 @@ const TABLE: &[Section] = &[
     },
 ];
 
-/// The distinct points of the selected sections' plans, in first-occurrence
-/// order, each with the index of its machine in the returned machine list.
-fn distinct_points(
-    opts: &SweepOptions,
-    sections: &[&Section],
-) -> (Vec<Machine>, Vec<(usize, Point)>) {
-    let mut machines: Vec<(u64, Machine)> = Vec::new();
+/// The distinct memo points the selected sections look up, each with its
+/// machine, in first-lookup order. Each recorded section's fill runs once
+/// under [`memo::record`], against a scratch report, so it names its
+/// points without simulating any.
+fn distinct_points(opts: &SweepOptions, sections: &[&Section]) -> Vec<(Machine, Point)> {
     let mut seen = HashSet::new();
     let mut work = Vec::new();
-    for section in sections {
-        for (machine, points) in (section.plan)(opts) {
-            let fingerprint = memo::machine_fingerprint(&machine);
-            let m = match machines.iter().position(|&(f, _)| f == fingerprint) {
-                Some(m) => m,
-                None => {
-                    machines.push((fingerprint, machine));
-                    machines.len() - 1
-                }
-            };
-            work.extend(
-                points
-                    .into_iter()
-                    .filter(|&point| seen.insert((fingerprint, point)))
-                    .map(|point| (m, point)),
-            );
-        }
+    for section in sections.iter().filter(|s| s.recorded) {
+        let mut scratch = FullReport::default();
+        let lookups = memo::record(|| (section.fill)(opts, &mut scratch));
+        work.extend(
+            lookups.into_iter().filter(|(machine, point)| {
+                seen.insert((memo::machine_fingerprint(machine), *point))
+            }),
+        );
     }
-    (machines.into_iter().map(|(_, m)| m).collect(), work)
+    work
 }
 
 /// Extracts the human-readable message from a caught panic payload.
@@ -912,16 +816,16 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs the selected experiments with `opts.jobs` workers and returns the
 /// deterministic report plus this run's metrics.
 ///
-/// Plans every selected section's memo points, simulates the distinct ones
-/// in one fan-out of `opts.jobs` workers, then renders the sections in
-/// order from the filled cache (see the module docs). The worker count is
-/// this run's alone: nothing process-wide changes, so concurrent sweeps in
-/// one process never change each other's width. Never panics on experiment
-/// failure: a point whose simulation panics is dropped from the cache, and
-/// each section renders behind a panic shield, so a typed simulation error
-/// or a panic records the section's status and zero points, and the sweep
-/// moves on with a partial report. The report's `sections` field records
-/// which completed.
+/// Records the memo points every selected section's fill looks up,
+/// simulates the distinct ones in one fan-out of `opts.jobs` workers, then
+/// renders the sections in order from the filled cache (see the module
+/// docs). The worker count is this run's alone: nothing process-wide
+/// changes, so concurrent sweeps in one process never change each other's
+/// width. Never panics on experiment failure: a point whose simulation
+/// panics is dropped from the cache, and each section renders behind a
+/// panic shield, so a typed simulation error or a panic records the
+/// section's status and zero points, and the sweep moves on with a partial
+/// report. The report's `sections` field records which completed.
 pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
     let sections: Vec<&Section> = TABLE
         .iter()
@@ -932,8 +836,8 @@ pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
 
 /// [`run_sweep`] over `sections`, in order.
 fn sweep(opts: &SweepOptions, sections: &[&Section]) -> (FullReport, RunMetrics) {
-    // Fault/protocol counters live in a per-run registry, not process-wide
-    // statics: adopt the caller's installed observability handle (so traces
+    // Simulation and fault counters live in a per-run registry, not
+    // process-wide statics: adopt the caller's installed observability handle (so traces
     // and histograms flow to it), or install a registry-only one of our own.
     let ambient = Obs::current();
     let obs = if ambient.is_enabled() {
@@ -949,15 +853,15 @@ fn sweep(opts: &SweepOptions, sections: &[&Section]) -> (FullReport, RunMetrics)
     let cache = memo::current().unwrap_or_else(memo::MemoCache::unbounded);
     let _memo_guard = memo::install(&cache);
     let cache_before = memo::stats();
-    let sim_before = simstats::counters();
+    let sim_before = SimCounters::from_obs(&obs);
     let faults_before = FaultCounters::from_obs(&obs);
     let start = Instant::now();
 
-    let (machines, work) = distinct_points(opts, sections);
-    par::par_map(opts.jobs, &work, |&(m, point)| {
+    let work = distinct_points(opts, sections);
+    par::par_map(opts.jobs, &work, |(machine, point)| {
         // A panicking simulation caches nothing, so the section that looks
         // the point up meets the panic again and records it as its failure.
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| measure_point(&machines[m], point)));
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| measure_point(machine, *point)));
     });
     let simulate_ms = start.elapsed().as_secs_f64() * 1e3;
 
@@ -996,7 +900,7 @@ fn sweep(opts: &SweepOptions, sections: &[&Section]) -> (FullReport, RunMetrics)
         simulate_ms,
         render_ms: wall_ms - simulate_ms,
         cache: memo::stats().since(cache_before),
-        sim: simstats::counters().since(sim_before),
+        sim: SimCounters::from_obs(&obs).since(sim_before),
         faults: FaultCounters::from_obs(&obs).since(faults_before),
         wall_ms,
         histograms: obs
@@ -1125,10 +1029,7 @@ mod tests {
         let panicking = Section {
             name: "panicking",
             selected: |_, _| true,
-            plan: |_| {
-                let point = microbench::basic_point(panicking_transfer(), PANIC_WORDS);
-                vec![(roomy_t3d(), vec![point])]
-            },
+            recorded: true,
             fill: |_, _| {
                 microbench::measure_basic(&roomy_t3d(), panicking_transfer(), PANIC_WORDS)
                     .map(|_| 1)

@@ -236,7 +236,31 @@ fn validate(coll: Collective, n: usize, words: u64) -> SimResult<()> {
             at: 0,
         });
     }
+    if largest_round_bytes(coll, n as u64, words).is_none() {
+        return Err(SimError::Protocol {
+            detail: format!(
+                "{} of {words} words on {n} nodes overflows a 64-bit round volume",
+                coll.name()
+            ),
+            at: 0,
+        });
+    }
     Ok(())
+}
+
+/// The bytes the schedule's largest round moves over all its flows, or
+/// `None` past `u64::MAX`.
+fn largest_round_bytes(coll: Collective, n: u64, words: u64) -> Option<u64> {
+    let (flows, flow_words) = match coll {
+        Collective::Broadcast => (n / 2, words),
+        // The last round moves 2^(k − 1) = n / 2 blocks per flow.
+        Collective::AllgatherRecursiveDoubling => (n, words.checked_mul(n / 2)?),
+        Collective::AllreduceRing => (n, words.div_ceil(n)),
+        Collective::AllgatherRing
+        | Collective::AllreduceRecursiveDoubling
+        | Collective::AllToAll => (n, words),
+    };
+    flow_words.checked_mul(WORD_BYTES)?.checked_mul(flows)
 }
 
 /// `rounds` identical rounds of every node passing `words` to its ring
@@ -481,6 +505,39 @@ mod tests {
         for c in ALL {
             assert!(matches!(c.schedule(8, 0), Err(SimError::Protocol { .. })));
         }
+    }
+
+    #[test]
+    fn oversized_words_are_a_protocol_error() {
+        // 2^61 words are 2^64 bytes: the largest round of every collective
+        // overflows a u64, so each is refused before a flow is built.
+        let t3d = Machine::t3d();
+        for c in ALL {
+            assert!(
+                matches!(c.schedule(4, 1 << 61), Err(SimError::Protocol { .. })),
+                "{}",
+                c.name()
+            );
+            assert!(matches!(
+                c.volume_words(4, 1 << 61),
+                Err(SimError::Protocol { .. })
+            ));
+            assert!(matches!(
+                analytic_cost(&t3d, &t3d.topology, c, 1 << 61),
+                Err(SimError::Protocol { .. })
+            ));
+        }
+        // The bound is the largest round's volume: four all-to-all flows of
+        // 2^58 words (2^63 bytes) fit, of 2^59 words do not.
+        assert!(Collective::AllToAll.schedule(4, 1 << 58).is_ok());
+        assert!(Collective::AllToAll.schedule(4, 1 << 59).is_err());
+        // Recursive doubling's last round carries n / 2 blocks per flow.
+        assert!(Collective::AllgatherRecursiveDoubling
+            .schedule(64, 1 << 49)
+            .is_ok());
+        assert!(Collective::AllgatherRecursiveDoubling
+            .schedule(64, 1 << 50)
+            .is_err());
     }
 
     #[test]

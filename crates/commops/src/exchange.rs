@@ -7,7 +7,7 @@ use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::engines::{Cpu, CpuReceiver, CpuSender, DepositEngine, DepositMode, Step};
 use memcomm_memsim::node::Watchdog;
-use memcomm_memsim::{Node, SimError, SimResult};
+use memcomm_memsim::{stats, Node, SimError, SimResult};
 use memcomm_model::AccessPattern;
 use memcomm_netsim::Link;
 
@@ -570,6 +570,7 @@ pub fn run_exchange_specs(
     if obs.tracing() {
         emit_trace(&obs, &label, &a, &b, &phases, end_cycle);
     }
+    stats::count_simulation(cfg.words, end_cycle);
     Ok(ExchangeResult {
         words: cfg.words,
         end_cycle,

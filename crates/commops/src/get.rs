@@ -16,7 +16,7 @@ use memcomm_memsim::nic::{NetWord, TimedFifo};
 use memcomm_memsim::node::Watchdog;
 use memcomm_memsim::path::MemPath;
 use memcomm_memsim::walk::Walk;
-use memcomm_memsim::{Node, SimError, SimResult};
+use memcomm_memsim::{stats, Node, SimError, SimResult};
 use memcomm_model::AccessPattern;
 use memcomm_netsim::Link;
 
@@ -306,6 +306,7 @@ fn simulate_get_exchange(
     // A pulled B's data: element i of B's src landed at element i of A's dst.
     let verified = a.layout.verify_received(&a.node, 1)
         && (!cfg.full_duplex || b.layout.verify_received(&b.node, 0));
+    stats::count_simulation(cfg.words, end_cycle);
     Ok(ExchangeResult {
         words: cfg.words,
         end_cycle,

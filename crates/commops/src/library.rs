@@ -12,7 +12,7 @@ use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::engines::{CpuSender, DepositEngine, DepositMode, LocalCopier, Step};
 use memcomm_memsim::node::Watchdog;
-use memcomm_memsim::{Node, SimError, SimResult};
+use memcomm_memsim::{stats, Node, SimError, SimResult};
 use memcomm_model::{AccessPattern, Throughput};
 use memcomm_netsim::Link;
 
@@ -187,6 +187,7 @@ fn simulate_message(
             });
         }
     }
+    stats::count_simulation(words, end);
     Ok(machine.clock().throughput(words * 8, end))
 }
 

@@ -7,8 +7,7 @@
 //! (`netsim` derives it), plus the per-message and synchronization costs of
 //! the communication layer in use.
 
-use memcomm_commops::{exchange_point, run_exchange, ExchangeConfig, Style};
-use memcomm_machines::memo::Point;
+use memcomm_commops::{run_exchange, ExchangeConfig, Style};
 use memcomm_machines::{microbench, Machine};
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::{SimError, SimResult};
@@ -88,20 +87,15 @@ pub struct KernelMeasurement {
     pub verified: bool,
 }
 
-/// PVM's store-and-forward copy through a system buffer: one contiguous
-/// local copy of the round's words.
-fn system_copy() -> BasicTransfer {
-    BasicTransfer::copy(AccessPattern::Contiguous, AccessPattern::Contiguous)
-}
-
-/// The simulated cycles of one [`system_copy`] of `words` on this machine,
+/// PVM's store-and-forward copy through a system buffer: the simulated
+/// cycles of one contiguous local copy of `words` on this machine,
 /// memoized like every basic transfer.
 fn system_copy_cycles(machine: &Machine, words: u64) -> SimResult<Cycle> {
-    let copy =
-        microbench::measure_basic(machine, system_copy(), words)?.ok_or(SimError::Protocol {
-            detail: "local copies always run".to_string(),
-            at: 0,
-        })?;
+    let copy = BasicTransfer::copy(AccessPattern::Contiguous, AccessPattern::Contiguous);
+    let copy = microbench::measure_basic(machine, copy, words)?.ok_or(SimError::Protocol {
+        detail: "local copies always run".to_string(),
+        at: 0,
+    })?;
     Ok(copy.cycles)
 }
 
@@ -120,32 +114,15 @@ struct Round {
 }
 
 impl Round {
-    fn cfg(&self) -> ExchangeConfig {
-        ExchangeConfig {
+    fn measure(&self, machine: &Machine) -> SimResult<(Cycle, KernelMeasurement)> {
+        let cfg = ExchangeConfig {
             words: self.words,
             congestion: Some(self.congestion),
             // PVM always copies; hand-written code may elide.
             elide_contiguous_copies: self.elide_contiguous_copies && self.method != CommMethod::Pvm,
             ..ExchangeConfig::default()
-        }
-    }
-
-    /// The memo points [`measure`](Self::measure) looks up.
-    fn points(&self) -> Vec<Point> {
-        let mut points = vec![exchange_point(
-            self.x,
-            self.y,
-            self.method.style(),
-            &self.cfg(),
-        )];
-        if self.method == CommMethod::Pvm {
-            points.push(microbench::basic_point(system_copy(), self.words));
-        }
-        points
-    }
-
-    fn measure(&self, machine: &Machine) -> SimResult<(Cycle, KernelMeasurement)> {
-        let result = run_exchange(machine, self.x, self.y, self.method.style(), &self.cfg())?;
+        };
+        let result = run_exchange(machine, self.x, self.y, self.method.style(), &cfg)?;
         let mut round = result.end_cycle + self.method.per_message_cycles(machine);
         if self.method == CommMethod::Pvm {
             round += 2 * system_copy_cycles(machine, self.words)?;
@@ -190,8 +167,9 @@ impl TransposeKernel {
     }
 
     /// Validates a node count for this kernel: the XOR schedule needs a
-    /// power of two, and the patch decomposition needs `p` to divide `n` —
-    /// anything else used to truncate silently into a wrong patch size.
+    /// power of two, the patch decomposition needs `p` to divide `n` —
+    /// anything else used to truncate silently into a wrong patch size —
+    /// and the stride-`n` stores need `n` to fit a 32-bit stride.
     ///
     /// # Errors
     ///
@@ -212,18 +190,48 @@ impl TransposeKernel {
                 at: 0,
             });
         }
-        Ok(())
+        self.stride().map(|_| ())
     }
 
     /// Checked patch size: [`patch_words`](Self::patch_words) behind
-    /// [`validate_nodes`](Self::validate_nodes).
+    /// [`validate_nodes`](Self::validate_nodes), refused when the patch or
+    /// the bytes of the whole schedule (`p · (p − 1)` patches) overflow a
+    /// `u64`.
     ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] for an invalid decomposition.
     pub fn try_patch_words(&self, p: u64) -> SimResult<u64> {
         self.validate_nodes(p)?;
-        Ok(self.patch_words(p))
+        let side = self.n / p;
+        let patch = side
+            .checked_mul(side)
+            .and_then(|w| w.checked_mul(self.words_per_element));
+        let schedule_bytes = patch.and_then(|w| w.checked_mul(8 * p)?.checked_mul(p - 1));
+        patch
+            .filter(|_| schedule_bytes.is_some())
+            .ok_or_else(|| SimError::Protocol {
+                detail: format!(
+                    "transpose of n = {} over p = {p} nodes overflows a 64-bit byte count",
+                    self.n
+                ),
+                at: 0,
+            })
+    }
+
+    /// The stride-`n` pattern of the transpose's stores.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] when `n` is no stride of 32 bits.
+    fn stride(&self) -> SimResult<AccessPattern> {
+        u32::try_from(self.n)
+            .ok()
+            .and_then(|n| AccessPattern::strided(n).ok())
+            .ok_or_else(|| SimError::Protocol {
+                detail: format!("transpose stride n = {} is no 32-bit stride", self.n),
+                at: 0,
+            })
     }
 
     /// The XOR-schedule rounds of the all-to-all on `topo` — what both the
@@ -262,16 +270,16 @@ impl TransposeKernel {
     /// The round of `words`-word patches at `congestion`. The transpose
     /// patch is short contiguous runs, not one block: the gather copy is
     /// genuinely needed (the paper models it as 1C1).
-    fn round(&self, method: CommMethod, words: u64, congestion: f64) -> Round {
-        Round {
+    fn round(&self, method: CommMethod, words: u64, congestion: f64) -> SimResult<Round> {
+        Ok(Round {
             kernel: "Transpose",
             x: AccessPattern::Contiguous,
-            y: AccessPattern::strided(self.n as u32).expect("n >= 2"),
+            y: self.stride()?,
             method,
             words,
             congestion,
             elide_contiguous_copies: false,
-        }
+        })
     }
 
     /// Measures the communication step per node.
@@ -283,19 +291,6 @@ impl TransposeKernel {
         let p = machine.topology.len() as u64;
         let congestion = self.congestion(machine)?;
         self.measure_at(machine, method, p, congestion)
-    }
-
-    /// The memo points [`measure`](Self::measure) looks up, so a sweep can
-    /// simulate them before it measures.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] when the matrix does not decompose over the
-    /// machine's node count.
-    pub fn points(&self, machine: &Machine, method: CommMethod) -> SimResult<Vec<Point>> {
-        let p = machine.topology.len() as u64;
-        let congestion = self.congestion(machine)?;
-        self.points_at(method, p, congestion)
     }
 
     /// Measures at an explicit node count and congestion factor — the entry
@@ -313,17 +308,7 @@ impl TransposeKernel {
         congestion: f64,
     ) -> SimResult<KernelMeasurement> {
         let words = self.try_patch_words(p)?;
-        Ok(self.round(method, words, congestion).measure(machine)?.1)
-    }
-
-    /// The memo points [`measure_at`](Self::measure_at) looks up.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] for an invalid decomposition.
-    pub fn points_at(&self, method: CommMethod, p: u64, congestion: f64) -> SimResult<Vec<Point>> {
-        let words = self.try_patch_words(p)?;
-        Ok(self.round(method, words, congestion).points())
+        Ok(self.round(method, words, congestion)?.measure(machine)?.1)
     }
 
     /// Measures the *entire* transpose — all `p − 1` rounds of the XOR
@@ -351,7 +336,7 @@ impl TransposeKernel {
                 .factor
                 .max(1.0);
             worst = worst.max(congestion);
-            let (cycles, m) = self.round(method, patch, congestion).measure(machine)?;
+            let (cycles, m) = self.round(method, patch, congestion)?.measure(machine)?;
             total_cycles += cycles;
             verified &= m.verified;
         }
@@ -366,15 +351,18 @@ impl TransposeKernel {
     }
 
     /// The copy-transfer model's chained estimate for this kernel, from a
-    /// measured rate table.
+    /// measured rate table. An `n` past the 32-bit stride range prices as
+    /// the widest stride: the table prices every stride past its widest
+    /// anchor alike.
     ///
     /// # Errors
     ///
-    /// Propagates missing-rate errors from the table.
+    /// Propagates missing-rate errors from the table, and
+    /// [`ModelError::InvalidStride`] for `n = 0`.
     pub fn model_chained(&self, rates: &RateTable) -> Result<Throughput, ModelError> {
         chained_expr(
             AccessPattern::Contiguous,
-            AccessPattern::strided(self.n as u32).expect("n >= 2"),
+            AccessPattern::strided(u32::try_from(self.n).unwrap_or(u32::MAX))?,
             ChainedPlan {
                 recv: ReceiveEngine::Deposit,
             },
@@ -476,18 +464,6 @@ impl FemKernel {
         self.congestion_on(&machine.topology, machine.nodes_per_port)
     }
 
-    fn round(&self, method: CommMethod, congestion: f64) -> Round {
-        Round {
-            kernel: "FEM",
-            x: AccessPattern::Indexed,
-            y: AccessPattern::Indexed,
-            method,
-            words: self.exchange_words(),
-            congestion,
-            elide_contiguous_copies: false,
-        }
-    }
-
     /// Measures the boundary-exchange step per node.
     ///
     /// # Errors
@@ -510,12 +486,16 @@ impl FemKernel {
         method: CommMethod,
         congestion: f64,
     ) -> SimResult<KernelMeasurement> {
-        Ok(self.round(method, congestion).measure(machine)?.1)
-    }
-
-    /// The memo points [`measure_at`](Self::measure_at) looks up.
-    pub fn points_at(&self, method: CommMethod, congestion: f64) -> Vec<Point> {
-        self.round(method, congestion).points()
+        let round = Round {
+            kernel: "FEM",
+            x: AccessPattern::Indexed,
+            y: AccessPattern::Indexed,
+            method,
+            words: self.exchange_words(),
+            congestion,
+            elide_contiguous_copies: false,
+        };
+        Ok(round.measure(machine)?.1)
     }
 
     /// The model's chained estimate (`ωQ'ω`).
@@ -553,7 +533,8 @@ impl SorKernel {
     }
 
     /// Validates this kernel against a topology: the halo shift needs a
-    /// neighbour to shift to and a non-empty halo row.
+    /// neighbour to shift to, and a non-empty halo row whose shift's link
+    /// loads (at most `p · (p − 1)` rows of 8-byte words) fit a `u64`.
     ///
     /// # Errors
     ///
@@ -568,6 +549,21 @@ impl SorKernel {
         if self.n == 0 {
             return Err(SimError::Protocol {
                 detail: "SOR halo row must be non-empty".into(),
+                at: 0,
+            });
+        }
+        let p = topo.len() as u64;
+        if self
+            .n
+            .checked_mul(8 * p)
+            .and_then(|b| b.checked_mul(p - 1))
+            .is_none()
+        {
+            return Err(SimError::Protocol {
+                detail: format!(
+                    "SOR halo row of {} words on {p} nodes overflows a 64-bit byte count",
+                    self.n
+                ),
                 at: 0,
             });
         }
@@ -623,21 +619,6 @@ impl SorKernel {
         self.measure_at(machine, method, congestion)
     }
 
-    /// One halo-row exchange. Halo rows are contiguous: a hand-written
-    /// buffer-packing SOR does not copy them, which is why the paper's
-    /// Table 6 shows chained and buffer packing nearly equal for SOR.
-    fn round(&self, method: CommMethod, congestion: f64) -> Round {
-        Round {
-            kernel: "SOR",
-            x: AccessPattern::Contiguous,
-            y: AccessPattern::Contiguous,
-            method,
-            words: self.n,
-            congestion,
-            elide_contiguous_copies: true,
-        }
-    }
-
     /// Measures at an explicit congestion factor (the event engine
     /// substitutes its simulated factor here).
     ///
@@ -650,17 +631,24 @@ impl SorKernel {
         method: CommMethod,
         congestion: f64,
     ) -> SimResult<KernelMeasurement> {
-        let (round, first) = self.round(method, congestion).measure(machine)?;
+        // One halo-row exchange. Halo rows are contiguous: a hand-written
+        // buffer-packing SOR does not copy them, which is why the paper's
+        // Table 6 shows chained and buffer packing nearly equal for SOR.
+        let (round, first) = Round {
+            kernel: "SOR",
+            x: AccessPattern::Contiguous,
+            y: AccessPattern::Contiguous,
+            method,
+            words: self.n,
+            congestion,
+            elide_contiguous_copies: true,
+        }
+        .measure(machine)?;
         let iteration = 2 * round + method.sync_cycles(machine);
         Ok(KernelMeasurement {
             per_node: machine.clock().throughput(self.n * 8, iteration),
             ..first
         })
-    }
-
-    /// The memo points [`measure_at`](Self::measure_at) looks up.
-    pub fn points_at(&self, method: CommMethod, congestion: f64) -> Vec<Point> {
-        self.round(method, congestion).points()
     }
 
     /// The model's chained estimate (`1Q'1`), which ignores the per-message
@@ -745,6 +733,61 @@ mod tests {
         assert!(matches!(
             sor.congestion_on(&lone, 1),
             Err(SimError::Protocol { .. })
+        ));
+        // Matrix sizes past the 32-bit stride range: n = 2^61 on 4 nodes,
+        // whose patch also overflows, and n = 2^32 + 1024 on 64 nodes,
+        // whose schedule's link loads also overflow.
+        let quad = Topology::torus(&[2, 2]);
+        let cube = Topology::torus(&[4, 4, 4]);
+        for (n, topo) in [(1 << 61, &quad), (4_294_968_320, &cube)] {
+            let k = TransposeKernel {
+                n,
+                words_per_element: 2,
+            };
+            let p = topo.len() as u64;
+            assert!(matches!(
+                k.try_patch_words(p),
+                Err(SimError::Protocol { .. })
+            ));
+            assert!(matches!(k.rounds(topo), Err(SimError::Protocol { .. })));
+            assert!(matches!(
+                k.congestion_on(topo, 2),
+                Err(SimError::Protocol { .. })
+            ));
+            assert!(matches!(
+                k.measure_at(&t3d, CommMethod::Chained, p, 1.0),
+                Err(SimError::Protocol { .. })
+            ));
+        }
+        // A halo row whose bytes overflow.
+        let long = SorKernel { n: 1 << 61 };
+        assert!(matches!(long.rounds(&quad), Err(SimError::Protocol { .. })));
+        // A 32-bit stride whose schedule's bytes overflow (2^61-word
+        // patches), and a patch that overflows on its own.
+        let wide = TransposeKernel {
+            n: 1 << 31,
+            words_per_element: 2,
+        };
+        assert!(matches!(
+            wide.try_patch_words(2),
+            Err(SimError::Protocol { .. })
+        ));
+        let heavy = TransposeKernel {
+            n: 1024,
+            words_per_element: 1 << 60,
+        };
+        assert!(matches!(
+            heavy.try_patch_words(64),
+            Err(SimError::Protocol { .. })
+        ));
+        // The model prices a stride past the 32-bit range as the widest.
+        assert!(matches!(
+            TransposeKernel {
+                n: 1 << 61,
+                words_per_element: 2
+            }
+            .model_chained(&RateTable::default()),
+            Err(ModelError::MissingRate(_))
         ));
     }
 

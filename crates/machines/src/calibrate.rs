@@ -5,7 +5,6 @@ use memcomm_memsim::SimResult;
 use memcomm_model::{BasicTransfer, RateTable, Throughput};
 
 use crate::machine::Machine;
-use crate::memo::Point;
 use crate::microbench;
 use crate::reference;
 
@@ -43,8 +42,8 @@ pub fn reference_rates(machine: &Machine) -> RateTable {
 /// Measures the machine and joins against the paper's tables on the
 /// transfers the paper reports. Every transfer is looked up, one after
 /// another in table order, through the installed memo cache (see
-/// [`crate::memo`]); a sweep simulates them beforehand in its one fan-out
-/// (see [`calibration_points`]), so there they are lookups.
+/// [`crate::memo`]); a sweep simulates them beforehand in its one fan-out,
+/// so there they are lookups.
 ///
 /// # Errors
 ///
@@ -73,14 +72,6 @@ pub fn calibration_report(machine: &Machine, words: u64) -> SimResult<Vec<Calibr
         }
     }
     Ok(out)
-}
-
-/// The memo points [`calibration_report`] looks up, in its order.
-pub fn calibration_points(machine: &Machine, words: u64) -> Vec<Point> {
-    reference_rates(machine)
-        .iter()
-        .map(|(transfer, _)| microbench::basic_point(transfer, words))
-        .collect()
 }
 
 /// Geometric-mean absolute log-ratio of a report: 0.0 means every simulated

@@ -18,14 +18,15 @@
 //! with one variant per kind, holding as plain data every input that
 //! determines the result. Callers build a point by destructuring their
 //! configuration without `..`, so a field added later does not compile
-//! until the key covers it. Because a point is plain data, a caller can
-//! name every point it will look up before it simulates any: the sweep
-//! plans its sections' points this way and simulates the distinct ones
-//! through `commops::measure_point`. Two entry points stay uncached:
-//! `commops::run_resilient_transfer`, whose fault counters and protocol
-//! histograms land in the run's metrics registry and would be lost on a
-//! hit, and `commops::run_exchange_specs`, whose explicit offset lists
-//! would have to be keyed in full.
+//! until the key covers it. Because a point is plain data, a run's lookups
+//! can be collected before anything simulates: [`record`] runs a closure
+//! with every lookup recorded instead of answered. The sweep records each
+//! section's own fill this way and simulates the distinct points through
+//! `commops::measure_point` before it renders. Two entry points stay
+//! uncached: `commops::run_resilient_transfer`, whose fault counters and
+//! protocol histograms land in the run's metrics registry and would be
+//! lost on a hit, and `commops::run_exchange_specs`, whose explicit offset
+//! lists would have to be keyed in full.
 //!
 //! ## The handle model
 //!
@@ -69,9 +70,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, Once};
 
-use memcomm_memsim::stats::ExchangeResult;
+use memcomm_memsim::stats::{ExchangeResult, PhaseTimeline};
 use memcomm_memsim::{Cycle, Measurement, SimResult};
 use memcomm_model::{AccessPattern, BasicTransfer, Throughput};
 
@@ -484,6 +486,8 @@ impl MemoCache {
 
 thread_local! {
     static CURRENT: RefCell<Option<MemoHandle>> = const { RefCell::new(None) };
+    /// The lookups [`record`] is collecting on this thread, if it is.
+    static RECORDING: RefCell<Option<Vec<(Machine, Point)>>> = const { RefCell::new(None) };
 }
 
 /// The handle installed on the current thread, if any.
@@ -554,11 +558,23 @@ pub fn reset() {
 /// (transfers the machine does not offer) — re-deciding that a T3D has no
 /// DMA, or that a point fails deterministically, costs a lookup, not a
 /// simulation.
+///
+/// Under [`record`] on this thread it records the lookup instead and
+/// returns a stand-in of the point's kind.
 pub fn cached<T: PointValue>(
     machine: &Machine,
     point: Point,
     simulate: impl FnOnce() -> SimResult<T>,
 ) -> SimResult<T> {
+    let recorded = RECORDING.with(|r| {
+        r.borrow_mut()
+            .as_mut()
+            .map(|points| points.push((machine.clone(), point)))
+            .is_some()
+    });
+    if recorded {
+        return Ok(T::from_value(stand_in(point)));
+    }
     match current() {
         Some(cache) => cache
             .get_or_insert((machine_fingerprint(machine), point), || {
@@ -566,6 +582,48 @@ pub fn cached<T: PointValue>(
             })
             .map(T::from_value),
         None => simulate(),
+    }
+}
+
+/// Runs `f` and returns every memo lookup it made on this thread, in
+/// order, each with its machine, without answering any: while `f` runs,
+/// [`cached`] on this thread records its `(machine, point)` and returns a
+/// stand-in of the point's kind, so nothing simulates and neither the
+/// cache nor any counter is touched. The sweep derives its work list this
+/// way, by recording each section's own fill.
+///
+/// The record names the points a real run of `f` looks up only while no
+/// lookup depends on a value looked up before it: which points `f` looks
+/// up, and in what order, must follow from its inputs alone, never from a
+/// measured result (a stand-in is no measurement). Every experiment keeps
+/// to that, and a run that broke it would look up a point nobody recorded.
+///
+/// Recordings nest: an inner call collects its own lookups and restores
+/// the outer recording. A panic in `f` is caught; the lookups made before
+/// it are returned. Lookups on other threads are not recorded.
+pub fn record<R>(f: impl FnOnce() -> R) -> Vec<(Machine, Point)> {
+    let outer = RECORDING.with(|r| r.replace(Some(Vec::new())));
+    let _ = std::panic::catch_unwind(AssertUnwindSafe(f));
+    RECORDING
+        .with(|r| r.replace(outer))
+        .expect("the recording started above")
+}
+
+/// What [`cached`] answers while recording: a plausible result of the
+/// point's kind, built without simulating (and so without counting).
+fn stand_in(point: Point) -> Value {
+    match point {
+        Point::Basic { words, .. } => Value::Basic(Some(Measurement {
+            words,
+            cycles: words.max(1),
+        })),
+        Point::Exchange { cfg, .. } | Point::Get { cfg, .. } => Value::Exchange(ExchangeResult {
+            words: cfg.words,
+            end_cycle: cfg.words.max(1),
+            verified: true,
+            phases: PhaseTimeline::default(),
+        }),
+        Point::Message { .. } => Value::Message(Throughput::from_mbps(1.0)),
     }
 }
 
@@ -674,6 +732,38 @@ mod tests {
         }
         assert_eq!(runs, 3, "no handle means no caching");
         assert_eq!(stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn record_collects_lookups_without_answering_them() {
+        let cache = MemoCache::unbounded();
+        let _g = install(&cache);
+        let m = Machine::t3d();
+        let simulated = std::cell::Cell::new(0);
+        let lookup = |point| {
+            cached(&m, point, || {
+                simulated.set(simulated.get() + 1);
+                Ok(None::<Measurement>)
+            })
+        };
+        let (mut inner, mut answer) = (Vec::new(), None);
+        let outer = record(|| {
+            inner = record(|| lookup(basic("1C1", 8)));
+            answer = Some(lookup(basic("1C64", 8)));
+            panic!("a panic ends the recording");
+        });
+        let points = |r: &[(Machine, Point)]| r.iter().map(|&(_, p)| p).collect::<Vec<_>>();
+        assert_eq!(points(&inner), [basic("1C1", 8)]);
+        assert_eq!(points(&outer), [basic("1C64", 8)], "nested and cut short");
+        let stand_in = Measurement {
+            words: 8,
+            cycles: 8,
+        };
+        assert_eq!(answer, Some(Ok(Some(stand_in))));
+        assert_eq!(simulated.get(), 0, "nothing simulates while recording");
+        assert_eq!(stats(), CacheStats::default(), "nor touches the cache");
+        assert_eq!(lookup(basic("1C1", 8)), Ok(None));
+        assert_eq!(simulated.get(), 1, "a lookup after the recording simulates");
     }
 
     #[test]

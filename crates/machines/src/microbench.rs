@@ -279,7 +279,7 @@ pub fn standard_transfers() -> Vec<BasicTransfer> {
 ///
 /// Every transfer is looked up, one after another in table order, through
 /// the installed memo cache; a sweep simulates them beforehand in its one
-/// fan-out (see [`table_points`]), so there they are lookups.
+/// fan-out, so there they are lookups.
 ///
 /// # Errors
 ///
@@ -300,14 +300,6 @@ pub fn measure_table(machine: &Machine, words: u64) -> SimResult<RateTable> {
     Ok(table)
 }
 
-/// The memo points [`measure_table`] looks up, in its order.
-pub fn table_points(words: u64) -> Vec<Point> {
-    standard_transfers()
-        .into_iter()
-        .map(|t| basic_point(t, words))
-        .collect()
-}
-
 /// Which side of a copy is strided in a stride sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrideSide {
@@ -315,21 +307,6 @@ pub enum StrideSide {
     Loads,
     /// `1Cs`: contiguous loads, strided stores.
     Stores,
-}
-
-impl StrideSide {
-    /// The local copy a stride sweep measures at stride `n` on this side.
-    ///
-    /// # Panics
-    ///
-    /// Panics for `n == 0`.
-    pub fn transfer(self, n: u32) -> BasicTransfer {
-        let s = AccessPattern::strided(n).expect("sweep strides are >= 1");
-        match self {
-            StrideSide::Loads => BasicTransfer::copy(s, AccessPattern::Contiguous),
-            StrideSide::Stores => BasicTransfer::copy(AccessPattern::Contiguous, s),
-        }
-    }
 }
 
 /// Sweeps local-copy throughput over strides — the data for Figure 4.
@@ -348,12 +325,16 @@ pub fn stride_sweep(
     let rates: Vec<_> = strides
         .iter()
         .map(|&n| {
-            let rate = measure_rate(machine, side.transfer(n), words)?.ok_or(
-                memcomm_memsim::SimError::Protocol {
+            let s = AccessPattern::strided(n).expect("sweep strides are >= 1");
+            let t = match side {
+                StrideSide::Loads => BasicTransfer::copy(s, AccessPattern::Contiguous),
+                StrideSide::Stores => BasicTransfer::copy(AccessPattern::Contiguous, s),
+            };
+            let rate =
+                measure_rate(machine, t, words)?.ok_or(memcomm_memsim::SimError::Protocol {
                     detail: "local copies always run".to_string(),
                     at: 0,
-                },
-            )?;
+                })?;
             Ok((n, rate))
         })
         .collect();

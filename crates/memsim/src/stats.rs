@@ -1,13 +1,7 @@
-//! Measurement results and process-wide simulation counters.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Measurement results and the per-run simulation and fault counters.
 
 use crate::clock::{Clock, Cycle};
 use memcomm_model::Throughput;
-
-static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-static SIM_WORDS: AtomicU64 = AtomicU64::new(0);
-static MEASUREMENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Canonical names of the per-run fault counters in the `memcomm-obs`
 /// metrics registry. Injection sites (`netsim::Link::step`, the NIC FIFO
@@ -69,26 +63,33 @@ impl FaultCounters {
     }
 }
 
-/// A snapshot of the process-wide simulation counters: every
-/// [`Measurement`] ever constructed adds to them, so a sweep engine can
-/// report how much simulated machine time a run covered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimCounters {
-    /// Total simulated cycles across all measurements.
-    pub cycles: u64,
-    /// Total payload words across all measurements.
-    pub words: u64,
-    /// Number of measurements constructed.
-    pub measurements: u64,
+/// The registry names [`count_simulation`] counts under.
+const SIM_METRICS: [&str; 3] = ["sim.cycles", "sim.words", "sim.measurements"];
+
+/// Counts one simulation of `words` payload words in `cycles` into the
+/// installed run's registry (a no-op with none installed). A simulation
+/// counts once, where its result is built ([`Measurement::new`], or the
+/// communication layer's co-simulated exchange, get or message); reading a
+/// result back counts nothing.
+pub fn count_simulation(words: u64, cycles: Cycle) {
+    let obs = memcomm_obs::Obs::current();
+    for (name, delta) in SIM_METRICS.into_iter().zip([cycles, words, 1]) {
+        obs.count(name, delta);
+    }
 }
 
-/// Reads the current counters.
-pub fn counters() -> SimCounters {
-    SimCounters {
-        cycles: SIM_CYCLES.load(Ordering::Relaxed),
-        words: SIM_WORDS.load(Ordering::Relaxed),
-        measurements: MEASUREMENTS.load(Ordering::Relaxed),
-    }
+/// A snapshot of one run's simulation counters, so a sweep engine can
+/// report how much simulated machine time a run covered. Like
+/// [`FaultCounters`], it is read from the run's own registry, so
+/// concurrent runs never count each other's work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimCounters {
+    /// Total simulated cycles across all simulations.
+    pub cycles: u64,
+    /// Total payload words across all simulations.
+    pub words: u64,
+    /// Number of simulations run.
+    pub measurements: u64,
 }
 
 impl SimCounters {
@@ -98,6 +99,17 @@ impl SimCounters {
             cycles: self.cycles.wrapping_sub(earlier.cycles),
             words: self.words.wrapping_sub(earlier.words),
             measurements: self.measurements.wrapping_sub(earlier.measurements),
+        }
+    }
+
+    /// Reads one run's simulation counters out of its `memcomm-obs`
+    /// registry (all zeros for a disabled handle).
+    pub fn from_obs(obs: &memcomm_obs::Obs) -> SimCounters {
+        let [cycles, words, measurements] = SIM_METRICS.map(|name| obs.counter(name));
+        SimCounters {
+            cycles,
+            words,
+            measurements,
         }
     }
 }
@@ -118,18 +130,16 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Creates a measurement and records it in the process-wide
-    /// [`counters`].
+    /// Creates the measurement of a simulation that just ran, and counts
+    /// it once ([`count_simulation`]).
     pub fn new(words: u64, cycles: Cycle) -> Self {
-        SIM_CYCLES.fetch_add(cycles, Ordering::Relaxed);
-        SIM_WORDS.fetch_add(words, Ordering::Relaxed);
-        MEASUREMENTS.fetch_add(1, Ordering::Relaxed);
+        count_simulation(words, cycles);
         Measurement { words, cycles }
     }
 
-    /// Payload bytes moved.
+    /// Payload bytes moved (saturating: no node holds `u64::MAX` bytes).
     pub fn bytes(&self) -> u64 {
-        self.words * crate::mem::WORD_BYTES
+        self.words.saturating_mul(crate::mem::WORD_BYTES)
     }
 
     /// Average cycles per payload word.
@@ -210,9 +220,13 @@ impl ExchangeResult {
         self.measurement().throughput(clock)
     }
 
-    /// The raw measurement (words, cycles).
+    /// The raw measurement (words, cycles). Counts nothing: the exchange
+    /// counted once when it was simulated.
     pub fn measurement(&self) -> Measurement {
-        Measurement::new(self.words, self.end_cycle)
+        Measurement {
+            words: self.words,
+            cycles: self.end_cycle,
+        }
     }
 }
 

@@ -3,6 +3,13 @@
 //! cold sweep on a fresh cache misses exactly the distinct points it
 //! planned — each simulates once, in the one fan-out, and the render finds
 //! every lookup cached — and a warm rerun on that cache misses nothing.
+//! The plan's size is pinned per section, so a recording that gains a
+//! point fails as surely as one that misses one.
+//!
+//! A run's simulation counters count its own simulations, each once: a
+//! cold run counts the same at every worker count, and a warm rerun, which
+//! simulates nothing, counts nothing, while the other test here sweeps
+//! concurrently in the same process.
 //!
 //! A sweep's worker count is its own: `run_sweep` leaves the process-wide
 //! default as it found it, so one served request cannot change the width
@@ -13,6 +20,31 @@ use std::collections::BTreeSet;
 use memcomm_bench::runner::{run_sweep, SweepOptions, SECTIONS};
 use memcomm_machines::memo::{self, MemoCache};
 use memcomm_util::par;
+
+/// The distinct points each section looks up alone at [`small`] sizes, in
+/// [`SECTIONS`] order. Table 4's wire runs and the faults grid are no memo
+/// points.
+const PLANNED: [(&str, u64); 16] = [
+    ("calibration", 28),
+    ("figure1", 28),
+    ("table1", 10),
+    ("table2", 8),
+    ("table3", 12),
+    ("figure4", 52),
+    ("table4", 0),
+    ("figure7", 76),
+    ("figure8", 76),
+    ("table5", 8),
+    ("section341", 59),
+    ("table6", 68),
+    ("putget", 12),
+    ("scaling", 15),
+    ("accuracy", 152),
+    ("faults", 0),
+];
+
+/// The distinct points of the full default set at [`small`] sizes.
+const PLANNED_ALL: u64 = 247;
 
 fn small(jobs: usize, sections: BTreeSet<String>) -> SweepOptions {
     SweepOptions {
@@ -26,10 +58,11 @@ fn small(jobs: usize, sections: BTreeSet<String>) -> SweepOptions {
 
 #[test]
 fn a_cold_sweep_misses_exactly_its_planned_points() {
-    let alone = SECTIONS
+    assert_eq!(PLANNED.map(|(key, _)| key), SECTIONS);
+    let alone = PLANNED
         .iter()
-        .map(|&key| BTreeSet::from([key.to_string()]));
-    for sections in alone.chain([BTreeSet::new()]) {
+        .map(|&(key, planned)| (BTreeSet::from([key.to_string()]), planned));
+    for (sections, planned) in alone.chain([(BTreeSet::new(), PLANNED_ALL)]) {
         for jobs in [1, 2, 4, 8] {
             let what = format!("{sections:?} at jobs {jobs}");
             let opts = small(jobs, sections.clone());
@@ -42,6 +75,7 @@ fn a_cold_sweep_misses_exactly_its_planned_points() {
                 "{what}: {:?}",
                 cold_report.sections
             );
+            assert_eq!(cold.planned, planned, "{what}: the plan's size");
             assert_eq!(cold.cache.misses, cold.planned, "{what}: cold {cold:?}");
             assert_eq!(cold.cache.entries, cold.planned, "{what}: one entry each");
 
@@ -54,6 +88,38 @@ fn a_cold_sweep_misses_exactly_its_planned_points() {
                 "{what}: warm bytes"
             );
         }
+    }
+}
+
+#[test]
+fn a_run_counts_its_own_simulations_once() {
+    // Every default section whose runs are memo points: Table 4's wire runs
+    // and the faults grid simulate on every run, warm or cold.
+    let sections: BTreeSet<String> = SECTIONS
+        .iter()
+        .filter(|&&key| key != "table4" && key != "faults")
+        .map(|key| key.to_string())
+        .collect();
+    let mut first_cold = None;
+    for jobs in [1, 2, 4, 8] {
+        let opts = small(jobs, sections.clone());
+        let cache = MemoCache::unbounded();
+        let _memo = memo::install(&cache);
+
+        let (_, cold) = run_sweep(&opts);
+        assert!(
+            cold.sim.measurements > 0 && cold.sim.measurements <= cold.planned,
+            "jobs {jobs}: at most one simulation per planned point: {cold:?}"
+        );
+        assert_eq!(*first_cold.get_or_insert(cold.sim), cold.sim, "jobs {jobs}");
+
+        let (_, warm) = run_sweep(&opts);
+        assert_eq!(warm.cache.misses, 0, "jobs {jobs}");
+        assert_eq!(
+            (warm.sim.cycles, warm.sim.words, warm.sim.measurements),
+            (0, 0, 0),
+            "jobs {jobs}: a warm rerun simulates nothing"
+        );
     }
 }
 
