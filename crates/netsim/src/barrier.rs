@@ -12,7 +12,7 @@
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::nic::{NetWord, WordKind};
 
-use crate::link::LinkParams;
+use crate::link::{ceil_cycle, LinkParams};
 use crate::topology::Topology;
 
 /// Number of dissemination rounds for `p` participants.
@@ -39,7 +39,7 @@ pub fn barrier_cycles(
         data: 0,
         kind: WordKind::Data,
     };
-    let wire = link.word_cycles(&word).ceil() as Cycle;
+    let wire = ceil_cycle(link.word_cycles(&word));
     rounds * (software_cycles_per_round + wire + link.latency_cycles)
 }
 

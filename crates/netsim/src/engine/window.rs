@@ -11,17 +11,12 @@ use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::fault::{site, LinkFault};
 use memcomm_memsim::nic::TimedFifo;
 
+use crate::link::ceil_cycle;
+
 use super::build::{net_word, Net, BACKOFF, QUEUE, WIRE};
 use super::sched::{word_rank, Delivery, QEntry};
 use super::shard::{Shard, BUSY_ONE};
 use super::{EngineEvent, EventKind};
-
-/// `x.ceil() as Cycle` for `x ≥ 0` without the libm call the baseline x86-64
-/// target makes (as `x as Cycle` is `x.floor() as Cycle`): exact, saturating.
-fn ceil_cycle(x: f64) -> Cycle {
-    let t = x as Cycle;
-    t.saturating_add(u64::from((t as f64) < x))
-}
 
 impl Shard {
     /// Runs one window, leaving its output in `self.out` for the

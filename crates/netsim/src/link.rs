@@ -14,6 +14,14 @@ use memcomm_memsim::stats::Measurement;
 
 pub use memcomm_memsim::engines::Step;
 
+/// `x.ceil() as Cycle` without the libm call the baseline x86-64 target
+/// makes (`x as Cycle` is `x.floor() as Cycle` for `x >= 0`): exact, and
+/// saturating like the cast, so NaN and negatives give 0.
+pub(crate) fn ceil_cycle(x: f64) -> Cycle {
+    let t = x as Cycle;
+    t.saturating_add(u64::from((t as f64) < x))
+}
+
 /// Link configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
@@ -119,7 +127,7 @@ impl Link {
 
     /// The link's local time in cycles (rounded up).
     pub fn time(&self) -> Cycle {
-        self.clock.ceil() as Cycle
+        ceil_cycle(self.clock)
     }
 
     /// Words delivered so far.
@@ -200,7 +208,7 @@ impl Link {
             return;
         }
         let start = start as Cycle;
-        let end = self.clock.ceil() as Cycle;
+        let end = ceil_cycle(self.clock);
         match &mut self.busy {
             Some((_, until)) if start <= *until => *until = (*until).max(end),
             _ => {
@@ -265,6 +273,42 @@ mod tests {
             adp_extra_bytes: 8,
             latency_cycles: 20,
             congestion: 1.0,
+        }
+    }
+
+    #[test]
+    fn ceil_cycle_matches_the_libm_ceiling() {
+        let edges = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            0.5,
+            1.0,
+            (1u64 << 53) as f64 - 1.0,
+            (1u64 << 53) as f64,
+            (1u64 << 53) as f64 + 2.0,
+            (1u64 << 53) as f64 - 0.5,
+            u64::MAX as f64,
+            u64::MAX as f64 * 2.0,
+            f64::MAX,
+        ];
+        let mut rng = memcomm_util::rng::Rng::new(0xCE11);
+        let random = (0..100_000).map(|_| f64::from_bits(rng.next_u64()));
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(
+                ceil_cycle(x),
+                x.ceil() as Cycle,
+                "{x:e} ({:#x})",
+                x.to_bits()
+            );
         }
     }
 
