@@ -13,7 +13,7 @@ use memcomm_netsim::Link;
 
 pub use memcomm_memsim::stats::{ExchangeResult, PhaseTimeline};
 
-use crate::agenda::Agenda;
+use crate::drive::{drive, Agents};
 use crate::layout::{ExchangeLayout, WalkSpec};
 use crate::roles::{CpuDuties, DmaChunkQueue, PipelinedCpu};
 
@@ -165,15 +165,11 @@ struct Side {
     chunk_ready: Vec<Cycle>,
     expected_words: u64,
     layout: ExchangeLayout,
-    main_done: bool,
-    dma_done: bool,
-    deposit_done: bool,
-    cop_done: bool,
 }
 
 impl Side {
     fn step_main(&mut self) -> SimResult<Step> {
-        let s = match &mut self.main {
+        Ok(match &mut self.main {
             MainRole::Pipe(p) => p.step(
                 &mut self.cpu,
                 &mut self.node.path,
@@ -187,11 +183,7 @@ impl Side {
                 &self.node.mem,
                 &mut self.node.tx,
             )?,
-        };
-        if s == Step::Done {
-            self.main_done = true;
-        }
-        Ok(s)
+        })
     }
 
     fn step_dma(&mut self) -> Step {
@@ -199,7 +191,7 @@ impl Side {
             unreachable!("a DMA send queue always pairs with a gathering pipe");
         };
         let gathered = pipe.gathered();
-        let s = match &mut self.dma {
+        match &mut self.dma {
             Some(q) => q.step(
                 &mut self.node.path,
                 &self.node.mem,
@@ -208,11 +200,7 @@ impl Side {
                 &pipe.gather_done,
             ),
             None => Step::Done,
-        };
-        if s == Step::Done {
-            self.dma_done = true;
         }
-        s
     }
 
     fn step_deposit(&mut self) -> SimResult<Step> {
@@ -233,15 +221,12 @@ impl Side {
                 self.chunk_ready.push(d.t);
             }
         }
-        if s == Step::Done {
-            self.deposit_done = true;
-        }
         Ok(s)
     }
 
     fn step_cop(&mut self) -> SimResult<Step> {
         let chunk_ready = &self.chunk_ready;
-        let s = match &mut self.cop {
+        Ok(match &mut self.cop {
             Some(c) => match &mut c.duty {
                 CopDuty::Scatter(p) => p.step(
                     &mut c.cpu,
@@ -258,38 +243,17 @@ impl Side {
                 )?,
             },
             None => Step::Done,
-        };
-        if s == Step::Done {
-            self.cop_done = true;
-        }
-        Ok(s)
+        })
     }
 
-    fn agents_done(&self) -> bool {
-        self.main_done && self.dma_done && self.deposit_done && self.cop_done
-    }
-
-    fn end_time(&self) -> Cycle {
-        let mut t = self.cpu.t;
-        if let Some(q) = &self.dma {
-            t = t.max(q.t);
-        }
-        if let Some(d) = &self.deposit {
-            t = t.max(d.t);
-        }
-        if let Some(c) = &self.cop {
-            t = t.max(c.cpu.t);
-        }
-        t
-    }
-
+    /// Engine `agent`'s clock: 0 main, 1 DMA, 2 deposit, 3 co-processor;
+    /// `None` if this side has no such engine.
     fn time_of(&self, agent: usize) -> Option<Cycle> {
         match agent {
-            0 if !self.main_done => Some(self.cpu.t),
-            1 if !self.dma_done => Some(self.dma.as_ref().map_or(0, |q| q.t)),
-            2 if !self.deposit_done => Some(self.deposit.as_ref().map_or(0, |d| d.t)),
-            3 if !self.cop_done => Some(self.cop.as_ref().map_or(0, |c| c.cpu.t)),
-            _ => None,
+            0 => Some(self.cpu.t),
+            1 => self.dma.as_ref().map(|q| q.t),
+            2 => self.deposit.as_ref().map(|d| d.t),
+            _ => self.cop.as_ref().map(|c| c.cpu.t),
         }
     }
 
@@ -400,18 +364,57 @@ fn build_side(
         node,
         cpu,
         main,
-        dma_done: dma.is_none(),
         dma,
-        deposit_done: deposit.is_none(),
         deposit,
-        cop_done: cop.is_none(),
         cop,
         chunk_words,
         chunk_ready: Vec::new(),
         expected_words: recv_words,
         layout,
-        main_done: false,
     })
+}
+
+/// The exchange's agents: side A's main processor, DMA queue, deposit
+/// engine and co-processor, then side B's, then the links A→B and B→A.
+struct Exchange {
+    sides: [Side; 2],
+    links: [Link; 2],
+}
+
+impl Agents for Exchange {
+    const DRIVER: &'static str = "exchange driver";
+    const ENGINES: &'static [&'static str] = &[
+        "a.main",
+        "a.dma",
+        "a.deposit",
+        "a.cop",
+        "b.main",
+        "b.dma",
+        "b.deposit",
+        "b.cop",
+    ];
+    const LINKS: usize = 2;
+
+    fn present(&self, id: usize) -> bool {
+        self.sides[id / 4].time_of(id % 4).is_some()
+    }
+
+    fn time_of(&self, id: usize) -> Cycle {
+        match id {
+            0..=7 => self.sides[id / 4].time_of(id % 4).unwrap_or(0),
+            _ => self.links[id - 8].time(),
+        }
+    }
+
+    fn step(&mut self, id: usize) -> SimResult<Step> {
+        let [a, b] = &mut self.sides;
+        match id {
+            0..=3 => a.step_agent(id),
+            4..=7 => b.step_agent(id - 4),
+            8 => Ok(self.links[0].step(&mut a.node.tx, &mut b.node.rx)),
+            _ => Ok(self.links[1].step(&mut b.node.tx, &mut a.node.rx)),
+        }
+    }
 }
 
 /// Runs a symmetric `xQy` exchange between two nodes of `machine` in the
@@ -492,83 +495,35 @@ pub fn run_exchange_specs(
         }
     );
     let _point = obs.point_scope(&label);
-    let mut a = build_side(machine, x, y, style, cfg, 0, cfg.words, b_sends)?;
-    let mut b = build_side(machine, x, y, style, cfg, 1, b_sends, cfg.words)?;
-    let mut link_ab = Link::new(machine.link(congestion)).labeled("link.ab");
-    let mut link_ba = Link::new(machine.link(congestion)).labeled("link.ba");
+    let mut run = Exchange {
+        sides: [
+            build_side(machine, x, y, style, cfg, 0, cfg.words, b_sends)?,
+            build_side(machine, x, y, style, cfg, 1, b_sends, cfg.words)?,
+        ],
+        links: ["link.ab", "link.ba"]
+            .map(|track| Link::new(machine.link(congestion)).labeled(track)),
+    };
     // Generous step bound: each word crosses several engines; the watchdog
     // exists to convert a wedged co-simulation into an error, not to be the
     // binding constraint of a healthy run.
-    let mut watchdog =
+    let watchdog =
         Watchdog::new(256 * cfg.words.max(1) + 100_000).with_cycle_budget(cfg.max_cycles);
-
-    loop {
-        if a.agents_done() && b.agents_done() {
-            break;
-        }
-        // Candidates: (local time, agent id). 0-3 node A, 4-7 node B,
-        // 8/9 links.
-        let mut order = Agenda::<10>::new();
-        for k in 0..4 {
-            if let Some(t) = a.time_of(k) {
-                order.push(t, k);
-            }
-            if let Some(t) = b.time_of(k) {
-                order.push(t, 4 + k);
-            }
-        }
-        order.push(link_ab.time(), 8);
-        order.push(link_ba.time(), 9);
-
-        let now = a.end_time().max(b.end_time());
-        watchdog.tick("exchange driver", now)?;
-
-        let mut progressed = false;
-        for &(_, id) in order.sorted() {
-            let step = match id {
-                0..=3 => a.step_agent(id)?,
-                4..=7 => b.step_agent(id - 4)?,
-                8 => link_ab.step(&mut a.node.tx, &mut b.node.rx),
-                9 => link_ba.step(&mut b.node.tx, &mut a.node.rx),
-                _ => unreachable!(),
-            };
-            if matches!(step, Step::Progressed | Step::Done) {
-                progressed = true;
-                break;
-            }
-        }
-        if !(progressed || (a.agents_done() && b.agents_done())) {
-            return Err(SimError::Deadlock {
-                detail: format!(
-                    "exchange wedged: A {:?} B {:?}",
-                    (a.main_done, a.dma_done, a.deposit_done, a.cop_done),
-                    (b.main_done, b.dma_done, b.deposit_done, b.cop_done)
-                ),
-                at: a.end_time().max(b.end_time()),
-            });
-        }
-    }
-    if !(a.node.tx.is_empty()
-        && b.node.tx.is_empty()
-        && a.node.rx.is_empty()
-        && b.node.rx.is_empty())
+    let end_cycle = drive(&mut run, watchdog)?;
+    let [a, b] = &run.sides;
+    if [a, b]
+        .iter()
+        .any(|s| !(s.node.tx.is_empty() && s.node.rx.is_empty()))
     {
         return Err(SimError::Deadlock {
             detail: "words left in flight after all agents finished".to_string(),
-            at: a.end_time().max(b.end_time()),
+            at: end_cycle,
         });
     }
-
-    let end_cycle = a
-        .end_time()
-        .max(b.end_time())
-        .max(link_ab.time())
-        .max(link_ba.time());
     let verified = b.layout.verify_received(&b.node, 0)
         && (!cfg.full_duplex || a.layout.verify_received(&a.node, 1));
-    let phases = phase_timeline(&a, &b, &link_ab);
+    let phases = phase_timeline(a, b, &run.links[0]);
     if obs.tracing() {
-        emit_trace(&obs, &label, &a, &b, &phases, end_cycle);
+        emit_trace(&obs, &label, a, b, &phases, end_cycle);
     }
     stats::count_simulation(cfg.words, end_cycle);
     Ok(ExchangeResult {

@@ -43,9 +43,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod agenda;
 pub mod collectives;
 pub mod datatype;
+mod drive;
 pub mod exchange;
 pub mod get;
 pub mod layout;

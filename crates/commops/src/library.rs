@@ -10,13 +10,13 @@
 use memcomm_machines::memo::{self, Point};
 use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
-use memcomm_memsim::engines::{CpuSender, DepositEngine, DepositMode, LocalCopier, Step};
+use memcomm_memsim::engines::{Cpu, CpuSender, DepositEngine, DepositMode, LocalCopier, Step};
 use memcomm_memsim::node::Watchdog;
 use memcomm_memsim::{stats, Node, SimError, SimResult};
 use memcomm_model::{AccessPattern, Throughput};
 use memcomm_netsim::Link;
 
-use crate::agenda::Agenda;
+use crate::drive::{drive, Agents};
 
 /// A message-passing library's cost profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,6 +49,42 @@ impl LibraryProfile {
             name: "low-level",
             per_message_cycles: (2.0e-6 * machine.clock().hz()) as Cycle,
             system_buffering: false,
+        }
+    }
+}
+
+/// A message's agents: A's sending processor, B's deposit engine, and the
+/// link between them.
+struct Message {
+    a: Node,
+    b: Node,
+    cpu_a: Cpu,
+    sender: CpuSender,
+    deposit: DepositEngine,
+    link: Link,
+}
+
+impl Agents for Message {
+    const DRIVER: &'static str = "message driver";
+    const ENGINES: &'static [&'static str] = &["sender", "deposit"];
+    const LINKS: usize = 1;
+
+    fn time_of(&self, id: usize) -> Cycle {
+        match id {
+            0 => self.cpu_a.t,
+            1 => self.deposit.t,
+            _ => self.link.time(),
+        }
+    }
+
+    fn step(&mut self, id: usize) -> SimResult<Step> {
+        let Message { a, b, .. } = self;
+        match id {
+            0 => self
+                .sender
+                .step(&mut self.cpu_a, &mut a.path, &a.mem, &mut a.tx),
+            1 => self.deposit.step(&mut b.path, &mut b.mem, &mut b.rx),
+            _ => Ok(self.link.step(&mut a.tx, &mut b.rx)),
         }
     }
 }
@@ -123,56 +159,16 @@ fn simulate_message(
     };
 
     // Figure 1 measures a single communicating pair: congestion 1.
-    let mut link = Link::new(machine.link(1.0));
-    let mut sender = CpuSender::new(send_walk, None);
-    let mut deposit = DepositEngine::new(
-        machine.node.deposit,
-        DepositMode::Stream(recv_walk.clone()),
-        words,
-    );
-    let mut sender_done = false;
-    let mut deposit_done = false;
-    let mut watchdog = Watchdog::new(64 * words + 100_000);
-    while !(sender_done && deposit_done) {
-        watchdog.tick("message driver", cpu_a.t.max(deposit.t))?;
-        let mut order = Agenda::<3>::new();
-        order.push(link.time(), 2);
-        if !sender_done {
-            order.push(cpu_a.t, 0);
-        }
-        if !deposit_done {
-            order.push(deposit.t, 1);
-        }
-        let mut progressed = false;
-        for &(_, id) in order.sorted() {
-            let s = match id {
-                0 => {
-                    let s = sender.step(&mut cpu_a, &mut a.path, &a.mem, &mut a.tx)?;
-                    sender_done |= s == Step::Done;
-                    s
-                }
-                1 => {
-                    let s = deposit.step(&mut b.path, &mut b.mem, &mut b.rx)?;
-                    deposit_done |= s == Step::Done;
-                    s
-                }
-                2 => link.step(&mut a.tx, &mut b.rx),
-                _ => unreachable!(),
-            };
-            if matches!(s, Step::Progressed | Step::Done) {
-                progressed = true;
-                break;
-            }
-        }
-        if !(progressed || (sender_done && deposit_done)) {
-            return Err(SimError::Deadlock {
-                detail: "message transfer wedged".to_string(),
-                at: cpu_a.t.max(deposit.t),
-            });
-        }
-    }
-
-    let mut end = deposit.t.max(cpu_a.t).max(link.time());
+    let mut run = Message {
+        sender: CpuSender::new(send_walk, None),
+        deposit: DepositEngine::new(machine.node.deposit, DepositMode::Stream(recv_walk), words),
+        link: Link::new(machine.link(1.0)),
+        a,
+        b,
+        cpu_a,
+    };
+    let mut end = drive(&mut run, Watchdog::new(64 * words + 100_000))?;
+    let Message { a, mut b, .. } = run;
     if profile.system_buffering {
         let mut cpu_b = b.cpu();
         cpu_b.t = end + profile.per_message_cycles;

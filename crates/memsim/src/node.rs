@@ -225,7 +225,19 @@ impl Watchdog {
     /// [`SimError::CycleBudget`] when the cycle budget is exceeded,
     /// [`SimError::Wedged`] when the step bound elapses.
     pub fn tick(&mut self, engine: &'static str, at: Cycle) -> SimResult<()> {
+        self.tick_with(engine, || at)
+    }
+
+    /// Like [`tick`](Watchdog::tick), but reads the local time from `at`
+    /// only when a check needs it: on every call under a cycle budget,
+    /// otherwise only once the step bound has elapsed.
+    ///
+    /// # Errors
+    ///
+    /// As [`tick`](Watchdog::tick).
+    pub fn tick_with(&mut self, engine: &'static str, at: impl Fn() -> Cycle) -> SimResult<()> {
         if let Some(budget) = self.max_cycles {
+            let at = at();
             if at > budget {
                 return Err(SimError::CycleBudget { budget, at });
             }
@@ -234,7 +246,7 @@ impl Watchdog {
         if self.steps > self.max_steps {
             return Err(SimError::Wedged {
                 engine,
-                at,
+                at: at(),
                 steps: self.steps,
             });
         }
