@@ -489,7 +489,9 @@ pub struct RunMetrics {
     pub render_ms: f64,
     /// Measurement-cache counters for this run (hits, misses, entries).
     pub cache: CacheStats,
-    /// Simulated-machine counters for this run (cycles, words, count).
+    /// Simulation counters for this run: cycles, words, count, and the
+    /// co-simulation driver's moves and blocked step calls. They count
+    /// only the simulations that ran, so a memo hit adds nothing.
     pub sim: SimCounters,
     /// Fault-machinery counters for this run (injected, retried, degraded,
     /// dropped).
@@ -518,6 +520,8 @@ impl RunMetrics {
             ("sim_cycles", self.sim.cycles.into()),
             ("sim_words", self.sim.words.into()),
             ("measurements", self.sim.measurements.into()),
+            ("drive_steps", self.sim.drive_steps.into()),
+            ("drive_blocked", self.sim.drive_blocked.into()),
             ("faults_injected", self.faults.injected.into()),
             ("faults_retried", self.faults.retried.into()),
             ("faults_degraded", self.faults.degraded.into()),
@@ -557,7 +561,7 @@ impl RunMetrics {
     /// One-line human summary (cache behaviour + wall time).
     pub fn summary(&self) -> String {
         format!(
-            "{} points in {:.0} ms on {} worker(s) ({} planned points simulated in {:.0} ms, rendered in {:.0} ms); cache: {} hits / {} misses ({:.0}% hit rate, {} entries); simulated {} cycles over {} measurements; faults: {} injected / {} retried / {} degraded / {} dropped",
+            "{} points in {:.0} ms on {} worker(s) ({} planned points simulated in {:.0} ms, rendered in {:.0} ms); cache: {} hits / {} misses ({:.0}% hit rate, {} entries); simulated {} cycles over {} measurements ({} driver steps, {} blocked); faults: {} injected / {} retried / {} degraded / {} dropped",
             self.points,
             self.wall_ms,
             self.jobs,
@@ -570,6 +574,8 @@ impl RunMetrics {
             self.cache.entries,
             self.sim.cycles,
             self.sim.measurements,
+            self.sim.drive_steps,
+            self.sim.drive_blocked,
             self.faults.injected,
             self.faults.retried,
             self.faults.degraded,
@@ -956,7 +962,14 @@ mod tests {
     fn metrics_render_without_wall_time_in_report() {
         let (report, metrics) = run_sweep(&small_opts(1));
         assert!(!report.to_json().render().contains("wall_ms"));
-        for key in ["wall_ms", "planned", "simulate_ms", "render_ms"] {
+        for key in [
+            "wall_ms",
+            "planned",
+            "simulate_ms",
+            "render_ms",
+            "drive_steps",
+            "drive_blocked",
+        ] {
             assert!(metrics.to_json().render().contains(key), "{key}");
         }
         assert!(metrics.summary().contains("hit rate"));

@@ -65,6 +65,8 @@ impl FaultCounters {
 
 /// The registry names [`count_simulation`] counts under.
 const SIM_METRICS: [&str; 3] = ["sim.cycles", "sim.words", "sim.measurements"];
+/// The registry names [`count_drive`] counts under.
+const DRIVE_METRICS: [&str; 2] = ["sim.drive_steps", "sim.drive_blocked"];
 
 /// Counts one simulation of `words` payload words in `cycles` into the
 /// installed run's registry (a no-op with none installed). A simulation
@@ -74,6 +76,17 @@ const SIM_METRICS: [&str; 3] = ["sim.cycles", "sim.words", "sim.measurements"];
 pub fn count_simulation(words: u64, cycles: Cycle) {
     let obs = memcomm_obs::Obs::current();
     for (name, delta) in SIM_METRICS.into_iter().zip([cycles, words, 1]) {
+        obs.count(name, delta);
+    }
+}
+
+/// Counts one run of the two-node co-simulation driver into the installed
+/// run's registry (a no-op with none installed): its `steps` (moves) and
+/// its step calls that returned `Blocked`. Like [`count_simulation`], a
+/// run counts once, when it ends; reading a memoized result counts nothing.
+pub fn count_drive(steps: u64, blocked: u64) {
+    let obs = memcomm_obs::Obs::current();
+    for (name, delta) in DRIVE_METRICS.into_iter().zip([steps, blocked]) {
         obs.count(name, delta);
     }
 }
@@ -90,6 +103,10 @@ pub struct SimCounters {
     pub words: u64,
     /// Number of simulations run.
     pub measurements: u64,
+    /// Moves the co-simulation driver made, across its runs.
+    pub drive_steps: u64,
+    /// The driver's step calls that returned `Blocked`, across its runs.
+    pub drive_blocked: u64,
 }
 
 impl SimCounters {
@@ -99,6 +116,8 @@ impl SimCounters {
             cycles: self.cycles.wrapping_sub(earlier.cycles),
             words: self.words.wrapping_sub(earlier.words),
             measurements: self.measurements.wrapping_sub(earlier.measurements),
+            drive_steps: self.drive_steps.wrapping_sub(earlier.drive_steps),
+            drive_blocked: self.drive_blocked.wrapping_sub(earlier.drive_blocked),
         }
     }
 
@@ -106,10 +125,13 @@ impl SimCounters {
     /// registry (all zeros for a disabled handle).
     pub fn from_obs(obs: &memcomm_obs::Obs) -> SimCounters {
         let [cycles, words, measurements] = SIM_METRICS.map(|name| obs.counter(name));
+        let [drive_steps, drive_blocked] = DRIVE_METRICS.map(|name| obs.counter(name));
         SimCounters {
             cycles,
             words,
             measurements,
+            drive_steps,
+            drive_blocked,
         }
     }
 }

@@ -115,9 +115,16 @@ fn a_run_counts_its_own_simulations_once() {
 
         let (_, warm) = run_sweep(&opts);
         assert_eq!(warm.cache.misses, 0, "jobs {jobs}");
+        let s = warm.sim;
         assert_eq!(
-            (warm.sim.cycles, warm.sim.words, warm.sim.measurements),
-            (0, 0, 0),
+            (
+                s.cycles,
+                s.words,
+                s.measurements,
+                s.drive_steps,
+                s.drive_blocked
+            ),
+            (0, 0, 0, 0, 0),
             "jobs {jobs}: a warm rerun simulates nothing"
         );
     }
