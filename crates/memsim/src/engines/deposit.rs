@@ -46,7 +46,9 @@ pub struct DepositEngine {
     expected: u64,
     received: u64,
     burst_base: u64,
-    burst: Vec<u64>,
+    /// Words of the open burst: already in memory, their store not yet
+    /// charged to the memory path.
+    burst_len: u32,
 }
 
 impl DepositEngine {
@@ -75,28 +77,28 @@ impl DepositEngine {
             expected,
             received: 0,
             burst_base: 0,
-            burst: Vec::new(),
+            burst_len: 0,
         }
     }
 
-    /// Words deposited (including any still coalescing).
+    /// Words deposited, including any whose burst is still coalescing:
+    /// each is in memory from the step that accepted it.
     pub fn received(&self) -> u64 {
         self.received
     }
 
-    fn flush(&mut self, path: &mut MemPath, mem: &mut Memory) {
-        if self.burst.is_empty() {
+    /// Charges the open burst's store to the memory path.
+    fn flush(&mut self, path: &mut MemPath) {
+        if self.burst_len == 0 {
             return;
         }
-        self.t = path.engine_write(
-            self.t,
-            Port::Deposit,
-            self.burst_base,
-            self.burst.len() as u32,
-        );
-        for (k, v) in self.burst.drain(..).enumerate() {
-            mem.write(self.burst_base + k as u64 * WORD_BYTES, v);
-        }
+        self.t = path.engine_write(self.t, Port::Deposit, self.burst_base, self.burst_len);
+        self.burst_len = 0;
+    }
+
+    /// The address the open burst would store its next word at.
+    fn burst_end(&self) -> u64 {
+        self.burst_base + u64::from(self.burst_len) * WORD_BYTES
     }
 
     /// Advances by one word (or a final burst flush).
@@ -115,10 +117,10 @@ impl DepositEngine {
         rx: &mut TimedFifo,
     ) -> SimResult<Step> {
         if self.received == self.expected {
-            if self.burst.is_empty() {
+            if self.burst_len == 0 {
                 return Ok(Step::Done);
             }
-            self.flush(path, mem);
+            self.flush(path);
             return Ok(Step::Progressed);
         }
         let Some((at, word)) = rx.pop(self.t) else {
@@ -135,26 +137,24 @@ impl DepositEngine {
             }
             (DepositMode::Stream(w), _) => w.addr(self.received),
         };
-        if self.params.contiguous_only
-            && !self.burst.is_empty()
-            && addr != self.burst_base + self.burst.len() as u64 * WORD_BYTES
-        {
+        if self.params.contiguous_only && self.burst_len > 0 && addr != self.burst_end() {
             return Err(SimError::Protocol {
                 detail: "contiguous-only deposit engine saw a non-contiguous address".to_string(),
                 at: self.t,
             });
         }
-        let continues = !self.burst.is_empty()
-            && addr == self.burst_base + self.burst.len() as u64 * WORD_BYTES
-            && (self.burst.len() as u32) < self.params.coalesce_words;
+        let continues = self.burst_len > 0
+            && addr == self.burst_end()
+            && self.burst_len < self.params.coalesce_words;
         if !continues {
-            self.flush(path, mem);
+            self.flush(path);
             self.burst_base = addr;
         }
-        self.burst.push(word.data);
+        mem.write(addr, word.data);
+        self.burst_len += 1;
         self.received += 1;
-        if self.burst.len() as u32 == self.params.coalesce_words {
-            self.flush(path, mem);
+        if self.burst_len == self.params.coalesce_words {
+            self.flush(path);
         }
         Ok(Step::Progressed)
     }
