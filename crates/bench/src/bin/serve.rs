@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve [--addr HOST:PORT] [--workers N]
-//!       [--cache-capacity N] [--cache-shards N] [--max-frame BYTES]
+//!       [--cache-capacity N] [--max-frame BYTES]
 //! ```
 //!
 //! Binds, prints one `listening on ADDR (workers=N)` line to stdout (the
@@ -17,7 +17,7 @@ fn usage_error(msg: &str) -> ! {
     eprintln!("serve: {msg}");
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--cache-capacity N] \
-         [--cache-shards N] [--max-frame BYTES]"
+         [--max-frame BYTES]"
     );
     std::process::exit(2);
 }
@@ -41,7 +41,6 @@ fn main() {
             },
             "--workers" => config.workers = number(&mut it, "--workers").max(1) as usize,
             "--cache-capacity" => cache.capacity = number(&mut it, "--cache-capacity") as usize,
-            "--cache-shards" => cache.shards = number(&mut it, "--cache-shards").max(1) as usize,
             "--max-frame" => config.max_frame = number(&mut it, "--max-frame").max(64) as usize,
             "--help" | "-h" => usage_error("help requested"),
             other => usage_error(&format!("unknown flag {other:?}")),

@@ -516,7 +516,7 @@ pub fn scaling(machine: &Machine) -> SimResult<Vec<ScalingPoint>> {
         .map(|m| m.per_node.as_mbps());
         Ok(ScalingPoint {
             n,
-            patch_words: kernel.patch_words(p),
+            patch_words: kernel.try_patch_words(p)?,
             pvm,
             buffer_packing,
             chained,

@@ -2,11 +2,11 @@
 //!
 //! One function per table and figure of the paper's evaluation. Each
 //! returns machine-readable rows that the `repro` binary renders as the
-//! same tables/series the paper prints; the benches under `benches/` wrap
-//! the same functions. The [`runner`] module is the parallel, memoized
-//! sweep engine tying them together: it fans points across workers, routes
-//! every deterministic measurement through the run's memo cache, and splits
-//! its output into a byte-deterministic report plus separate run metrics.
+//! same tables/series the paper prints. The [`runner`] module is the
+//! parallel, memoized sweep engine tying them together: it fans points
+//! across workers, routes every deterministic measurement through the
+//! run's memo cache, and splits its output into a byte-deterministic report
+//! plus separate run metrics.
 //!
 //! | Function | Reproduces |
 //! |---|---|

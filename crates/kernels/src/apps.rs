@@ -159,13 +159,6 @@ impl TransposeKernel {
         }
     }
 
-    /// Payload words of one pairwise patch on `p` nodes. Assumes a valid
-    /// decomposition — [`try_patch_words`](Self::try_patch_words) is the
-    /// checked form every kernel path goes through.
-    pub fn patch_words(&self, p: u64) -> u64 {
-        (self.n / p) * (self.n / p) * self.words_per_element
-    }
-
     /// Validates a node count for this kernel: the XOR schedule needs a
     /// power of two, the patch decomposition needs `p` to divide `n` —
     /// anything else used to truncate silently into a wrong patch size —
@@ -193,10 +186,10 @@ impl TransposeKernel {
         self.stride().map(|_| ())
     }
 
-    /// Checked patch size: [`patch_words`](Self::patch_words) behind
-    /// [`validate_nodes`](Self::validate_nodes), refused when the patch or
-    /// the bytes of the whole schedule (`p · (p − 1)` patches) overflow a
-    /// `u64`.
+    /// Payload words of one pairwise patch on `p` nodes, `(n/p)²` elements,
+    /// behind [`validate_nodes`](Self::validate_nodes), refused when the
+    /// patch or the bytes of the whole schedule (`p · (p − 1)` patches)
+    /// overflow a `u64`.
     ///
     /// # Errors
     ///
@@ -678,7 +671,7 @@ mod tests {
     fn transpose_patch_matches_paper() {
         let k = TransposeKernel::paper_instance();
         // 16x16 complex patch = 512 words on 64 nodes.
-        assert_eq!(k.patch_words(64), 512);
+        assert_eq!(k.try_patch_words(64), Ok(512));
     }
 
     #[test]

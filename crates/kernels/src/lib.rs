@@ -18,8 +18,8 @@
 //!   simulated T3D/Paragon with buffer-packing, chained, and PVM-style
 //!   communication;
 //! * [`netrun`] — the same kernels executed on the sharded discrete-event
-//!   network engine, with [`netrun::CongestionModel`] selecting between the
-//!   analytic congestion factor and the engine's emergent one.
+//!   network engine, whose emergent congestion factor stands beside the
+//!   analytic one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,4 +33,4 @@ pub mod schedule;
 
 pub use apps::{FemKernel, KernelMeasurement, SorKernel, TransposeKernel};
 pub use distribution::Distribution;
-pub use netrun::{CongestionModel, EngineOptions, Table6Kernel};
+pub use netrun::{EngineOptions, Table6Kernel};

@@ -7,9 +7,10 @@
 //! second, independent source: the sharded discrete-event engine
 //! ([`netsim::engine`](memcomm_netsim::engine)) actually executes the
 //! kernel's communication rounds on the full topology and reports the
-//! *emergent* serialization it observed. [`CongestionModel`] selects the
-//! source; the analytic path remains the default and is byte-identical to
-//! the pre-engine behaviour.
+//! *emergent* serialization it observed. [`Table6Kernel`] gives both
+//! sources: [`Table6Kernel::analytic_congestion`], and [`run_rounds`] over
+//! [`Table6Kernel::rounds`]; [`Table6Kernel::measure_at`] prices the
+//! exchange at either factor.
 
 use std::collections::HashMap;
 
@@ -50,16 +51,6 @@ pub struct EngineOptions {
     /// running the one scheduler there is. Write new literals with
     /// `..EngineOptions::default()`.
     pub reference_scheduler: bool,
-}
-
-/// Where a kernel's congestion factor comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CongestionModel {
-    /// The closed-form flow analysis (the paper's reduction; the default).
-    #[default]
-    Analytic,
-    /// The sharded discrete-event engine.
-    Event(EngineOptions),
 }
 
 /// The engine configuration matching a machine's link, NIC, and port
@@ -232,8 +223,8 @@ pub fn run_collective(
     })
 }
 
-/// One of the three Table 6 kernels, ready to run under either congestion
-/// model.
+/// One of the three Table 6 kernels, ready to price at either congestion
+/// factor.
 #[derive(Debug, Clone)]
 pub enum Table6Kernel {
     /// The 2D-FFT transpose (all-to-all personalized exchange).
@@ -281,22 +272,6 @@ impl Table6Kernel {
         }
     }
 
-    /// The congestion factor under the selected model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine failures and invalid decompositions.
-    pub fn congestion_with(&self, machine: &Machine, model: &CongestionModel) -> SimResult<f64> {
-        match model {
-            CongestionModel::Analytic => self.analytic_congestion(machine, &machine.topology),
-            CongestionModel::Event(opts) => {
-                let topo = engine_topology(machine, opts.nodes)?;
-                let rounds = self.rounds(&topo)?;
-                Ok(run_rounds(machine, &topo, &rounds, opts)?.factor)
-            }
-        }
-    }
-
     /// Prices the kernel's co-simulated exchange at an explicit node count
     /// and congestion factor.
     ///
@@ -315,33 +290,6 @@ impl Table6Kernel {
             Table6Kernel::Fem(k) => k.measure_at(machine, method, congestion),
             Table6Kernel::Sor(k) => k.measure_at(machine, method, congestion),
         }
-    }
-
-    /// Measures the kernel's communication step under the selected model:
-    /// the co-simulated exchange is priced at the analytic factor
-    /// (`Analytic`) or at the factor the event engine actually observed
-    /// (`Event`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine and exchange simulation failures.
-    pub fn measure_with(
-        &self,
-        machine: &Machine,
-        method: CommMethod,
-        model: &CongestionModel,
-    ) -> SimResult<KernelMeasurement> {
-        let (p, congestion) = match model {
-            CongestionModel::Analytic => (
-                machine.topology.len() as u64,
-                self.congestion_with(machine, model)?,
-            ),
-            CongestionModel::Event(opts) => {
-                let topo = engine_topology(machine, opts.nodes)?;
-                (topo.len() as u64, self.congestion_with(machine, model)?)
-            }
-        };
-        self.measure_at(machine, method, p, congestion)
     }
 }
 
@@ -393,22 +341,6 @@ pub fn run_adversary(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn analytic_model_matches_the_plain_kernel_paths() {
-        let t3d = Machine::t3d();
-        let k = Table6Kernel::Sor(SorKernel::paper_instance());
-        let via_model = k.congestion_with(&t3d, &CongestionModel::Analytic).unwrap();
-        let direct = SorKernel::paper_instance().congestion(&t3d).unwrap();
-        assert_eq!(via_model, direct);
-        let m = k
-            .measure_with(&t3d, CommMethod::Chained, &CongestionModel::Analytic)
-            .unwrap();
-        let direct_m = SorKernel::paper_instance()
-            .measure(&t3d, CommMethod::Chained)
-            .unwrap();
-        assert_eq!(m, direct_m);
-    }
 
     #[test]
     fn adversary_bridge_runs_and_classifies() {
@@ -509,28 +441,5 @@ mod tests {
             ..retired
         };
         assert!(run_rounds(&t3d, &topo, &rounds, &live).is_ok());
-    }
-
-    #[test]
-    fn event_model_runs_a_small_transpose() {
-        let t3d = Machine::t3d();
-        let opts = EngineOptions {
-            nodes: Some(4),
-            jobs: 1,
-            ..EngineOptions::default()
-        };
-        let k = Table6Kernel::Transpose(TransposeKernel {
-            n: 64,
-            words_per_element: 2,
-        });
-        let c = k
-            .congestion_with(&t3d, &CongestionModel::Event(opts))
-            .unwrap();
-        assert!(c >= 1.0, "congestion {c}");
-        let m = k
-            .measure_with(&t3d, CommMethod::Chained, &CongestionModel::Event(opts))
-            .unwrap();
-        assert!(m.verified);
-        assert!(m.per_node.as_mbps() > 0.0);
     }
 }

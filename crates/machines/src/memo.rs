@@ -234,24 +234,15 @@ impl fmt::Write for Fnv1a {
     }
 }
 
-/// Sizing knobs of a [`MemoCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Lock shards of a [`MemoCache`]; a bounded cache clamps them to at most
+/// its capacity, so every per-shard budget stays non-zero.
+const SHARDS: usize = 16;
+
+/// Sizing of a [`MemoCache`]; the default is unbounded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoConfig {
-    /// Lock shards (clamped to at least 1; bounded caches also clamp to at
-    /// most `capacity` so per-shard budgets stay non-zero).
-    pub shards: usize,
     /// Total entry budget across all shards; `0` = unbounded.
     pub capacity: usize,
-}
-
-impl Default for MemoConfig {
-    /// 16 shards, unbounded.
-    fn default() -> Self {
-        MemoConfig {
-            shards: 16,
-            capacity: 0,
-        }
-    }
 }
 
 /// A snapshot of one cache's counters.
@@ -378,20 +369,16 @@ pub struct MemoCache {
 pub type MemoHandle = Arc<MemoCache>;
 
 impl MemoCache {
-    /// Builds a cache from `config` (see [`MemoConfig`] for clamping).
+    /// Builds a cache from `config`: 16 lock shards, or one per entry of a
+    /// smaller capacity.
     pub fn new(config: MemoConfig) -> MemoCache {
-        let mut shards = config.shards.max(1);
-        if config.capacity > 0 {
-            shards = shards.min(config.capacity);
-        }
-        let caps: Vec<usize> = (0..shards)
-            .map(|i| {
-                if config.capacity == 0 {
-                    0
-                } else {
-                    config.capacity / shards + usize::from(i < config.capacity % shards)
-                }
-            })
+        let shards = match config.capacity {
+            0 => SHARDS,
+            capacity => SHARDS.min(capacity),
+        };
+        // An unbounded cache's budgets all come out 0, which means unbounded.
+        let caps = (0..shards)
+            .map(|i| config.capacity / shards + usize::from(i < config.capacity % shards))
             .collect();
         MemoCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
@@ -399,7 +386,7 @@ impl MemoCache {
         }
     }
 
-    /// An unbounded cache with the default shard count, behind a handle.
+    /// An unbounded cache, behind a handle.
     pub fn unbounded() -> MemoHandle {
         Arc::new(MemoCache::new(MemoConfig::default()))
     }
@@ -542,14 +529,6 @@ fn ensure_propagator() {
 /// installed).
 pub fn stats() -> CacheStats {
     current().map(|c| c.stats()).unwrap_or_default()
-}
-
-/// Clears the current thread's cache — entries and counters — if one is
-/// installed, so the next lookups run cold.
-pub fn reset() {
-    if let Some(cache) = current() {
-        cache.clear();
-    }
 }
 
 /// Looks up `point` of `machine` in the current thread's cache, simulating
@@ -768,26 +747,21 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_with_clock_and_keeps_the_bound() {
-        let cache = MemoCache::new(MemoConfig {
-            shards: 1,
-            capacity: 4,
-        });
-        for i in 0..32u64 {
+        // Sixteen shards of four entries each.
+        let cache = MemoCache::new(MemoConfig { capacity: 64 });
+        for i in 0..512u64 {
             let _ = cache.get_or_insert((i, basic("1C1", 1)), || Ok(Value::Basic(None)));
-            assert!(cache.stats().entries <= 4, "bound violated at {i}");
+            assert!(cache.stats().entries <= 64, "bound violated at {i}");
         }
         let s = cache.stats();
-        assert_eq!(s.entries, 4);
-        assert_eq!(s.misses, 32);
-        assert_eq!(s.evictions, 28);
+        assert_eq!(s.entries, 64);
+        assert_eq!(s.misses, 512);
+        assert_eq!(s.evictions, 448);
     }
 
     #[test]
     fn capacity_smaller_than_shards_clamps_shards() {
-        let cache = MemoCache::new(MemoConfig {
-            shards: 16,
-            capacity: 3,
-        });
+        let cache = MemoCache::new(MemoConfig { capacity: 3 });
         assert_eq!(cache.shard_count(), 3);
         for i in 0..64u64 {
             let _ = cache.get_or_insert((i, basic("1C1", 1)), || Ok(Value::Basic(None)));

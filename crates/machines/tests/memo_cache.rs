@@ -43,10 +43,7 @@ fn hammered_accounting_is_exact_and_capacity_holds() {
     const THREADS: usize = 8;
     const OPS: u64 = 4_000;
     const KEYS: u64 = 257; // more keys than capacity → constant eviction
-    let cache = MemoCache::handle(MemoConfig {
-        shards: 4,
-        capacity: 64,
-    });
+    let cache = MemoCache::handle(MemoConfig { capacity: 64 });
     let t = transfer();
     let simulations = AtomicU64::new(0);
     std::thread::scope(|scope| {
@@ -107,10 +104,7 @@ fn hammered_accounting_is_exact_and_capacity_holds() {
 fn evicted_entries_recompute_identically() {
     // Capacity 2 with 6 live keys: every key is repeatedly evicted and
     // recomputed. Values must never drift from the uncached simulation.
-    let cache = MemoCache::handle(MemoConfig {
-        shards: 1,
-        capacity: 2,
-    });
+    let cache = MemoCache::handle(MemoConfig { capacity: 2 });
     let _guard = memo::install(&cache);
     let machine = Machine::t3d();
     let t = transfer();
@@ -219,10 +213,7 @@ fn clamping_holds_under_load() {
     // Clamping: capacity smaller than the shard count still yields a
     // working, bounded cache.
     let t = transfer();
-    let tiny = MemoCache::new(MemoConfig {
-        shards: 64,
-        capacity: 2,
-    });
+    let tiny = MemoCache::new(MemoConfig { capacity: 2 });
     assert_eq!(tiny.shard_count(), 2);
     for i in 0..50u64 {
         let _ = tiny.get_or_insert(key(i, t, i), || synth(i).map(Value::Basic));

@@ -44,15 +44,14 @@ fn fault_opts(jobs: usize, settings: FaultSettings) -> SweepOptions {
 fn parallel_sweep_is_byte_identical_to_serial() {
     // One ambient cache handle spans every sweep below (without it each
     // `run_sweep` would install its own fresh cache and the warm-rerun
-    // assertions would be meaningless); `memo::reset` clears it wherever a
-    // run must start cold.
-    let cache = memo::MemoCache::handle(memo::MemoConfig::default());
+    // assertions would be meaningless); `cache.clear()` empties it wherever
+    // a run must start cold.
+    let cache = memo::MemoCache::unbounded();
     let _memo_guard = memo::install(&cache);
-    memo::reset();
     let (serial_report, serial_metrics) = run_sweep(&opts(1));
     let serial_json = serial_report.to_json().render();
 
-    memo::reset();
+    cache.clear();
     let (parallel_report, parallel_metrics) = run_sweep(&opts(4));
     let parallel_json = parallel_report.to_json().render();
 
@@ -96,9 +95,9 @@ fn parallel_sweep_is_byte_identical_to_serial() {
         outage_rate: 0.005,
         ..FaultSettings::default()
     };
-    memo::reset();
+    cache.clear();
     let (faulted_serial, _) = run_sweep(&fault_opts(1, seeded));
-    memo::reset();
+    cache.clear();
     let (faulted_parallel, _) = run_sweep(&fault_opts(4, seeded));
     assert_eq!(
         faulted_serial.to_json().render(),
@@ -112,9 +111,9 @@ fn parallel_sweep_is_byte_identical_to_serial() {
         seed: 0xDEAD_BEEF,
         ..FaultSettings::default()
     };
-    memo::reset();
+    cache.clear();
     let (with_seed, _) = run_sweep(&fault_opts(1, zero_rate));
-    memo::reset();
+    cache.clear();
     let (without, _) = run_sweep(&fault_opts(1, FaultSettings::default()));
     assert_eq!(
         with_seed.to_json().render(),
@@ -135,7 +134,7 @@ fn parallel_sweep_is_byte_identical_to_serial() {
         };
         let obs = memcomm_obs::Obs::new(trace);
         let _guard = obs.install();
-        memo::reset();
+        cache.clear();
         let (report, _) = run_sweep(&observed);
         (report.to_json().render(), obs)
     };
