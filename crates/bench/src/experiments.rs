@@ -73,7 +73,7 @@ pub fn bp_plan(machine: &Machine) -> BufferPackingPlan {
 /// The machine-appropriate chained plan (Sections 5.1.2 / 5.1.4).
 pub fn chained_plan(machine: &Machine) -> ChainedPlan {
     ChainedPlan {
-        recv: if machine.caps.deposit_noncontiguous {
+        recv: if machine.deposit_noncontiguous() {
             ReceiveEngine::Deposit
         } else {
             ReceiveEngine::Processor

@@ -106,7 +106,7 @@ pub fn model_stages(
             } else {
                 bytes.saturating_mul(2)
             };
-            let deposit = if machine.caps.deposit_noncontiguous {
+            let deposit = if machine.deposit_noncontiguous() {
                 BasicTransfer::receive_deposit(y)
             } else {
                 BasicTransfer::receive_store(y)

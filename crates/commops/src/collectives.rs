@@ -428,7 +428,7 @@ pub fn round_expr(machine: &Machine, style: Style) -> SimResult<TransferExpr> {
             one,
             one,
             ChainedPlan {
-                recv: if machine.caps.deposit_noncontiguous {
+                recv: if machine.deposit_noncontiguous() {
                     ReceiveEngine::Deposit
                 } else {
                     ReceiveEngine::Processor

@@ -339,7 +339,7 @@ fn build_side(
             let remote = (!contiguous).then(|| layout.dst.slice(0, send_words));
             let sender = CpuSender::new(src, remote);
             let dst = layout.dst.slice(0, recv_words);
-            if machine.caps.deposit_noncontiguous {
+            if machine.deposit_noncontiguous() {
                 // T3D: the annex deposits any pattern.
                 let mode = if contiguous {
                     DepositMode::Stream(dst)

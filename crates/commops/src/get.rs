@@ -144,7 +144,7 @@ fn build_get_side(
         layout.dst.slice(0, pull_words),
     );
     let responder = AnnexEngine::new(machine.node.deposit, 0, serve_words);
-    let deposit = if machine.caps.deposit_noncontiguous {
+    let deposit = if machine.deposit_noncontiguous() {
         ReplySink::Deposit(DepositEngine::new(
             machine.node.deposit,
             DepositMode::Addressed,

@@ -1,10 +1,10 @@
 //! Machine configurations.
 
-use memcomm_memsim::cache::{CacheParams, WritePolicy};
+use memcomm_memsim::cache::CacheParams;
 use memcomm_memsim::clock::{Clock, Cycle};
 use memcomm_memsim::dram::DramParams;
 use memcomm_memsim::engines::{CpuParams, DepositParams, DmaParams};
-use memcomm_memsim::path::{PathParams, Port};
+use memcomm_memsim::path::PathParams;
 use memcomm_memsim::pfq::PfqParams;
 use memcomm_memsim::readahead::ReadAheadParams;
 use memcomm_memsim::wbq::WbqParams;
@@ -20,9 +20,6 @@ pub struct Capabilities {
     /// `0Ry`: a processor receive loop is a supported path (Paragon yes —
     /// the co-processor; T3D no, the annex always deposits).
     pub receive_store: bool,
-    /// `0Dy` for non-contiguous `y`: the deposit engine handles strided and
-    /// indexed stores (T3D annex yes, Paragon DMA no).
-    pub deposit_noncontiguous: bool,
 }
 
 /// A calibrated machine: node parameters, link parameters, topology and
@@ -52,6 +49,13 @@ impl Machine {
         Clock::from_mhz(self.node.clock_mhz)
     }
 
+    /// `0Dy` for non-contiguous `y`: whether the deposit engine handles
+    /// strided and indexed stores (T3D annex yes, Paragon line-transfer
+    /// unit no).
+    pub fn deposit_noncontiguous(&self) -> bool {
+        !self.node.deposit.contiguous_only
+    }
+
     /// Link parameters at a given congestion factor.
     pub fn link(&self, congestion: f64) -> LinkParams {
         LinkParams {
@@ -69,7 +73,7 @@ impl Machine {
     }
 
     /// The Cray T3D: 150 MHz Alpha 21064, 8 KB direct-mapped write-around
-    /// cache, single-bank page-mode DRAM, read-ahead (RDAL) circuitry, a
+    /// cache, single-bank closed-page DRAM, read-ahead (RDAL) circuitry, a
     /// deep write-back queue, no DMA, and the annex deposit engine that
     /// handles any access pattern. 3D torus, two nodes per network port.
     pub fn t3d() -> Self {
@@ -84,15 +88,12 @@ impl Machine {
                         size_bytes: 8 * 1024,
                         line_bytes,
                         ways: 1,
-                        write_policy: WritePolicy::WriteThrough,
-                        allocate_on_store_miss: false,
                         // The 21064 primary-cache load-to-use latency.
                         hit_cycles: 3,
                     },
                     wbq: WbqParams {
                         entries: 6,
                         merge: true,
-                        line_bytes,
                     },
                     readahead: ReadAheadParams {
                         enabled: true,
@@ -101,25 +102,18 @@ impl Machine {
                     dram: DramParams {
                         banks: 1,
                         interleave_bytes: line_bytes,
-                        row_bytes: 2048,
-                        read_hit_cycles: 4,
                         read_miss_cycles: 18,
-                        write_hit_cycles: 3,
                         write_miss_cycles: 20,
                         posted_write_miss_cycles: 11,
                         burst_word_cycles: 1,
                         channel_word_cycles: 1,
                         demand_latency_cycles: 8,
-                        write_row_affinity: false,
-                        read_row_affinity: false,
                         turnaround_cycles: 2,
                     },
                     switch_penalty_cycles: 1,
                     switch_window_cycles: 16,
-                    deposit_invalidates_cache: true,
                 },
                 cpu: CpuParams {
-                    port: Port::Cpu,
                     load_issue_cycles: 1,
                     store_issue_cycles: 1,
                     loop_cycles: 1,
@@ -164,13 +158,12 @@ impl Machine {
             caps: Capabilities {
                 fetch_send: false,
                 receive_store: false,
-                deposit_noncontiguous: true,
             },
         }
     }
 
     /// The Intel Paragon: two 50 MHz i860XP processors on a 400 MB/s bus,
-    /// 16 KB 4-way write-through caches, interleaved page-mode DRAM,
+    /// 16 KB 4-way write-through caches, interleaved closed-page DRAM,
     /// cache-bypassing pipelined loads, contiguous-only DMA/line-transfer
     /// engines with page-boundary kicks. 2D mesh, one node per port.
     pub fn paragon() -> Self {
@@ -185,14 +178,11 @@ impl Machine {
                         size_bytes: 16 * 1024,
                         line_bytes,
                         ways: 4,
-                        write_policy: WritePolicy::WriteThrough,
-                        allocate_on_store_miss: false,
                         hit_cycles: 1,
                     },
                     wbq: WbqParams {
                         entries: 3,
                         merge: true,
-                        line_bytes,
                     },
                     readahead: ReadAheadParams {
                         enabled: false,
@@ -201,10 +191,7 @@ impl Machine {
                     dram: DramParams {
                         banks: 4,
                         interleave_bytes: line_bytes,
-                        row_bytes: 2048,
-                        read_hit_cycles: 2,
                         read_miss_cycles: 9,
-                        write_hit_cycles: 2,
                         write_miss_cycles: 11,
                         // The i860 write path gains nothing from posting:
                         // no pipelined precharge as on the T3D controller.
@@ -212,18 +199,14 @@ impl Machine {
                         burst_word_cycles: 1,
                         channel_word_cycles: 1,
                         demand_latency_cycles: 3,
-                        write_row_affinity: false,
-                        read_row_affinity: false,
                         turnaround_cycles: 2,
                     },
                     // Fine-grain interleaving of requesters arbitrates
                     // poorly on this bus (the paper saw up to 50% loss).
                     switch_penalty_cycles: 2,
                     switch_window_cycles: 8,
-                    deposit_invalidates_cache: true,
                 },
                 cpu: CpuParams {
-                    port: Port::Cpu,
                     load_issue_cycles: 1,
                     store_issue_cycles: 1,
                     // Dual-issue hides the loop control.
@@ -269,7 +252,6 @@ impl Machine {
             caps: Capabilities {
                 fetch_send: true,
                 receive_store: true,
-                deposit_noncontiguous: false,
             },
         }
     }
@@ -285,8 +267,8 @@ mod tests {
         let p = Machine::paragon();
         assert_eq!(t.topology.len(), 64);
         assert_eq!(p.topology.len(), 64);
-        assert!(t.caps.deposit_noncontiguous);
-        assert!(!p.caps.deposit_noncontiguous);
+        assert!(t.deposit_noncontiguous());
+        assert!(!p.deposit_noncontiguous());
     }
 
     #[test]

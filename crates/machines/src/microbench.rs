@@ -201,7 +201,7 @@ fn simulate_basic_inner(
         }
         Engine::ReceiveDeposit => {
             let addressed = write != AccessPattern::Contiguous;
-            if addressed && !machine.caps.deposit_noncontiguous {
+            if addressed && !machine.deposit_noncontiguous() {
                 return Ok(None);
             }
             let dst = alloc_pattern_walk(&mut node, write, words, 23)?;

@@ -4,21 +4,13 @@
 //! [`Memory`](crate::mem::Memory). Massively parallel nodes of the period
 //! have a single cache level: the T3D's 8 KB direct-mapped on-chip cache
 //! (write-around stores) and the Paragon's 16 KB 4-way cache (write-through
-//! under SUNMOS).
+//! under SUNMOS). Both post every store to the write buffer and allocate
+//! only on load misses, so a line is never dirty and an eviction never
+//! writes back.
 
 use crate::clock::Cycle;
 
-/// Store handling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WritePolicy {
-    /// Stores propagate to memory immediately (through the write buffer);
-    /// a hit also updates the line.
-    WriteThrough,
-    /// Stores dirty the line; memory is updated on eviction.
-    WriteBack,
-}
-
-/// Geometry and policy of the cache.
+/// Geometry of the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
     /// Total capacity in bytes.
@@ -27,11 +19,6 @@ pub struct CacheParams {
     pub line_bytes: u64,
     /// Associativity (1 = direct mapped).
     pub ways: u32,
-    /// Store policy.
-    pub write_policy: WritePolicy,
-    /// Whether a store miss allocates the line ("write-around" caches do
-    /// not).
-    pub allocate_on_store_miss: bool,
     /// Load-hit latency in cycles (pipelined).
     pub hit_cycles: Cycle,
 }
@@ -41,32 +28,8 @@ pub struct CacheParams {
 pub enum LoadOutcome {
     /// The line was present.
     Hit,
-    /// The line must be filled from memory; if the victim was dirty its
-    /// line-base address must be written back first.
-    Miss {
-        /// Dirty victim to write back, if any.
-        evicted_dirty: Option<u64>,
-    },
-}
-
-/// Result of a store lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreOutcome {
-    /// Write-through: the word goes to the write buffer regardless; `hit`
-    /// records whether the line was also updated in place.
-    WriteThrough {
-        /// Whether the store also hit the cache.
-        hit: bool,
-    },
-    /// Write-back hit: line dirtied, no memory traffic now.
-    WriteBackHit,
-    /// Write-back miss.
-    WriteBackMiss {
-        /// Whether the line was allocated (fill required).
-        allocated: bool,
-        /// Dirty victim to write back, if any.
-        evicted_dirty: Option<u64>,
-    },
+    /// The line was allocated and must be filled from memory.
+    Miss,
 }
 
 /// Hit/miss counters.
@@ -88,7 +51,6 @@ pub struct CacheStats {
 struct Line {
     tag: u64,
     valid: bool,
-    dirty: bool,
     lru: u64,
 }
 
@@ -134,7 +96,6 @@ impl Cache {
                     Line {
                         tag: 0,
                         valid: false,
-                        dirty: false,
                         lru: 0
                     };
                     params.ways as usize
@@ -185,20 +146,6 @@ impl Cache {
             .expect("sets are never empty")
     }
 
-    fn fill(&mut self, set: usize, tag: u64, dirty: bool) -> Option<u64> {
-        let way = self.victim(set);
-        let old = self.sets[set][way];
-        let evicted_dirty = (old.valid && old.dirty).then(|| old.tag * self.params.line_bytes);
-        self.tick += 1;
-        self.sets[set][way] = Line {
-            tag,
-            valid: true,
-            dirty,
-            lru: self.tick,
-        };
-        evicted_dirty
-    }
-
     /// Looks up a load, updating tags (a miss allocates the line).
     pub fn load(&mut self, addr: u64) -> LoadOutcome {
         let (set, tag) = self.set_and_tag(addr);
@@ -208,51 +155,29 @@ impl Cache {
             LoadOutcome::Hit
         } else {
             self.stats.load_misses += 1;
-            let evicted_dirty = self.fill(set, tag, false);
-            LoadOutcome::Miss { evicted_dirty }
+            let way = self.victim(set);
+            self.tick += 1;
+            self.sets[set][way] = Line {
+                tag,
+                valid: true,
+                lru: self.tick,
+            };
+            LoadOutcome::Miss
         }
     }
 
-    /// Looks up a store, updating tags per the write policy.
-    pub fn store(&mut self, addr: u64) -> StoreOutcome {
+    /// Looks up a store and returns whether it hit. A hit refreshes the
+    /// line's recency; a miss allocates nothing (the word goes to the write
+    /// buffer either way).
+    pub fn store(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        let hit_way = self.find(set, tag);
-        match self.params.write_policy {
-            WritePolicy::WriteThrough => {
-                if let Some(way) = hit_way {
-                    self.stats.store_hits += 1;
-                    self.touch(set, way);
-                    StoreOutcome::WriteThrough { hit: true }
-                } else {
-                    self.stats.store_misses += 1;
-                    if self.params.allocate_on_store_miss {
-                        self.fill(set, tag, false);
-                    }
-                    StoreOutcome::WriteThrough { hit: false }
-                }
-            }
-            WritePolicy::WriteBack => {
-                if let Some(way) = hit_way {
-                    self.stats.store_hits += 1;
-                    self.touch(set, way);
-                    self.sets[set][way].dirty = true;
-                    StoreOutcome::WriteBackHit
-                } else {
-                    self.stats.store_misses += 1;
-                    if self.params.allocate_on_store_miss {
-                        let evicted_dirty = self.fill(set, tag, true);
-                        StoreOutcome::WriteBackMiss {
-                            allocated: true,
-                            evicted_dirty,
-                        }
-                    } else {
-                        StoreOutcome::WriteBackMiss {
-                            allocated: false,
-                            evicted_dirty: None,
-                        }
-                    }
-                }
-            }
+        if let Some(way) = self.find(set, tag) {
+            self.stats.store_hits += 1;
+            self.touch(set, way);
+            true
+        } else {
+            self.stats.store_misses += 1;
+            false
         }
     }
 
@@ -276,8 +201,6 @@ mod tests {
             size_bytes: 1024,
             line_bytes: 32,
             ways: 1,
-            write_policy: WritePolicy::WriteThrough,
-            allocate_on_store_miss: false,
             hit_cycles: 1,
         })
     }
@@ -285,10 +208,10 @@ mod tests {
     #[test]
     fn load_miss_then_hit_within_line() {
         let mut c = direct_mapped();
-        assert!(matches!(c.load(0), LoadOutcome::Miss { .. }));
+        assert!(matches!(c.load(0), LoadOutcome::Miss));
         assert_eq!(c.load(8), LoadOutcome::Hit);
         assert_eq!(c.load(24), LoadOutcome::Hit);
-        assert!(matches!(c.load(32), LoadOutcome::Miss { .. }));
+        assert!(matches!(c.load(32), LoadOutcome::Miss));
         assert_eq!(c.stats().load_hits, 2);
         assert_eq!(c.stats().load_misses, 2);
     }
@@ -299,7 +222,7 @@ mod tests {
         // 1024-byte direct-mapped: addresses 1024 apart conflict.
         c.load(0);
         c.load(1024);
-        assert!(matches!(c.load(0), LoadOutcome::Miss { .. }));
+        assert!(matches!(c.load(0), LoadOutcome::Miss));
     }
 
     #[test]
@@ -308,8 +231,6 @@ mod tests {
             size_bytes: 2048,
             line_bytes: 32,
             ways: 2,
-            write_policy: WritePolicy::WriteThrough,
-            allocate_on_store_miss: false,
             hit_cycles: 1,
         });
         c.load(0);
@@ -324,8 +245,6 @@ mod tests {
             size_bytes: 2048,
             line_bytes: 32,
             ways: 2,
-            write_policy: WritePolicy::WriteThrough,
-            allocate_on_store_miss: false,
             hit_cycles: 1,
         });
         c.load(0);
@@ -333,39 +252,14 @@ mod tests {
         c.load(0); // refresh 0
         c.load(2048); // evicts 1024, not 0
         assert_eq!(c.load(0), LoadOutcome::Hit);
-        assert!(matches!(c.load(1024), LoadOutcome::Miss { .. }));
+        assert!(matches!(c.load(1024), LoadOutcome::Miss));
     }
 
     #[test]
     fn write_around_does_not_allocate() {
         let mut c = direct_mapped();
-        assert_eq!(c.store(0), StoreOutcome::WriteThrough { hit: false });
-        assert!(matches!(c.load(0), LoadOutcome::Miss { .. }));
-    }
-
-    #[test]
-    fn write_back_dirties_and_evicts() {
-        let mut c = Cache::new(CacheParams {
-            size_bytes: 1024,
-            line_bytes: 32,
-            ways: 1,
-            write_policy: WritePolicy::WriteBack,
-            allocate_on_store_miss: true,
-            hit_cycles: 1,
-        });
-        assert!(matches!(
-            c.store(0),
-            StoreOutcome::WriteBackMiss {
-                allocated: true,
-                evicted_dirty: None
-            }
-        ));
-        assert_eq!(c.store(8), StoreOutcome::WriteBackHit);
-        // Conflicting load must write the dirty line back.
-        match c.load(1024) {
-            LoadOutcome::Miss { evicted_dirty } => assert_eq!(evicted_dirty, Some(0)),
-            other => panic!("expected miss, got {other:?}"),
-        }
+        assert!(!c.store(0));
+        assert!(matches!(c.load(0), LoadOutcome::Miss));
     }
 
     #[test]
@@ -373,7 +267,7 @@ mod tests {
         let mut c = direct_mapped();
         c.load(64);
         c.invalidate_line(64);
-        assert!(matches!(c.load(64), LoadOutcome::Miss { .. }));
+        assert!(matches!(c.load(64), LoadOutcome::Miss));
         assert_eq!(c.stats().invalidations, 1);
     }
 

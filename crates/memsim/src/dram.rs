@@ -1,11 +1,16 @@
-//! Page-mode DRAM with per-bank row buffers and a shared data channel.
+//! Closed-page DRAM with per-bank busy times and a shared data channel.
 //!
 //! The T3D node has "a simple non-interleaved memory system built from DRAM
-//! chips" — one bank, so every row conflict serializes. The Paragon spreads
+//! chips" — one bank, so every access serializes. The Paragon spreads
 //! lines over interleaved banks on its 400 MB/s bus, so independent accesses
-//! to different banks overlap their row-miss latencies. This difference is
+//! to different banks overlap their access latencies. This difference is
 //! what makes indexed gathers comparatively fast on the Paragon and slow on
 //! the T3D.
+//!
+//! Both controllers precharge after every access (closed page): each access
+//! opens its row and pays the full cost of its class, and the burst of a
+//! multi-word access is the only locality the timing rewards. Tables 1–3
+//! match only under that policy (DESIGN.md §8.1).
 
 use crate::clock::Cycle;
 
@@ -16,22 +21,15 @@ pub struct DramParams {
     pub banks: u32,
     /// Bank interleave granularity in bytes (typically the cache line).
     pub interleave_bytes: u64,
-    /// Row (DRAM page) size in bytes per bank.
-    pub row_bytes: u64,
-    /// Cycles for the first word of a read that hits the open row.
-    pub read_hit_cycles: Cycle,
-    /// Cycles for the first word of a read that misses the open row
-    /// (precharge + activate + access).
+    /// Cycles for the first word of a read (precharge + activate + access).
     pub read_miss_cycles: Cycle,
-    /// Cycles for the first word of a write into the open row.
-    pub write_hit_cycles: Cycle,
-    /// Cycles for the first word of a write that misses the open row.
+    /// Cycles for the first word of a write.
     pub write_miss_cycles: Cycle,
-    /// Cycles for a row-miss *posted* write whose address the controller
-    /// could predict (a constant-stride stream drained from the write
-    /// buffer): precharge overlaps the previous transfer.
+    /// Cycles for a *posted* write whose address the controller could
+    /// predict (a constant-stride stream drained from the write buffer):
+    /// precharge overlaps the previous transfer.
     pub posted_write_miss_cycles: Cycle,
-    /// Cycles per additional word of a burst within the row.
+    /// Cycles per additional word of a burst.
     pub burst_word_cycles: Cycle,
     /// Data-channel occupancy per word, shared across banks.
     pub channel_word_cycles: Cycle,
@@ -40,16 +38,6 @@ pub struct DramParams {
     /// Occupies no resource — prefetching (read-ahead) and pipelined loads
     /// hide it, which is exactly their benefit.
     pub demand_latency_cycles: Cycle,
-    /// Whether writes can hit an open row and leave it open. Controllers
-    /// that perform read-modify-write for sub-line ECC updates (the T3D) or
-    /// run a closed-page policy for writes get `false`: every write pays the
-    /// row-miss cost and closes the row. Posted-write pipelining (regular
-    /// drain streams) still applies.
-    pub write_row_affinity: bool,
-    /// Whether reads can hit an open row across accesses. Simple mid-90s
-    /// controllers precharge after every access (closed page): each access
-    /// pays its miss-class cost and bursts only help within one access.
-    pub read_row_affinity: bool,
     /// Bus turnaround cycles charged when an access switches direction
     /// (read after write or write after read) on the shared memory bus.
     pub turnaround_cycles: Cycle,
@@ -58,9 +46,7 @@ pub struct DramParams {
 impl DramParams {
     fn validate(&self) {
         assert!(self.banks >= 1, "need at least one bank");
-        assert!(self.interleave_bytes > 0 && self.row_bytes > 0);
-        assert!(self.read_miss_cycles >= self.read_hit_cycles);
-        assert!(self.write_miss_cycles >= self.write_hit_cycles);
+        assert!(self.interleave_bytes > 0);
         assert!(self.posted_write_miss_cycles <= self.write_miss_cycles);
     }
 }
@@ -97,25 +83,20 @@ pub struct DramStats {
     pub reads: u64,
     /// Write accesses.
     pub writes: u64,
-    /// Accesses that hit an open row.
+    /// Accesses that hit an open row: always 0 under the closed-page
+    /// policy, kept so row-hit ratios stay readable.
     pub row_hits: u64,
-    /// Accesses that had to open a row.
+    /// Accesses that had to open a row: every access.
     pub row_misses: u64,
-    /// Row-miss writes served at the pipelined posted-write cost.
+    /// Posted writes served at the pipelined cost.
     pub posted_pipelined: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Bank {
-    free_at: Cycle,
-    open_row: Option<u64>,
 }
 
 /// The DRAM system: banks plus a shared data channel.
 #[derive(Debug, Clone)]
 pub struct Dram {
     params: DramParams,
-    bank_state: Vec<Bank>,
+    bank_free_at: Vec<Cycle>,
     channel_free_at: Cycle,
     last_was_write: Option<bool>,
     stats: DramStats,
@@ -126,19 +107,13 @@ impl Dram {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent parameters (zero banks, miss faster than hit,
-    /// …).
+    /// Panics on inconsistent parameters (zero banks, a posted write slower
+    /// than a plain one, …).
     pub fn new(params: DramParams) -> Self {
         params.validate();
         Dram {
             params,
-            bank_state: vec![
-                Bank {
-                    free_at: 0,
-                    open_row: None
-                };
-                params.banks as usize
-            ],
+            bank_free_at: vec![0; params.banks as usize],
             channel_free_at: 0,
             last_was_write: None,
             stats: DramStats::default(),
@@ -159,10 +134,6 @@ impl Dram {
         ((addr / self.params.interleave_bytes) % u64::from(self.params.banks)) as usize
     }
 
-    fn row_of(&self, addr: u64) -> u64 {
-        addr / (self.params.row_bytes * u64::from(self.params.banks))
-    }
-
     /// Performs an access of `words` consecutive words starting at `addr`,
     /// requested at time `at`. Returns the busy interval; the bank and the
     /// data channel are occupied until `end`.
@@ -173,40 +144,20 @@ impl Dram {
     pub fn access(&mut self, at: Cycle, addr: u64, words: u32, op: DramOp) -> Span {
         assert!(words >= 1, "dram access must move at least one word");
         let b = self.bank_of(addr);
-        let row = self.row_of(addr);
-        let bank = &mut self.bank_state[b];
         let is_write = !matches!(op, DramOp::Read);
         let turnaround = match self.last_was_write {
             Some(last) if last != is_write => self.params.turnaround_cycles,
             _ => 0,
         };
         self.last_was_write = Some(is_write);
-        let start = at.max(bank.free_at) + turnaround;
-        let affinity = if is_write {
-            self.params.write_row_affinity
-        } else {
-            self.params.read_row_affinity
-        };
-        let hit = bank.open_row == Some(row) && affinity;
-        if hit {
-            self.stats.row_hits += 1;
-        } else {
-            self.stats.row_misses += 1;
-        }
-        let first = match (op, hit) {
-            (DramOp::Read, true) => self.params.read_hit_cycles,
-            (DramOp::Read, false) => self.params.read_miss_cycles,
-            (DramOp::Write, true) | (DramOp::PostedWrite { .. }, true) => {
-                self.params.write_hit_cycles
-            }
-            (DramOp::Write, false) => self.params.write_miss_cycles,
-            (DramOp::PostedWrite { regular }, false) => {
-                if regular {
-                    self.stats.posted_pipelined += 1;
-                    self.params.posted_write_miss_cycles
-                } else {
-                    self.params.write_miss_cycles
-                }
+        let start = at.max(self.bank_free_at[b]) + turnaround;
+        self.stats.row_misses += 1;
+        let first = match op {
+            DramOp::Read => self.params.read_miss_cycles,
+            DramOp::Write | DramOp::PostedWrite { regular: false } => self.params.write_miss_cycles,
+            DramOp::PostedWrite { regular: true } => {
+                self.stats.posted_pipelined += 1;
+                self.params.posted_write_miss_cycles
             }
         };
         match op {
@@ -218,14 +169,13 @@ impl Dram {
         let channel_occ = u64::from(words) * self.params.channel_word_cycles;
         let end = access_end.max(self.channel_free_at + channel_occ);
         self.channel_free_at = end;
-        bank.free_at = end;
-        bank.open_row = if affinity { Some(row) } else { None };
+        self.bank_free_at[b] = end;
         Span { start, end }
     }
 
     /// The earliest time a new access to `addr` could start.
     pub fn free_at(&self, addr: u64) -> Cycle {
-        self.bank_state[self.bank_of(addr)].free_at
+        self.bank_free_at[self.bank_of(addr)]
     }
 }
 
@@ -237,30 +187,14 @@ mod tests {
         DramParams {
             banks,
             interleave_bytes: 32,
-            row_bytes: 2048,
-            read_hit_cycles: 4,
             read_miss_cycles: 22,
-            write_hit_cycles: 3,
             write_miss_cycles: 22,
             posted_write_miss_cycles: 14,
             burst_word_cycles: 1,
             channel_word_cycles: 1,
             demand_latency_cycles: 10,
-            write_row_affinity: true,
-            read_row_affinity: true,
             turnaround_cycles: 0,
         }
-    }
-
-    #[test]
-    fn row_hit_is_faster_than_miss() {
-        let mut d = Dram::new(params(1));
-        let miss = d.access(0, 0, 1, DramOp::Read);
-        let hit = d.access(miss.end, 8, 1, DramOp::Read);
-        assert_eq!(miss.end - miss.start, 22);
-        assert_eq!(hit.end - hit.start, 4);
-        assert_eq!(d.stats().row_hits, 1);
-        assert_eq!(d.stats().row_misses, 1);
     }
 
     #[test]

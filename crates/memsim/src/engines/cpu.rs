@@ -15,8 +15,6 @@ use memcomm_model::AccessPattern;
 /// Processor cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuParams {
-    /// Memory-path port this processor arbitrates as.
-    pub port: Port,
     /// Cycles to generate an address and issue a load (amortized over an
     /// unrolled loop).
     pub load_issue_cycles: Cycle,
@@ -44,16 +42,18 @@ pub struct Cpu {
     /// The processor's local clock.
     pub t: Cycle,
     params: CpuParams,
+    port: Port,
     pfq: Pfq,
     values: VecDeque<u64>,
 }
 
 impl Cpu {
-    /// Creates a processor at cycle 0.
-    pub fn new(params: CpuParams) -> Self {
+    /// Creates a processor at cycle 0 that arbitrates for memory as `port`.
+    pub fn new(params: CpuParams, port: Port) -> Self {
         Cpu {
             t: 0,
             params,
+            port,
             pfq: Pfq::new(params.pfq),
             values: VecDeque::new(),
         }
@@ -62,6 +62,11 @@ impl Cpu {
     /// The cost model.
     pub fn params(&self) -> &CpuParams {
         &self.params
+    }
+
+    /// The memory-path port this processor arbitrates as.
+    pub fn port(&self) -> Port {
+        self.port
     }
 
     /// Whether loads of this pattern use the pipelined (cache-bypassing)
@@ -89,7 +94,7 @@ impl Cpu {
     /// (no-op for other patterns).
     pub fn fetch_index(&mut self, path: &mut MemPath, walk: &Walk, i: u64) {
         if let Some(ia) = walk.index_addr(i) {
-            self.t = path.cpu_load(self.t + self.params.load_issue_cycles, self.params.port, ia);
+            self.t = path.cpu_load(self.t + self.params.load_issue_cycles, self.port, ia);
             self.t += self.params.indexed_extra_cycles;
         }
     }
@@ -115,7 +120,7 @@ impl Cpu {
         let value = mem.read(addr);
         if self.pipelined_for(walk.pattern()) {
             let t = self.pfq.issue_time(self.t);
-            let ready = path.uncached_load(t, self.params.port, addr);
+            let ready = path.uncached_load(t, self.port, addr);
             self.pfq.push(ready);
             self.t = t;
         } else {
@@ -127,7 +132,7 @@ impl Cpu {
                     at: self.t,
                 });
             }
-            let ready = path.cpu_load(self.t, self.params.port, addr);
+            let ready = path.cpu_load(self.t, self.port, addr);
             self.t = ready;
             self.pfq.push(ready);
         }
@@ -173,7 +178,7 @@ impl Cpu {
     /// arrived over the wire).
     pub fn store_at(&mut self, path: &mut MemPath, mem: &mut Memory, addr: u64, value: u64) {
         self.t += self.params.store_issue_cycles;
-        self.t = path.cpu_store(self.t, self.params.port, addr);
+        self.t = path.cpu_store(self.t, self.port, addr);
         mem.write(addr, value);
     }
 
@@ -423,67 +428,28 @@ impl CpuReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheParams, WritePolicy};
-    use crate::dram::DramParams;
-    use crate::path::PathParams;
-    use crate::readahead::ReadAheadParams;
-    use crate::wbq::WbqParams;
+    use crate::node::NodeParams;
 
     fn path() -> MemPath {
-        MemPath::new(PathParams {
-            cache: CacheParams {
-                size_bytes: 8 * 1024,
-                line_bytes: 32,
-                ways: 1,
-                write_policy: WritePolicy::WriteThrough,
-                allocate_on_store_miss: false,
-                hit_cycles: 1,
-            },
-            wbq: WbqParams {
-                entries: 6,
-                merge: true,
-                line_bytes: 32,
-            },
-            readahead: ReadAheadParams {
-                enabled: true,
-                buffer_hit_cycles: 4,
-            },
-            dram: DramParams {
-                banks: 1,
-                interleave_bytes: 32,
-                row_bytes: 2048,
-                read_hit_cycles: 5,
-                read_miss_cycles: 22,
-                write_hit_cycles: 4,
-                write_miss_cycles: 22,
-                posted_write_miss_cycles: 14,
-                burst_word_cycles: 1,
-                channel_word_cycles: 1,
-                demand_latency_cycles: 10,
-                write_row_affinity: true,
-                read_row_affinity: true,
-                turnaround_cycles: 0,
-            },
-            switch_penalty_cycles: 0,
-            switch_window_cycles: 0,
-            deposit_invalidates_cache: true,
-        })
+        MemPath::new(NodeParams::default().path)
     }
 
     fn cpu(pfq: bool) -> Cpu {
-        Cpu::new(CpuParams {
-            port: Port::Cpu,
-            load_issue_cycles: 1,
-            store_issue_cycles: 1,
-            loop_cycles: 1,
-            indexed_extra_cycles: 1,
-            port_store_cycles: 6,
-            port_load_cycles: 6,
-            pfq: PfqParams {
-                depth: 3,
-                enabled: pfq,
+        Cpu::new(
+            CpuParams {
+                load_issue_cycles: 1,
+                store_issue_cycles: 1,
+                loop_cycles: 1,
+                indexed_extra_cycles: 1,
+                port_store_cycles: 6,
+                port_load_cycles: 6,
+                pfq: PfqParams {
+                    depth: 3,
+                    enabled: pfq,
+                },
             },
-        })
+            Port::Cpu,
+        )
     }
 
     #[test]

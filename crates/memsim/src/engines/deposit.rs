@@ -163,52 +163,14 @@ impl DepositEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheParams, WritePolicy};
-    use crate::dram::DramParams;
     use crate::nic::{NetWord, WordKind};
-    use crate::path::PathParams;
-    use crate::readahead::ReadAheadParams;
-    use crate::wbq::WbqParams;
+    use crate::node::NodeParams;
 
     fn path() -> MemPath {
-        MemPath::new(PathParams {
-            cache: CacheParams {
-                size_bytes: 8 * 1024,
-                line_bytes: 32,
-                ways: 1,
-                write_policy: WritePolicy::WriteThrough,
-                allocate_on_store_miss: false,
-                hit_cycles: 1,
-            },
-            wbq: WbqParams {
-                entries: 4,
-                merge: true,
-                line_bytes: 32,
-            },
-            readahead: ReadAheadParams {
-                enabled: false,
-                buffer_hit_cycles: 4,
-            },
-            dram: DramParams {
-                banks: 1,
-                interleave_bytes: 32,
-                row_bytes: 2048,
-                read_hit_cycles: 5,
-                read_miss_cycles: 22,
-                write_hit_cycles: 4,
-                write_miss_cycles: 22,
-                posted_write_miss_cycles: 14,
-                burst_word_cycles: 1,
-                channel_word_cycles: 1,
-                demand_latency_cycles: 10,
-                write_row_affinity: true,
-                read_row_affinity: true,
-                turnaround_cycles: 0,
-            },
-            switch_penalty_cycles: 0,
-            switch_window_cycles: 0,
-            deposit_invalidates_cache: true,
-        })
+        let mut params = NodeParams::default().path;
+        params.wbq.entries = 4;
+        params.readahead.enabled = false;
+        MemPath::new(params)
     }
 
     fn params() -> DepositParams {

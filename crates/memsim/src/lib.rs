@@ -9,10 +9,11 @@
 //! patterns are not looked up from tables but *emerge* from component
 //! models —
 //!
-//! * a page-mode [`Dram`](dram::Dram) with per-bank row buffers and burst
+//! * a closed-page [`Dram`](dram::Dram) with per-bank busy times and burst
 //!   transfers (one bank on the T3D, interleaved banks on the Paragon);
-//! * an on-chip [`Cache`](cache::Cache) (tags only — data lives in
-//!   [`Memory`](mem::Memory) so every simulated transfer moves real bytes);
+//! * an on-chip [`Cache`](cache::Cache) that never holds a dirty line (tags
+//!   only — data lives in [`Memory`](mem::Memory) so every simulated
+//!   transfer moves real bytes);
 //! * a write buffer ([`Wbq`](wbq::Wbq)) with line merging and posted-write
 //!   pipelining, the T3D's "write-back queue";
 //! * a stream-detecting [`ReadAhead`](readahead::ReadAhead) unit, the T3D's

@@ -33,10 +33,10 @@ pub struct NodeParams {
 
 impl Default for NodeParams {
     /// A generic mid-1990s node (150 MHz, 8 KB direct-mapped cache,
-    /// single-bank page-mode DRAM) for examples and tests; the calibrated
+    /// single-bank closed-page DRAM) for examples and tests; the calibrated
     /// T3D and Paragon configurations live in `memcomm-machines`.
     fn default() -> Self {
-        use crate::cache::{CacheParams, WritePolicy};
+        use crate::cache::CacheParams;
         use crate::dram::DramParams;
         use crate::readahead::ReadAheadParams;
         use crate::wbq::WbqParams;
@@ -48,14 +48,11 @@ impl Default for NodeParams {
                     size_bytes: 8 * 1024,
                     line_bytes: 32,
                     ways: 1,
-                    write_policy: WritePolicy::WriteThrough,
-                    allocate_on_store_miss: false,
                     hit_cycles: 1,
                 },
                 wbq: WbqParams {
                     entries: 6,
                     merge: true,
-                    line_bytes: 32,
                 },
                 readahead: ReadAheadParams {
                     enabled: true,
@@ -64,25 +61,18 @@ impl Default for NodeParams {
                 dram: DramParams {
                     banks: 1,
                     interleave_bytes: 32,
-                    row_bytes: 2048,
-                    read_hit_cycles: 5,
                     read_miss_cycles: 22,
-                    write_hit_cycles: 4,
                     write_miss_cycles: 22,
                     posted_write_miss_cycles: 14,
                     burst_word_cycles: 1,
                     channel_word_cycles: 1,
                     demand_latency_cycles: 10,
-                    write_row_affinity: true,
-                    read_row_affinity: true,
                     turnaround_cycles: 0,
                 },
                 switch_penalty_cycles: 0,
                 switch_window_cycles: 0,
-                deposit_invalidates_cache: true,
             },
             cpu: CpuParams {
-                port: Port::Cpu,
                 load_issue_cycles: 1,
                 store_issue_cycles: 1,
                 loop_cycles: 1,
@@ -157,16 +147,13 @@ impl Node {
 
     /// A fresh main processor (local clock 0).
     pub fn cpu(&self) -> Cpu {
-        Cpu::new(self.params.cpu)
+        Cpu::new(self.params.cpu, Port::Cpu)
     }
 
     /// A fresh co-processor: same cost model, its own arbitration port (for
     /// Paragon-style dual-processor nodes).
     pub fn coprocessor(&self) -> Cpu {
-        Cpu::new(CpuParams {
-            port: Port::CoProcessor,
-            ..self.params.cpu
-        })
+        Cpu::new(self.params.cpu, Port::CoProcessor)
     }
 
     /// Allocates a region and returns a walk over it (see
@@ -294,7 +281,7 @@ mod tests {
     #[test]
     fn coprocessor_uses_its_own_port() {
         let n = Node::new(NodeParams::default());
-        assert_eq!(n.cpu().params().port, Port::Cpu);
-        assert_eq!(n.coprocessor().params().port, Port::CoProcessor);
+        assert_eq!(n.cpu().port(), Port::Cpu);
+        assert_eq!(n.coprocessor().port(), Port::CoProcessor);
     }
 }

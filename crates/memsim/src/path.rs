@@ -8,7 +8,7 @@
 //! occupancy, background write-buffer drains and requester-switch
 //! arbitration penalties with simple free-until bookkeeping.
 
-use crate::cache::{Cache, CacheParams, LoadOutcome, StoreOutcome};
+use crate::cache::{Cache, CacheParams, LoadOutcome};
 use crate::clock::Cycle;
 use crate::dram::{Dram, DramOp, DramParams};
 use crate::mem::WORD_BYTES;
@@ -32,7 +32,7 @@ pub enum Port {
 /// Memory-path configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathParams {
-    /// Cache geometry and policy.
+    /// Cache geometry.
     pub cache: CacheParams,
     /// Write-buffer geometry.
     pub wbq: WbqParams,
@@ -46,9 +46,6 @@ pub struct PathParams {
     pub switch_penalty_cycles: Cycle,
     /// Window within which a requester switch incurs the penalty.
     pub switch_window_cycles: Cycle,
-    /// Whether deposit-engine writes invalidate matching cache lines (the
-    /// T3D annex invalidates line by line).
-    pub deposit_invalidates_cache: bool,
 }
 
 /// Counters for reports and tests.
@@ -90,16 +87,11 @@ impl MemPath {
     /// # Panics
     ///
     /// Panics if the component parameters are inconsistent (see the
-    /// component constructors), or if the write-buffer line size differs
-    /// from the cache line size.
+    /// component constructors).
     pub fn new(params: PathParams) -> Self {
-        assert_eq!(
-            params.wbq.line_bytes, params.cache.line_bytes,
-            "write-buffer merge granularity must match the cache line"
-        );
         MemPath {
             cache: Cache::new(params.cache),
-            wbq: Wbq::new(params.wbq),
+            wbq: Wbq::new(params.wbq, params.cache.line_bytes),
             rdal: ReadAhead::new(params.readahead),
             dram: Dram::new(params.dram),
             params,
@@ -246,20 +238,15 @@ impl MemPath {
         };
         match self.cache.load(addr) {
             LoadOutcome::Hit => t + self.cache.params().hit_cycles,
-            LoadOutcome::Miss { evicted_dirty } => {
-                let mut now = t;
-                if let Some(victim) = evicted_dirty {
-                    let words = (self.params.cache.line_bytes / WORD_BYTES) as u32;
-                    now = self.dram.access(now, victim, words, DramOp::Write).end;
-                }
+            LoadOutcome::Miss => {
                 let line = self.cache.line_base(addr);
                 let line_words = (self.params.cache.line_bytes / WORD_BYTES) as u32;
-                if let Some(ready) = self.rdal.buffer_hit(line, now) {
+                if let Some(ready) = self.rdal.buffer_hit(line, t) {
                     // Served from the read-ahead buffer; keep the stream
                     // rolling by prefetching the next line in the background.
                     if let Some(next) = self.rdal.on_fill(line, self.params.cache.line_bytes) {
                         let span = self.dram.access(
-                            self.dram.free_at(next).max(now),
+                            self.dram.free_at(next).max(t),
                             next,
                             line_words,
                             DramOp::Read,
@@ -268,7 +255,7 @@ impl MemPath {
                     }
                     return ready;
                 }
-                let span = self.dram.access(now, line, line_words, DramOp::Read);
+                let span = self.dram.access(t, line, line_words, DramOp::Read);
                 if let Some(next) = self.rdal.on_fill(line, self.params.cache.line_bytes) {
                     let pspan = self.dram.access(span.end, next, line_words, DramOp::Read);
                     self.rdal.note_prefetch(next, pspan.end);
@@ -296,68 +283,41 @@ impl MemPath {
     }
 
     /// A CPU store of the word at `addr`, requested at `t`. Returns when
-    /// the processor may proceed (stores are posted; the write reaches
-    /// memory via the write buffer or on eviction).
+    /// the processor may proceed: stores are posted to the write buffer,
+    /// which stalls the processor only while it is full.
     pub fn cpu_store(&mut self, t: Cycle, port: Port, addr: u64) -> Cycle {
         self.stats.cpu_stores += 1;
         let t = self.arbitrate(port, t);
         self.record(t, port, TraceOp::Store, addr, 1);
         self.background_drain(t);
-        match self.cache.store(addr) {
-            StoreOutcome::WriteThrough { .. } => {
-                let mut now = t;
-                if !self.wbq.push(addr) {
-                    now = self.forced_drain_until(now, |w| !w.is_full());
-                    assert!(self.wbq.push(addr), "space was just drained");
-                }
-                now
-            }
-            StoreOutcome::WriteBackHit => t,
-            StoreOutcome::WriteBackMiss {
-                allocated,
-                evicted_dirty,
-            } => {
-                let mut now = t;
-                if let Some(victim) = evicted_dirty {
-                    let words = (self.params.cache.line_bytes / WORD_BYTES) as u32;
-                    now = self.dram.access(now, victim, words, DramOp::Write).end;
-                }
-                if allocated {
-                    // Write-allocate: fetch the line before completing.
-                    let line = self.cache.line_base(addr);
-                    let words = (self.params.cache.line_bytes / WORD_BYTES) as u32;
-                    now = self.dram.access(now, line, words, DramOp::Read).end;
-                } else if !self.wbq.push(addr) {
-                    now = self.forced_drain_until(now, |w| !w.is_full());
-                    assert!(self.wbq.push(addr), "space was just drained");
-                }
-                now
-            }
+        self.cache.store(addr);
+        if self.wbq.push(addr) {
+            return t;
         }
+        let now = self.forced_drain_until(t, |w| !w.is_full());
+        assert!(self.wbq.push(addr), "space was just drained");
+        now
     }
 
     /// A background-engine write of `words` consecutive words at `addr`
-    /// (deposit engine). Invalidates matching cache lines if configured.
-    /// Returns when the write completed.
+    /// (deposit engine). Invalidates the cache lines it covers, as the T3D
+    /// annex does line by line. Returns when the write completed.
     pub fn engine_write(&mut self, t: Cycle, port: Port, addr: u64, words: u32) -> Cycle {
         self.stats.engine_accesses += 1;
         let t = self.arbitrate(port, t);
         self.record(t, port, TraceOp::EngineWrite, addr, words);
         self.background_drain(t);
-        if self.params.deposit_invalidates_cache {
-            let line_bytes = self.params.cache.line_bytes;
-            let first = self.cache.line_base(addr);
-            let last = self
-                .cache
-                .line_base(addr + u64::from(words - 1) * WORD_BYTES);
-            let mut line = first;
-            loop {
-                self.cache.invalidate_line(line);
-                if line >= last {
-                    break;
-                }
-                line += line_bytes;
+        let line_bytes = self.params.cache.line_bytes;
+        let last = self
+            .cache
+            .line_base(addr + u64::from(words - 1) * WORD_BYTES);
+        let mut line = self.cache.line_base(addr);
+        loop {
+            self.cache.invalidate_line(line);
+            if line >= last {
+                break;
             }
+            line += line_bytes;
         }
         self.dram.access(t, addr, words, DramOp::Write).end
     }
@@ -388,47 +348,10 @@ impl MemPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::WritePolicy;
+    use crate::node::NodeParams;
 
     fn t3d_ish() -> PathParams {
-        PathParams {
-            cache: CacheParams {
-                size_bytes: 8 * 1024,
-                line_bytes: 32,
-                ways: 1,
-                write_policy: WritePolicy::WriteThrough,
-                allocate_on_store_miss: false,
-                hit_cycles: 1,
-            },
-            wbq: WbqParams {
-                entries: 6,
-                merge: true,
-                line_bytes: 32,
-            },
-            readahead: ReadAheadParams {
-                enabled: true,
-                buffer_hit_cycles: 4,
-            },
-            dram: DramParams {
-                banks: 1,
-                interleave_bytes: 32,
-                row_bytes: 2048,
-                read_hit_cycles: 5,
-                read_miss_cycles: 22,
-                write_hit_cycles: 4,
-                write_miss_cycles: 22,
-                posted_write_miss_cycles: 14,
-                burst_word_cycles: 1,
-                channel_word_cycles: 1,
-                demand_latency_cycles: 10,
-                write_row_affinity: true,
-                read_row_affinity: true,
-                turnaround_cycles: 0,
-            },
-            switch_penalty_cycles: 0,
-            switch_window_cycles: 0,
-            deposit_invalidates_cache: true,
-        }
+        NodeParams::default().path
     }
 
     #[test]
@@ -482,8 +405,8 @@ mod tests {
         let rel = p.cpu_store(0, Port::Cpu, 0x100);
         assert_eq!(rel, 0, "store posted");
         let ready = p.cpu_load(0, Port::Cpu, 0x100);
-        // The load had to wait for the buffered store to drain (22, row
-        // miss) and then fetch the line (row hit 5 + 3 burst + 10 latency).
+        // The load had to wait for the buffered store to drain (22) and then
+        // fetch the line (22 + 3 burst + 10 latency).
         assert!(ready >= 40, "got {ready}");
         assert!(p.stats().forced_drains >= 1);
     }
@@ -505,8 +428,7 @@ mod tests {
         let t = p.cpu_load(0, Port::Cpu, 0x40);
         let t = p.engine_write(t, Port::Deposit, 0x40, 4);
         let again = p.cpu_load(t, Port::Cpu, 0x40);
-        // The deposit left the row open, so the refetch is a row hit, but it
-        // is a full line fill, not a cache hit.
+        // The refetch is a full line fill, not a cache hit.
         assert_eq!(p.cache_stats().load_misses, 2, "line must be refetched");
         assert!(
             again - t >= 18,
@@ -547,21 +469,9 @@ mod tests {
         let mut p = MemPath::new(t3d_ish());
         let t1 = p.uncached_load(0, Port::Cpu, 0x0);
         let t2 = p.uncached_load(t1, Port::Cpu, 0x8);
-        // Second word is a row hit (5) plus demand latency (10), but not a
+        // Second word is a read (22) plus demand latency (10), but not a
         // cache hit.
-        assert_eq!(t2 - t1, 15, "row hit + latency cost");
+        assert_eq!(t2 - t1, 32, "read + latency cost");
         assert_eq!(p.cache_stats().load_misses, 0);
-    }
-
-    #[test]
-    fn write_back_cache_defers_memory_traffic() {
-        let mut params = t3d_ish();
-        params.cache.write_policy = WritePolicy::WriteBack;
-        params.cache.allocate_on_store_miss = true;
-        let mut p = MemPath::new(params);
-        let t = p.cpu_store(0, Port::Cpu, 0x0); // miss: write-allocate fill
-        assert!(t >= 22);
-        let t2 = p.cpu_store(t, Port::Cpu, 0x8); // hit: free
-        assert_eq!(t2, t);
     }
 }

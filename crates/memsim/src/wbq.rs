@@ -17,8 +17,6 @@ pub struct WbqParams {
     pub entries: usize,
     /// Whether stores to the same line merge into one entry.
     pub merge: bool,
-    /// Line size in bytes (merge granularity).
-    pub line_bytes: u64,
 }
 
 /// One drained item: a line-base address, how many words of it are pending,
@@ -55,6 +53,7 @@ pub struct WbqStats {
 #[derive(Debug, Clone)]
 pub struct Wbq {
     params: WbqParams,
+    line_bytes: u64,
     entries: VecDeque<Entry>,
     last_drained: Option<u64>,
     last_delta: Option<i64>,
@@ -62,24 +61,26 @@ pub struct Wbq {
 }
 
 impl Wbq {
-    /// Creates a write buffer.
+    /// Creates a write buffer that merges stores into lines of
+    /// `line_bytes` (the cache line).
     ///
     /// # Panics
     ///
     /// Panics if `entries` is zero or the line size is not a multiple of the
     /// word size.
-    pub fn new(params: WbqParams) -> Self {
+    pub fn new(params: WbqParams, line_bytes: u64) -> Self {
         assert!(params.entries >= 1, "write buffer needs at least one entry");
         assert!(
-            params.line_bytes >= WORD_BYTES && params.line_bytes.is_multiple_of(WORD_BYTES),
+            line_bytes >= WORD_BYTES && line_bytes.is_multiple_of(WORD_BYTES),
             "line size must be a positive multiple of the word size"
         );
         assert!(
-            params.line_bytes / WORD_BYTES <= 64,
+            line_bytes / WORD_BYTES <= 64,
             "line mask limited to 64 words"
         );
         Wbq {
             params,
+            line_bytes,
             entries: VecDeque::with_capacity(params.entries),
             last_drained: None,
             last_delta: None,
@@ -113,7 +114,7 @@ impl Wbq {
     }
 
     fn line_base(&self, addr: u64) -> u64 {
-        addr & !(self.params.line_bytes - 1)
+        addr & !(self.line_bytes - 1)
     }
 
     /// Attempts to post a store of the word at `addr`. Returns `true` if the
@@ -177,11 +178,7 @@ mod tests {
     use super::*;
 
     fn wbq(entries: usize, merge: bool) -> Wbq {
-        Wbq::new(WbqParams {
-            entries,
-            merge,
-            line_bytes: 32,
-        })
+        Wbq::new(WbqParams { entries, merge }, 32)
     }
 
     #[test]

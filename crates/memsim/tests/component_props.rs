@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use memcomm_memsim::cache::{Cache, CacheParams, LoadOutcome, WritePolicy};
+use memcomm_memsim::cache::{Cache, CacheParams, LoadOutcome};
 use memcomm_memsim::dram::{Dram, DramOp, DramParams};
 use memcomm_memsim::engines::LocalCopier;
 use memcomm_memsim::mem::{Memory, WORD_BYTES};
@@ -67,8 +67,6 @@ fn cache_matches_lru_oracle() {
             size_bytes: 4096,
             line_bytes: 32,
             ways,
-            write_policy: WritePolicy::WriteThrough,
-            allocate_on_store_miss: false,
             hit_cycles: 1,
         });
         let mut oracle = LruOracle::new(4096, 32, ways as usize);
@@ -95,17 +93,12 @@ fn dram_time_is_physical() {
         let mut dram = Dram::new(DramParams {
             banks,
             interleave_bytes: 32,
-            row_bytes: 2048,
-            read_hit_cycles: 4,
             read_miss_cycles: 20,
-            write_hit_cycles: 3,
             write_miss_cycles: 20,
             posted_write_miss_cycles: 12,
             burst_word_cycles: 1,
             channel_word_cycles: 1,
             demand_latency_cycles: 8,
-            write_row_affinity: true,
-            read_row_affinity: true,
             turnaround_cycles: 2,
         });
         let mut total_words = 0u64;
@@ -141,11 +134,13 @@ fn wbq_conserves_stores() {
     forall("wbq_conserves_stores", 128, |rng| {
         let n = rng.range_usize(1, 200);
         let addrs = rng.vec(n, |rng| rng.range_u64(0, 2048));
-        let mut wbq = Wbq::new(WbqParams {
-            entries: 64, // capacious: no rejections in this test
-            merge: true,
-            line_bytes: 32,
-        });
+        let mut wbq = Wbq::new(
+            WbqParams {
+                entries: 64, // capacious: no rejections in this test
+                merge: true,
+            },
+            32,
+        );
         let mut distinct = std::collections::BTreeSet::new();
         for &a in &addrs {
             let a = a & !7;

@@ -59,7 +59,7 @@ fn main() -> Result<(), String> {
         ..BufferPackingPlan::default()
     };
     let ch_plan = ChainedPlan {
-        recv: if machine.caps.deposit_noncontiguous {
+        recv: if machine.deposit_noncontiguous() {
             ReceiveEngine::Deposit
         } else {
             ReceiveEngine::Processor

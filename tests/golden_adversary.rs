@@ -9,8 +9,7 @@
 //! a deliberate engine or generator change moves these bytes, regenerate:
 //!
 //! ```text
-//! cargo run --release --bin repro -- --adversary incast --nodes 256 \
-//!   --json tests/golden/adversary.json
+//! MEMCOMM_UPDATE_GOLDEN=1 cargo test --test golden_adversary
 //! ```
 
 use memcomm_bench::adversary::{run_scenario, scenario_json, ScenarioOptions};
@@ -23,14 +22,25 @@ fn golden_options() -> ScenarioOptions {
     }
 }
 
+/// Compares `got` with the pinned bytes, or rewrites them under
+/// `MEMCOMM_UPDATE_GOLDEN=1`.
+fn check(got: &str, what: &str) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/adversary.json");
+    if std::env::var_os("MEMCOMM_UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, got).expect("golden regenerated");
+        eprintln!("regenerated {path}");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file present");
+    assert_eq!(
+        got, golden,
+        "{what} drifted from tests/golden/adversary.json \
+         (regenerate with MEMCOMM_UPDATE_GOLDEN=1 cargo test --test golden_adversary)"
+    );
+}
+
 #[test]
 fn incast_storm_scenario_matches_the_golden_file() {
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/adversary.json"
-    ))
-    .expect("golden file present");
-
     let opts = golden_options();
     let scenario = run_scenario(&opts).expect("scenario runs");
     let out = &scenario.run.outcome;
@@ -40,22 +50,14 @@ fn incast_storm_scenario_matches_the_golden_file() {
         out.retried + out.abandoned,
         "every drop is retransmitted or accounted as abandoned"
     );
-    assert_eq!(
-        scenario_json(&opts, &scenario).render(),
-        golden,
-        "adversary scenario drifted from tests/golden/adversary.json \
-         (see the module docs for the regeneration command)"
+    check(
+        &scenario_json(&opts, &scenario).render(),
+        "adversary scenario",
     );
 }
 
 #[test]
 fn golden_scenario_is_partition_invariant() {
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/adversary.json"
-    ))
-    .expect("golden file present");
-
     for (jobs, shards) in [(1, 1), (4, 0)] {
         let opts = ScenarioOptions {
             jobs,
@@ -63,10 +65,9 @@ fn golden_scenario_is_partition_invariant() {
             ..golden_options()
         };
         let scenario = run_scenario(&opts).expect("scenario runs");
-        assert_eq!(
-            scenario_json(&opts, &scenario).render(),
-            golden,
-            "jobs {jobs} x shards {shards} changed the golden scenario bytes"
+        check(
+            &scenario_json(&opts, &scenario).render(),
+            &format!("the scenario at jobs {jobs} x shards {shards}"),
         );
     }
 }

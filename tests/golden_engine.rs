@@ -1,165 +1,79 @@
 //! Golden-file regression test for the discrete-event network engine: the
 //! Table 6 kernels are pinned row by row at several scales — congestion
 //! factors, cycle counts, flit-hops, window counts, and the event-stream
-//! digest — from the 8-node smoke torus up to a 256-node (8×8×4) run.
+//! digest — from the 8-node smoke torus up to a 256-node (8×8×4) run, byte
+//! for byte as `tests/golden/engine_table6.json`.
 //!
 //! The engine is deterministic and its results are independent of both the
 //! worker count and the shard count (the runs here deliberately use the
-//! process-wide defaults for both), so integers and digests must match
-//! exactly; floats only absorb the decimal round-trip of the golden file.
-//! If a deliberate engine change moves these numbers, regenerate:
+//! process-wide defaults for both), so the rendered document must match
+//! exactly. If a deliberate engine change moves these numbers, regenerate:
 //!
 //! ```text
-//! cargo test --release --test golden_engine regenerate -- --ignored --nocapture \
-//!   > tests/golden/engine_table6.json  # then trim the test-harness lines
+//! MEMCOMM_UPDATE_GOLDEN=1 cargo test --test golden_engine
 //! ```
-//!
-//! (or copy the JSON block the `regenerate` test prints into
-//! `tests/golden/engine_table6.json`).
 
 use memcomm_bench::experiments::{engine_table6, EngineSettings};
 use memcomm_util::json::Json;
 
-const REL_TOL: f64 = 1e-9;
-
-fn f64_field(row: &Json, key: &str) -> f64 {
-    row.get(key)
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| panic!("golden row missing {key}"))
-}
-
-fn entry_settings(entry: &Json) -> EngineSettings {
-    EngineSettings {
-        nodes: f64_field(entry, "nodes") as usize,
-        transpose_n: f64_field(entry, "transpose_n") as u64,
-        sor_n: f64_field(entry, "sor_n") as u64,
-        // Defaults on purpose: the golden digests must not depend on the
-        // worker or shard count, so every regeneration environment — any
-        // core count — must reproduce them.
-        jobs: 0,
-        shards: 0,
-    }
-}
+/// The pinned scales: node count, transpose `n`, SOR `n`.
+const SCALES: [(usize, u64, u64); 2] = [(8, 256, 256), (256, 512, 256)];
 
 #[test]
 fn engine_table6_matches_the_golden_file() {
-    let text = std::fs::read_to_string(concat!(
+    let entries = SCALES
+        .iter()
+        .map(|&(nodes, transpose_n, sor_n)| {
+            let settings = EngineSettings {
+                nodes,
+                transpose_n,
+                sor_n,
+                // Defaults on purpose: the golden digests must not depend on
+                // the worker or shard count, so every regeneration
+                // environment — any core count — must reproduce them.
+                jobs: 0,
+                shards: 0,
+            };
+            let rows = engine_table6(&settings).expect("engine reproduces");
+            Json::obj([
+                ("nodes", (nodes as u64).into()),
+                ("transpose_n", transpose_n.into()),
+                ("sor_n", sor_n.into()),
+                (
+                    "rows",
+                    Json::arr(&rows, |r| {
+                        Json::obj([
+                            ("kernel", Json::str(&r.kernel)),
+                            ("machine", Json::str(&r.machine)),
+                            ("engine_congestion", r.engine_congestion.into()),
+                            ("analytic_congestion", r.analytic_congestion.into()),
+                            ("engine_chained", r.engine_chained.into()),
+                            ("analytic_chained", r.analytic_chained.into()),
+                            ("cycles", r.cycles.into()),
+                            ("flit_hops", r.flit_hops.into()),
+                            ("windows", r.windows.into()),
+                            ("digest", Json::str(&r.digest)),
+                        ])
+                    }),
+                ),
+            ])
+        })
+        .collect();
+    let got = Json::obj([("entries", Json::Arr(entries))]).render();
+
+    let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/engine_table6.json"
-    ))
-    .expect("golden file present");
-    let golden = Json::parse(&text).expect("golden file parses");
-    let entries = golden
-        .get("entries")
-        .and_then(Json::as_arr)
-        .expect("entries");
-    assert!(!entries.is_empty(), "golden file has at least one entry");
-
-    for entry in entries {
-        let settings = entry_settings(entry);
-        let scale = format!("{} nodes", settings.nodes);
-        let rows = engine_table6(&settings).expect("engine reproduces");
-
-        let golden_rows = entry.get("rows").and_then(Json::as_arr).expect("rows");
-        assert_eq!(
-            golden_rows.len(),
-            rows.len(),
-            "{scale}: engine kernel × machine set changed"
-        );
-        for (want, got) in golden_rows.iter().zip(&rows) {
-            let kernel = want.get("kernel").and_then(Json::as_str).expect("kernel");
-            let machine = want.get("machine").and_then(Json::as_str).expect("machine");
-            assert_eq!(got.kernel, kernel);
-            assert_eq!(got.machine, machine);
-            let ctx = format!("{kernel} on {machine} at {scale}");
-
-            for (key, have) in [
-                ("engine_congestion", got.engine_congestion),
-                ("analytic_congestion", got.analytic_congestion),
-                ("engine_chained", got.engine_chained),
-                ("analytic_chained", got.analytic_chained),
-            ] {
-                let expect = f64_field(want, key);
-                assert!(
-                    (have - expect).abs() <= REL_TOL * expect.abs().max(1.0),
-                    "{ctx}: {key} {have} vs golden {expect}"
-                );
-            }
-            assert_eq!(
-                got.cycles,
-                f64_field(want, "cycles") as u64,
-                "{ctx}: cycles"
-            );
-            assert_eq!(
-                got.flit_hops,
-                f64_field(want, "flit_hops") as u64,
-                "{ctx}: flit_hops"
-            );
-            assert_eq!(
-                got.windows,
-                f64_field(want, "windows") as u64,
-                "{ctx}: windows"
-            );
-            let digest = want.get("digest").and_then(Json::as_str).expect("digest");
-            assert_eq!(got.digest, digest, "{ctx}: event-stream digest drifted");
-        }
+    );
+    if std::env::var_os("MEMCOMM_UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &got).expect("golden regenerated");
+        eprintln!("regenerated {path}");
+        return;
     }
-}
-
-/// Prints a fresh golden file body for the pinned scales. Ignored by
-/// default; run explicitly when a deliberate engine change moves the
-/// numbers (see the module docs).
-#[test]
-#[ignore]
-fn regenerate() {
-    let scales: &[(usize, u64, u64)] = &[(8, 256, 256), (256, 512, 256)];
-    let mut out = String::from("{\n  \"entries\": [\n");
-    for (i, &(nodes, transpose_n, sor_n)) in scales.iter().enumerate() {
-        let settings = EngineSettings {
-            nodes,
-            transpose_n,
-            sor_n,
-            jobs: 0,
-            shards: 0,
-        };
-        let rows = engine_table6(&settings).expect("engine runs");
-        out.push_str(&format!(
-            "    {{\n      \"nodes\": {nodes},\n      \"transpose_n\": {transpose_n},\n      \"sor_n\": {sor_n},\n      \"rows\": [\n"
-        ));
-        for (j, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                concat!(
-                    "        {{\n",
-                    "          \"kernel\": \"{}\",\n",
-                    "          \"machine\": \"{}\",\n",
-                    "          \"engine_congestion\": {},\n",
-                    "          \"analytic_congestion\": {},\n",
-                    "          \"engine_chained\": {},\n",
-                    "          \"analytic_chained\": {},\n",
-                    "          \"cycles\": {},\n",
-                    "          \"flit_hops\": {},\n",
-                    "          \"windows\": {},\n",
-                    "          \"digest\": \"{}\"\n",
-                    "        }}{}\n"
-                ),
-                r.kernel,
-                r.machine,
-                r.engine_congestion,
-                r.analytic_congestion,
-                r.engine_chained,
-                r.analytic_chained,
-                r.cycles,
-                r.flit_hops,
-                r.windows,
-                r.digest,
-                if j + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "      ]\n    }}{}\n",
-            if i + 1 < scales.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    println!("{out}");
+    let golden = std::fs::read_to_string(path).expect("golden file present");
+    assert_eq!(
+        got, golden,
+        "engine Table 6 drifted from tests/golden/engine_table6.json \
+         (regenerate with MEMCOMM_UPDATE_GOLDEN=1 cargo test --test golden_engine)"
+    );
 }

@@ -36,8 +36,9 @@ fn communication_streams_have_no_temporal_locality() {
 /// rows rarely, strided copies almost always.
 #[test]
 fn spatial_locality_separates_patterns_in_the_trace() {
+    // The DRAM page the row locality is measured against.
+    const ROW_BYTES: u64 = 2048;
     let m = Machine::t3d();
-    let row_bytes = m.node.path.dram.row_bytes;
     let trace_of = |pattern: AccessPattern| {
         let mut node = microbench::make_node(&m);
         let src = microbench::alloc_pattern_walk(&mut node, pattern, 4096, 7).unwrap();
@@ -55,8 +56,8 @@ fn spatial_locality_separates_patterns_in_the_trace() {
     };
     let contiguous = loads(&trace_of(AccessPattern::Contiguous));
     let strided = loads(&trace_of(AccessPattern::strided(512).unwrap()));
-    let c = contiguous.row_switch_fraction(row_bytes);
-    let s = strided.row_switch_fraction(row_bytes);
+    let c = contiguous.row_switch_fraction(ROW_BYTES);
+    let s = strided.row_switch_fraction(ROW_BYTES);
     assert!(
         s > 2.0 * c,
         "strided stream must switch rows far more often: {s:.2} vs {c:.2}"
