@@ -9,11 +9,15 @@
 //! It applies the rule without retrying agents that cannot have become
 //! unblocked. An agent whose step returns `Blocked` and leaves its clock
 //! where it was is parked: it sits out until an agent in its wake table
-//! ([`Agents::WAITS_ON`]) steps, that is, whoever fills a FIFO it pops,
-//! drains a FIFO it pushes, or publishes a value its step reads. Each
-//! iteration makes one move. Once it is made, every parked agent that waits
-//! on an agent stepped in that iteration, `Blocked` steps included, is
-//! unparked. Two facts make this exact:
+//! steps. An engine's row ([`Agents::WAITS_ON`]) names whoever fills a FIFO
+//! it pops, drains a FIFO it pushes, or publishes a value its step reads. A
+//! link's row ([`Agents::LINKS`]) names two groups, and a parked link waits
+//! on one of them: on the agents that drain its destination FIFO if it
+//! holds a word ([`Link::holds_word`](memcomm_netsim::Link::holds_word)),
+//! else on the agents that fill its source FIFO. Each iteration makes one
+//! move. Once it is made, every parked agent that waits on an agent stepped
+//! in that iteration, `Blocked` steps included, is unparked. Three facts
+//! make this exact:
 //!
 //! - A step changes only the stepper's own clock. So the driver keeps every
 //!   clock in an array and re-reads only the stepped agent's entry, and an
@@ -23,6 +27,12 @@
 //!   a parked agent's inputs. If none of those agents has stepped since the
 //!   parked agent was last tried, each is still ordered after it, so the
 //!   plain rule would try the parked agent first and see `Blocked`.
+//! - A link that holds no word reads only its source FIFO and is `Blocked`
+//!   only while that is empty; one that holds a word reads only its
+//!   destination and is `Blocked` only while that is full. It is the only
+//!   consumer of the one and the only producer of the other, and only its
+//!   own move changes whether it holds a word. So while it is parked, only
+//!   the group its row names for that case can change its inputs.
 //!
 //! Wakes wait for the iteration's end because the plain rule tries each
 //! agent at most once per iteration. They follow `Blocked` steps as well as
@@ -50,12 +60,11 @@ pub(crate) trait Agents {
     const DRIVER: &'static str;
     /// Engine names, by id.
     const ENGINES: &'static [&'static str];
-    /// Links, numbered after the engines.
-    const LINKS: usize;
-    /// The wake table, by agent id: the agents whose steps can unblock
-    /// that agent. A link waits on whoever fills its source FIFO or drains
-    /// its destination FIFO; an engine waits on the links on its FIFOs and
-    /// on whoever publishes a value its step reads.
+    /// The links' wake-table rows; links are numbered after the engines.
+    const LINKS: &'static [LinkWaits];
+    /// The engines' wake table, by id: the agents whose steps can unblock
+    /// that engine, the links on its FIFOs and whoever publishes a value
+    /// its step reads.
     const WAITS_ON: &'static [&'static [usize]];
 
     /// Whether engine `id` takes part in the run; an absent engine never
@@ -67,8 +76,20 @@ pub(crate) trait Agents {
     /// Agent `id`'s local clock.
     fn time_of(&self, id: usize) -> Cycle;
 
+    /// Whether link `link` (counted from 0) holds a word it has popped but
+    /// not pushed.
+    fn holds_word(&self, link: usize) -> bool;
+
     /// Advances agent `id` by one step.
     fn step(&mut self, id: usize) -> SimResult<Step>;
+}
+
+/// A link's row of the wake table.
+pub(crate) struct LinkWaits {
+    /// The agents that push onto its source FIFO.
+    pub(crate) fills: &'static [usize],
+    /// The agents that pop its destination FIFO.
+    pub(crate) drains: &'static [usize],
 }
 
 /// Most agents a run may have.
@@ -101,15 +122,15 @@ fn ids(mut mask: u32) -> impl Iterator<Item = usize> {
 /// [`SimError::CycleBudget`], and whatever a step returns.
 pub(crate) fn drive<A: Agents>(agents: &mut A, mut watchdog: Watchdog) -> SimResult<Cycle> {
     const {
-        assert!(A::ENGINES.len() + A::LINKS <= MAX_AGENTS);
-        assert!(A::WAITS_ON.len() == A::ENGINES.len() + A::LINKS);
+        assert!(A::ENGINES.len() + A::LINKS.len() <= MAX_AGENTS);
+        assert!(A::WAITS_ON.len() == A::ENGINES.len());
     };
     #[cfg(test)]
     if oracle::ENGAGED.get() {
         return oracle::drive(agents, watchdog);
     }
     let engines = A::ENGINES.len();
-    let links: u32 = (1 << (engines + A::LINKS)) - (1 << engines);
+    let links: u32 = (1 << (engines + A::LINKS.len())) - (1 << engines);
     let present = (0..engines)
         .filter(|&id| agents.present(id))
         .fold(0, |mask, id| mask | 1 << id);
@@ -117,15 +138,25 @@ pub(crate) fn drive<A: Agents>(agents: &mut A, mut watchdog: Watchdog) -> SimRes
     for id in ids(present | links) {
         clock[id] = agents.time_of(id);
     }
-    // wakes[x]: the agents that wait on x.
-    let mut wakes = [0; MAX_AGENTS];
+    // wakes[x]: the engines that wait on x and the links x fills; full[x]:
+    // the links x drains, which wait on x while they hold a word.
+    let (mut wakes, mut full) = ([0; MAX_AGENTS], [0; MAX_AGENTS]);
     for (id, waits) in A::WAITS_ON.iter().enumerate() {
         for &x in *waits {
             wakes[x] |= 1 << id;
         }
     }
+    for (link, waits) in A::LINKS.iter().enumerate() {
+        for &x in waits.fills {
+            wakes[x] |= 1 << (engines + link);
+        }
+        for &x in waits.drains {
+            full[x] |= 1 << (engines + link);
+        }
+    }
     let latest = |clock: &[Cycle; MAX_AGENTS]| ids(present).map(|id| clock[id]).max().unwrap_or(0);
-    let (mut live, mut parked) = (present, 0);
+    // holding: the parked links that hold a word.
+    let (mut live, mut parked, mut holding) = (present, 0, 0);
     let (mut steps, mut blocked) = (0, 0);
     let mut run = || {
         while live != 0 {
@@ -133,7 +164,9 @@ pub(crate) fn drive<A: Agents>(agents: &mut A, mut watchdog: Watchdog) -> SimRes
             let mut tried = 0;
             loop {
                 let untried = (live | links) & !(parked | tried);
-                let Some(id) = ids(untried).min_by_key(|&id| (clock[id], id)) else {
+                // The least clock, ties to the lower id.
+                let least = |best, id| if clock[id] < clock[best] { id } else { best };
+                let Some(id) = ids(untried).reduce(least) else {
                     let names: Vec<_> = ids(live).map(|id| A::ENGINES[id]).collect();
                     return Err(SimError::Deadlock {
                         detail: format!("{} wedged; live engines: {}", A::DRIVER, names.join(", ")),
@@ -151,6 +184,8 @@ pub(crate) fn drive<A: Agents>(agents: &mut A, mut watchdog: Watchdog) -> SimRes
                         // unblock it (see the module docs).
                         if clock[id] == before {
                             parked |= 1 << id;
+                            let holds = id >= engines && agents.holds_word(id - engines);
+                            holding = holding & !(1 << id) | u32::from(holds) << id;
                         }
                         blocked += 1;
                         continue;
@@ -162,7 +197,7 @@ pub(crate) fn drive<A: Agents>(agents: &mut A, mut watchdog: Watchdog) -> SimRes
                 break;
             }
             for id in ids(tried) {
-                parked &= !wakes[id];
+                parked &= !(wakes[id] & !holding | full[id] & holding);
             }
         }
         Ok(ids(links)
@@ -182,11 +217,13 @@ mod tests {
 
     /// Three engines and one link (agent 3), each replaying a script of
     /// `(step, clock advance)` and then blocking; every step call is logged.
-    /// Each engine waits on the link, and the link on every engine.
+    /// Each engine waits on the link, and every engine fills and drains it.
     struct Toy {
         clocks: [Cycle; 4],
         scripts: [Vec<(Step, Cycle)>; 4],
         present: [bool; 3],
+        /// What the link says when asked whether it holds a word.
+        holds: bool,
         log: Vec<(usize, Step)>,
     }
 
@@ -196,6 +233,7 @@ mod tests {
                 clocks,
                 scripts: scripts.map(|s| s.iter().rev().copied().collect()),
                 present: [true; 3],
+                holds: false,
                 log: Vec::new(),
             }
         }
@@ -210,8 +248,11 @@ mod tests {
     impl Agents for Toy {
         const DRIVER: &'static str = "toy driver";
         const ENGINES: &'static [&'static str] = &["e0", "e1", "e2"];
-        const LINKS: usize = 1;
-        const WAITS_ON: &'static [&'static [usize]] = &[&[3], &[3], &[3], &[0, 1, 2]];
+        const LINKS: &'static [LinkWaits] = &[LinkWaits {
+            fills: &[0, 1, 2],
+            drains: &[0, 1, 2],
+        }];
+        const WAITS_ON: &'static [&'static [usize]] = &[&[3], &[3], &[3]];
 
         fn present(&self, id: usize) -> bool {
             self.present[id]
@@ -221,11 +262,44 @@ mod tests {
             self.clocks[id]
         }
 
+        fn holds_word(&self, _link: usize) -> bool {
+            self.holds
+        }
+
         fn step(&mut self, id: usize) -> SimResult<Step> {
             let (step, advance) = self.scripts[id].pop().unwrap_or((Blocked, 0));
             self.clocks[id] += advance;
             self.log.push((id, step));
             Ok(step)
+        }
+    }
+
+    /// The toy with a link that only e0 fills and only e1 drains.
+    struct Split(Toy);
+
+    impl Agents for Split {
+        const DRIVER: &'static str = Toy::DRIVER;
+        const ENGINES: &'static [&'static str] = Toy::ENGINES;
+        const LINKS: &'static [LinkWaits] = &[LinkWaits {
+            fills: &[0],
+            drains: &[1],
+        }];
+        const WAITS_ON: &'static [&'static [usize]] = Toy::WAITS_ON;
+
+        fn present(&self, id: usize) -> bool {
+            self.0.present(id)
+        }
+
+        fn time_of(&self, id: usize) -> Cycle {
+            self.0.time_of(id)
+        }
+
+        fn holds_word(&self, link: usize) -> bool {
+            self.0.holds_word(link)
+        }
+
+        fn step(&mut self, id: usize) -> SimResult<Step> {
+            self.0.step(id)
         }
     }
 
@@ -295,6 +369,50 @@ mod tests {
         assert_eq!(toy.log, expect);
         assert_eq!(obs.counter("sim.drive_steps"), 6);
         assert_eq!(obs.counter("sim.drive_blocked"), 2);
+    }
+
+    #[test]
+    fn a_parked_link_waits_only_on_the_side_it_reads() {
+        // Engine `busy` moves three times from clock 1, the other once from
+        // clock 5, while the link blocks at 0.
+        let run = |holds: bool, busy: usize| {
+            let three: &[_] = &[
+                (Progressed, 1),
+                (Progressed, 1),
+                (Progressed, 10),
+                (Done, 0),
+            ];
+            let mut scripts = [TWICE, TWICE, &[], &[(Blocked, 0), (Progressed, 1)]];
+            scripts[busy] = three;
+            let mut clocks = [5, 5, 0, 0];
+            clocks[busy] = 1;
+            let mut toy = Toy::new(clocks, scripts);
+            toy.present[2] = false;
+            toy.holds = holds;
+            let mut split = Split(toy);
+            drive(&mut split, Watchdog::new(100)).unwrap();
+            split.0.log
+        };
+        // The link sits out the busy engine's moves and wakes once the
+        // other has stepped, then blocks again for good.
+        let expect = |busy: usize| {
+            let other = 1 - busy;
+            [
+                (3, Blocked),
+                (busy, Progressed),
+                (busy, Progressed),
+                (busy, Progressed),
+                (other, Progressed),
+                (3, Progressed),
+                (3, Blocked),
+                (busy, Done),
+                (other, Done),
+            ]
+        };
+        // Holding a word, it waits on its drainer, e1, not its filler.
+        assert_eq!(run(true, 0), expect(0));
+        // Holding none, it waits on its filler, e0, not its drainer.
+        assert_eq!(run(false, 1), expect(1));
     }
 
     #[test]

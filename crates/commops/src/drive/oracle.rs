@@ -23,7 +23,7 @@ thread_local! {
 /// Runs `agents` to completion under the plain rule.
 pub(super) fn drive<A: Agents>(agents: &mut A, mut watchdog: Watchdog) -> SimResult<Cycle> {
     let engines = A::ENGINES.len();
-    let links = engines..engines + A::LINKS;
+    let links = engines..engines + A::LINKS.len();
     let ids = move |mask: u32| (0..engines).filter(move |&id| mask & 1 << id != 0);
     let present = ids(u32::MAX)
         .filter(|&id| agents.present(id))

@@ -13,7 +13,7 @@ use memcomm_netsim::Link;
 
 pub use memcomm_memsim::stats::{ExchangeResult, PhaseTimeline};
 
-use crate::drive::{drive, Agents};
+use crate::drive::{drive, Agents, LinkWaits};
 use crate::layout::{ExchangeLayout, WalkSpec};
 use crate::roles::{CpuDuties, DmaChunkQueue, PipelinedCpu};
 
@@ -164,6 +164,9 @@ struct Side {
     chunk_words: u64,
     chunk_ready: Vec<Cycle>,
     expected_words: u64,
+    /// The received-word count that completes the next chunk, past
+    /// `expected_words` once every chunk is announced.
+    next_chunk_end: u64,
     layout: ExchangeLayout,
 }
 
@@ -209,16 +212,14 @@ impl Side {
             None => Step::Done,
         };
         if let Some(d) = &self.deposit {
-            while d.received() / self.chunk_words > self.chunk_ready.len() as u64 {
+            // Chunks end every `chunk_words` words, and the last, perhaps
+            // short, one at `expected_words`.
+            while d.received() >= self.next_chunk_end {
                 self.chunk_ready.push(d.t);
-            }
-            let expected = self.expected_words;
-            let all_chunks = expected.div_ceil(self.chunk_words);
-            if expected > 0
-                && d.received() == expected
-                && (self.chunk_ready.len() as u64) < all_chunks
-            {
-                self.chunk_ready.push(d.t);
+                self.next_chunk_end = match self.next_chunk_end {
+                    end if end == self.expected_words => u64::MAX,
+                    end => (end + self.chunk_words).min(self.expected_words),
+                };
             }
         }
         Ok(s)
@@ -367,9 +368,15 @@ fn build_side(
         dma,
         deposit,
         cop,
-        chunk_words,
+        // Only a chained run, which reads no announcements, gets this far
+        // with zero-word chunks.
+        chunk_words: chunk_words.max(1),
         chunk_ready: Vec::new(),
         expected_words: recv_words,
+        next_chunk_end: match recv_words {
+            0 => u64::MAX,
+            _ => chunk_words.clamp(1, recv_words),
+        },
         layout,
     })
 }
@@ -393,7 +400,13 @@ impl Agents for Exchange {
         "b.deposit",
         "b.cop",
     ];
-    const LINKS: usize = 2;
+    // Each side's main processor and DMA queue fill its link; the peer's
+    // deposit engine and co-processor drain it.
+    #[rustfmt::skip]
+    const LINKS: &'static [LinkWaits] = &[
+        LinkWaits { fills: &[0, 1], drains: &[6, 7] }, // link.ab
+        LinkWaits { fills: &[4, 5], drains: &[2, 3] }, // link.ba
+    ];
     // Each side's main processor sends through its link and scatters what
     // its deposit engine announces; the DMA queue sends through the link
     // what the main processor gathered; the deposit engine and the
@@ -403,7 +416,6 @@ impl Agents for Exchange {
     const WAITS_ON: &'static [&'static [usize]] = &[
         &[8, 2], &[8, 0], &[9], &[9, 2], // a: main, DMA, deposit, co-processor
         &[9, 6], &[9, 4], &[8], &[8, 6], // b
-        &[0, 1, 6, 7], &[4, 5, 2, 3],    // link.ab, link.ba
     ];
 
     fn present(&self, id: usize) -> bool {
@@ -415,6 +427,10 @@ impl Agents for Exchange {
             0..=7 => self.sides[id / 4].time_of(id % 4).unwrap_or(0),
             _ => self.links[id - 8].time(),
         }
+    }
+
+    fn holds_word(&self, link: usize) -> bool {
+        self.links[link].holds_word()
     }
 
     fn step(&mut self, id: usize) -> SimResult<Step> {

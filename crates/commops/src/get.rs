@@ -21,7 +21,7 @@ use memcomm_memsim::{stats, Node, SimResult};
 use memcomm_model::AccessPattern;
 use memcomm_netsim::Link;
 
-use crate::drive::{drive, Agents};
+use crate::drive::{drive, Agents, LinkWaits};
 use crate::exchange::{ExchangeConfig, ExchangeResult, PhaseTimeline};
 use crate::layout::ExchangeLayout;
 
@@ -187,15 +187,20 @@ impl Agents for GetExchange {
         "b.responder",
         "b.deposit",
     ];
-    const LINKS: usize = 4;
     // A requester pushes onto its request link; a responder pops the
     // peer's request link and pushes onto its reply link; a reply sink
     // pops the peer's reply link.
     #[rustfmt::skip]
+    const LINKS: &'static [LinkWaits] = &[
+        LinkWaits { fills: &[0], drains: &[4] }, // requests A→B
+        LinkWaits { fills: &[3], drains: &[1] }, // requests B→A
+        LinkWaits { fills: &[1], drains: &[5] }, // replies A→B
+        LinkWaits { fills: &[4], drains: &[2] }, // replies B→A
+    ];
+    #[rustfmt::skip]
     const WAITS_ON: &'static [&'static [usize]] = &[
-        &[6], &[7, 8], &[9],                // a: requester, responder, deposit
-        &[7], &[6, 9], &[8],                // b
-        &[0, 4], &[3, 1], &[1, 5], &[4, 2], // requests A→B, B→A; replies A→B, B→A
+        &[6], &[7, 8], &[9], // a: requester, responder, deposit
+        &[7], &[6, 9], &[8], // b
     ];
 
     fn time_of(&self, id: usize) -> Cycle {
@@ -208,6 +213,10 @@ impl Agents for GetExchange {
             5 => self.b.deposit.time(),
             _ => self.links[id - 6].time(),
         }
+    }
+
+    fn holds_word(&self, link: usize) -> bool {
+        self.links[link].holds_word()
     }
 
     fn step(&mut self, id: usize) -> SimResult<Step> {

@@ -16,7 +16,7 @@ use memcomm_memsim::{stats, Node, SimError, SimResult};
 use memcomm_model::{AccessPattern, Throughput};
 use memcomm_netsim::Link;
 
-use crate::drive::{drive, Agents};
+use crate::drive::{drive, Agents, LinkWaits};
 
 /// A message-passing library's cost profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,8 +67,9 @@ struct Message {
 impl Agents for Message {
     const DRIVER: &'static str = "message driver";
     const ENGINES: &'static [&'static str] = &["sender", "deposit"];
-    const LINKS: usize = 1;
-    const WAITS_ON: &'static [&'static [usize]] = &[&[2], &[2], &[0, 1]];
+    #[rustfmt::skip]
+    const LINKS: &'static [LinkWaits] = &[LinkWaits { fills: &[0], drains: &[1] }];
+    const WAITS_ON: &'static [&'static [usize]] = &[&[2], &[2]];
 
     fn time_of(&self, id: usize) -> Cycle {
         match id {
@@ -76,6 +77,10 @@ impl Agents for Message {
             1 => self.deposit.t,
             _ => self.link.time(),
         }
+    }
+
+    fn holds_word(&self, _link: usize) -> bool {
+        self.link.holds_word()
     }
 
     fn step(&mut self, id: usize) -> SimResult<Step> {

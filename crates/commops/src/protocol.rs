@@ -36,7 +36,7 @@ use memcomm_model::{AccessPattern, Throughput};
 use memcomm_netsim::link::Step;
 use memcomm_netsim::Link;
 
-use crate::drive::{drive, Agents};
+use crate::drive::{drive, Agents, LinkWaits};
 use crate::exchange::Style;
 use crate::layout::ExchangeLayout;
 
@@ -451,10 +451,16 @@ struct Transfer<'c> {
 impl Agents for Transfer<'_> {
     const DRIVER: &'static str = "resilient transfer";
     const ENGINES: &'static [&'static str] = &["sender", "receiver"];
-    const LINKS: usize = 2;
+    // The forward link runs from the sender to the receiver, the ack link
+    // back.
+    #[rustfmt::skip]
+    const LINKS: &'static [LinkWaits] = &[
+        LinkWaits { fills: &[0], drains: &[1] }, // forward
+        LinkWaits { fills: &[1], drains: &[0] }, // acks
+    ];
     // The receiver also waits on the sender: whether it is done depends on
     // whether the sender is.
-    const WAITS_ON: &'static [&'static [usize]] = &[&[2, 3], &[0, 2, 3], &[0, 1], &[1, 0]];
+    const WAITS_ON: &'static [&'static [usize]] = &[&[2, 3], &[0, 2, 3]];
 
     fn time_of(&self, id: usize) -> Cycle {
         match id {
@@ -462,6 +468,10 @@ impl Agents for Transfer<'_> {
             1 => self.receiver.t,
             _ => self.links[id - 2].time(),
         }
+    }
+
+    fn holds_word(&self, link: usize) -> bool {
+        self.links[link].holds_word()
     }
 
     fn step(&mut self, id: usize) -> SimResult<Step> {

@@ -58,7 +58,10 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     params: CacheParams,
-    sets: Vec<Vec<Line>>,
+    /// Every set's `ways` lines, set after set.
+    lines: Vec<Line>,
+    /// `sets - 1`.
+    set_mask: u64,
     tick: u64,
     stats: CacheStats,
 }
@@ -91,17 +94,15 @@ impl Cache {
         );
         Cache {
             params,
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        lru: 0
-                    };
-                    params.ways as usize
-                ];
-                set_count
+            lines: vec![
+                Line {
+                    tag: 0,
+                    valid: false,
+                    lru: 0
+                };
+                lines as usize
             ],
+            set_mask: set_count as u64 - 1,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -122,42 +123,52 @@ impl Cache {
         addr & !(self.params.line_bytes - 1)
     }
 
+    /// The index in `lines` of the first line of `addr`'s set, and the
+    /// tag `addr` carries.
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.params.line_bytes;
-        let set = (line as usize) & (self.sets.len() - 1);
-        (set, line)
+        let line = addr >> self.params.line_bytes.trailing_zeros();
+        let first = (line & self.set_mask) as usize * self.params.ways as usize;
+        (first, line)
     }
 
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        self.sets[set].iter().position(|l| l.valid && l.tag == tag)
+    /// The index in `lines` of the valid line tagged `tag` in the set that
+    /// starts at `first`.
+    fn find(&self, first: usize, tag: u64) -> Option<usize> {
+        let set = &self.lines[first..first + self.params.ways as usize];
+        let way = set.iter().position(|l| l.valid && l.tag == tag);
+        way.map(|way| first + way)
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
+    fn touch(&mut self, line: usize) {
         self.tick += 1;
-        self.sets[set][way].lru = self.tick;
+        self.lines[line].lru = self.tick;
     }
 
-    fn victim(&self, set: usize) -> usize {
-        self.sets[set]
+    /// The index in `lines` of the line a miss in the set that starts at
+    /// `first` replaces: an invalid line, else the least recently used.
+    fn victim(&self, first: usize) -> usize {
+        let set = &self.lines[first..first + self.params.ways as usize];
+        let way = set
             .iter()
             .enumerate()
             .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
             .map(|(i, _)| i)
-            .expect("sets are never empty")
+            .expect("sets are never empty");
+        first + way
     }
 
     /// Looks up a load, updating tags (a miss allocates the line).
     pub fn load(&mut self, addr: u64) -> LoadOutcome {
-        let (set, tag) = self.set_and_tag(addr);
-        if let Some(way) = self.find(set, tag) {
+        let (first, tag) = self.set_and_tag(addr);
+        if let Some(line) = self.find(first, tag) {
             self.stats.load_hits += 1;
-            self.touch(set, way);
+            self.touch(line);
             LoadOutcome::Hit
         } else {
             self.stats.load_misses += 1;
-            let way = self.victim(set);
+            let line = self.victim(first);
             self.tick += 1;
-            self.sets[set][way] = Line {
+            self.lines[line] = Line {
                 tag,
                 valid: true,
                 lru: self.tick,
@@ -170,10 +181,10 @@ impl Cache {
     /// line's recency; a miss allocates nothing (the word goes to the write
     /// buffer either way).
     pub fn store(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        if let Some(way) = self.find(set, tag) {
+        let (first, tag) = self.set_and_tag(addr);
+        if let Some(line) = self.find(first, tag) {
             self.stats.store_hits += 1;
-            self.touch(set, way);
+            self.touch(line);
             true
         } else {
             self.stats.store_misses += 1;
@@ -184,9 +195,9 @@ impl Cache {
     /// Invalidates the line containing `addr` (the T3D annex invalidates
     /// line by line as remote stores land).
     pub fn invalidate_line(&mut self, addr: u64) {
-        let (set, tag) = self.set_and_tag(addr);
-        if let Some(way) = self.find(set, tag) {
-            self.sets[set][way].valid = false;
+        let (first, tag) = self.set_and_tag(addr);
+        if let Some(line) = self.find(first, tag) {
+            self.lines[line].valid = false;
             self.stats.invalidations += 1;
         }
     }

@@ -19,7 +19,8 @@ use crate::clock::Cycle;
 pub struct DramParams {
     /// Number of interleaved banks (1 on the T3D).
     pub banks: u32,
-    /// Bank interleave granularity in bytes (typically the cache line).
+    /// Bank interleave granularity in bytes (typically the cache line); a
+    /// power of two.
     pub interleave_bytes: u64,
     /// Cycles for the first word of a read (precharge + activate + access).
     pub read_miss_cycles: Cycle,
@@ -46,7 +47,10 @@ pub struct DramParams {
 impl DramParams {
     fn validate(&self) {
         assert!(self.banks >= 1, "need at least one bank");
-        assert!(self.interleave_bytes > 0);
+        assert!(
+            self.interleave_bytes.is_power_of_two(),
+            "interleave must be a power of two"
+        );
         assert!(self.posted_write_miss_cycles <= self.write_miss_cycles);
     }
 }
@@ -107,8 +111,8 @@ impl Dram {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent parameters (zero banks, a posted write slower
-    /// than a plain one, …).
+    /// Panics on inconsistent parameters (zero banks, an interleave that is
+    /// not a power of two, a posted write slower than a plain one, …).
     pub fn new(params: DramParams) -> Self {
         params.validate();
         Dram {
@@ -131,7 +135,14 @@ impl Dram {
     }
 
     fn bank_of(&self, addr: u64) -> usize {
-        ((addr / self.params.interleave_bytes) % u64::from(self.params.banks)) as usize
+        let unit = addr >> self.params.interleave_bytes.trailing_zeros();
+        let banks = u64::from(self.params.banks);
+        let bank = if banks.is_power_of_two() {
+            unit & (banks - 1)
+        } else {
+            unit % banks
+        };
+        bank as usize
     }
 
     /// Performs an access of `words` consecutive words starting at `addr`,
@@ -259,6 +270,15 @@ mod tests {
     fn zero_banks_rejected() {
         let _ = Dram::new(DramParams {
             banks: 0,
+            ..params(1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "interleave must be a power of two")]
+    fn interleave_that_is_no_power_of_two_rejected() {
+        let _ = Dram::new(DramParams {
+            interleave_bytes: 48,
             ..params(1)
         });
     }

@@ -7,8 +7,7 @@
 //! no earlier than the pop that freed the slot, and a consumer never sees a
 //! word before the cycle it was pushed.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::clock::Cycle;
 
@@ -92,7 +91,8 @@ impl NetWord {
 #[derive(Debug, Clone)]
 pub struct TimedFifo {
     items: VecDeque<(Cycle, NetWord)>,
-    free_slots: BinaryHeap<Reverse<Cycle>>,
+    /// When each free slot was freed, earliest first.
+    free_slots: VecDeque<Cycle>,
     capacity: usize,
     pushed: u64,
     popped: u64,
@@ -111,7 +111,7 @@ impl TimedFifo {
         assert!(capacity >= 1, "fifo capacity must be at least 1");
         TimedFifo {
             items: VecDeque::with_capacity(capacity),
-            free_slots: (0..capacity).map(|_| Reverse(0)).collect(),
+            free_slots: vec![0; capacity].into(),
             capacity,
             pushed: 0,
             popped: 0,
@@ -177,7 +177,7 @@ impl TimedFifo {
     /// happened later). Returns `None` when every slot is occupied — the
     /// caller is blocked and must let the consumer run.
     pub fn push(&mut self, t: Cycle, word: NetWord) -> Option<Cycle> {
-        let Reverse(slot_free) = self.free_slots.pop()?;
+        let slot_free = self.free_slots.pop_front()?;
         let stall = match &self.faults {
             Some((plan, s)) => plan.stall_cycles(*s, self.pushed),
             None => 0,
@@ -203,7 +203,15 @@ impl TimedFifo {
     pub fn pop(&mut self, t: Cycle) -> Option<(Cycle, NetWord)> {
         let (avail, word) = self.items.pop_front()?;
         let at = t.max(avail);
-        self.free_slots.push(Reverse(at));
+        // A single consumer pops in non-decreasing time, so the stamp
+        // almost always goes last; any other goes to its sorted place.
+        match self.free_slots.back() {
+            Some(&last) if at < last => {
+                let i = self.free_slots.partition_point(|&s| s <= at);
+                self.free_slots.insert(i, at);
+            }
+            _ => self.free_slots.push_back(at),
+        }
         self.popped += 1;
         Some((at, word))
     }

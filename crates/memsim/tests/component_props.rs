@@ -1,7 +1,8 @@
 //! Property-based tests of the memory-system components against reference
 //! models (oracles) and physical invariants.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use memcomm_memsim::cache::{Cache, CacheParams, LoadOutcome};
 use memcomm_memsim::dram::{Dram, DramOp, DramParams};
@@ -80,15 +81,22 @@ fn cache_matches_lru_oracle() {
 }
 
 /// DRAM timing invariants over random request streams: completion never
-/// precedes the request, per-bank time is monotone, and the channel never
-/// moves more than one word per `channel_word_cycles`.
+/// precedes the request, per-bank time is monotone, the channel never
+/// moves more than one word per `channel_word_cycles`, and a bank is free
+/// when its last access ends. Bank counts 1, 2 and 4 take the mask, 3 the
+/// modulo.
 #[test]
 fn dram_time_is_physical() {
     forall("dram_time_is_physical", 128, |rng| {
         let banks = rng.range_u32(1, 5);
         let n = rng.range_usize(1, 300);
         let requests = rng.vec(n, |rng| {
-            (rng.range_u64(0, 1_000_000), rng.range_u32(1, 8), rng.bool())
+            (
+                rng.range_u64(0, 1_000_000),
+                rng.range_u32(1, 8),
+                rng.bool(),
+                rng.range_u64(0, 1_000_000),
+            )
         });
         let mut dram = Dram::new(DramParams {
             banks,
@@ -103,8 +111,11 @@ fn dram_time_is_physical() {
         });
         let mut total_words = 0u64;
         let mut last_end = 0u64;
+        // Each bank's last end cycle, under `(addr / 32) % banks`.
+        let mut bank_ends = BTreeMap::new();
+        let bank = |addr: u64| (addr / 32) % u64::from(banks);
         // Requests arrive in causal order, one cycle apart.
-        for (now, (addr, words, is_write)) in requests.into_iter().enumerate() {
+        for (now, (addr, words, is_write, probe)) in requests.into_iter().enumerate() {
             let now = now as u64;
             let addr = addr & !7;
             let op = if is_write {
@@ -117,6 +128,9 @@ fn dram_time_is_physical() {
             assert!(span.end > span.start, "zero-width access");
             total_words += u64::from(words);
             last_end = last_end.max(span.end);
+            bank_ends.insert(bank(addr), span.end);
+            let expect = bank_ends.get(&bank(probe)).copied().unwrap_or(0);
+            assert_eq!(dram.free_at(probe), expect, "bank of {probe:#x}");
         }
         // Channel bound: one word per channel cycle at best.
         assert!(
@@ -156,7 +170,9 @@ fn wbq_conserves_stores() {
 }
 
 /// FIFO conservation and ordering under interleaved push/pop with
-/// arbitrary local clocks.
+/// arbitrary local clocks, and every entry and pop cycle against a min-heap
+/// of the free slots' stamps. The pops come at non-monotone times, unlike
+/// any simulated consumer's, so the stamps arrive out of order.
 #[test]
 fn fifo_conserves_and_orders() {
     forall("fifo_conserves_and_orders", 128, |rng| {
@@ -165,21 +181,26 @@ fn fifo_conserves_and_orders() {
         let cap = rng.range_usize(1, 16);
         let mut fifo = TimedFifo::new(cap);
         let mut next_val = 0u64;
+        // (value, entry cycle) of each word in the FIFO, oldest first.
         let mut expected = std::collections::VecDeque::new();
-        let mut last_pop_time = 0u64;
+        // A push takes the earliest-freed slot; a pop frees one at its cycle.
+        let mut free: BinaryHeap<_> = (0..cap).map(|_| Reverse(0)).collect();
         for (is_push, t) in ops {
             if is_push {
-                if fifo.push(t, NetWord::data(next_val)).is_some() {
-                    expected.push_back(next_val);
+                let entered = fifo.push(t, NetWord::data(next_val));
+                let model = free.pop().map(|Reverse(stamp)| t.max(stamp));
+                assert_eq!(entered, model, "entry cycle of word {next_val}");
+                if let Some(at) = entered {
+                    expected.push_back((next_val, at));
                 }
                 next_val += 1;
             } else if let Some((at, w)) = fifo.pop(t) {
-                let want = expected.pop_front().expect("fifo had an item");
+                let (want, entered) = expected.pop_front().expect("fifo had an item");
                 assert_eq!(w.data, want, "FIFO order violated");
-                assert!(at >= t.min(at), "pop time sane");
-                // Pop completion times are not globally monotone (clocks
-                // differ per agent), but never precede the push.
-                last_pop_time = last_pop_time.max(at);
+                // Pop cycles are not globally monotone (clocks differ per
+                // agent), but never precede the push.
+                assert_eq!(at, t.max(entered), "pop cycle of word {want}");
+                free.push(Reverse(at));
             }
             assert!(fifo.len() <= cap);
         }

@@ -59,7 +59,11 @@ impl LinkParams {
 #[derive(Debug, Clone)]
 pub struct Link {
     params: LinkParams,
+    /// Wire cycles of a data word and of an addressed word.
+    word_cycles: [f64; 2],
     clock: f64,
+    /// `ceil_cycle(clock)`.
+    time: Cycle,
     staged: Option<NetWord>,
     moved: u64,
     dropped: u64,
@@ -88,7 +92,10 @@ impl Link {
         let pid = obs.pid();
         Link {
             params,
+            word_cycles: [NetWord::data(0), NetWord::addressed(0, 0)]
+                .map(|word| params.word_cycles(&word)),
             clock: 0.0,
+            time: 0,
             staged: None,
             moved: 0,
             dropped: 0,
@@ -127,7 +134,14 @@ impl Link {
 
     /// The link's local time in cycles (rounded up).
     pub fn time(&self) -> Cycle {
-        ceil_cycle(self.clock)
+        self.time
+    }
+
+    /// Whether the link holds a word it has popped but not yet pushed. Its
+    /// next step then reads only its destination FIFO; otherwise it reads
+    /// only its source.
+    pub fn holds_word(&self) -> bool {
+        self.staged.is_some()
     }
 
     /// Words delivered so far.
@@ -149,15 +163,14 @@ impl Link {
             let Some(avail) = from.front_ready() else {
                 return Step::Blocked;
             };
-            let (_, mut word) = from
-                .pop(self.time())
-                .expect("front_ready implies non-empty");
-            let cost = self.params.word_cycles(&word);
+            let (_, mut word) = from.pop(self.time).expect("front_ready implies non-empty");
+            let cost = self.word_cycles[usize::from(word.addr.is_some())];
             // Advance the fractional clock from the word's availability, not
             // from the integer-rounded pop time — otherwise every word pays
             // a rounding surcharge.
             let start = self.clock.max(avail as f64);
             self.clock = start + cost;
+            self.time = ceil_cycle(self.clock);
             let mut fault = None;
             if let Some((plan, site)) = &self.faults {
                 fault = plan.link_fault(*site, self.moved + self.dropped);
@@ -183,6 +196,7 @@ impl Link {
                 }
                 Some(LinkFault::Delay(extra)) => {
                     self.clock += extra as f64;
+                    self.time = ceil_cycle(self.clock);
                 }
                 None => {}
             }
@@ -190,7 +204,7 @@ impl Link {
             self.staged = Some(word);
         }
         let word = self.staged.expect("staged above");
-        match to.push(self.time() + self.params.latency_cycles, word) {
+        match to.push(self.time + self.params.latency_cycles, word) {
             Some(_) => {
                 self.staged = None;
                 self.moved += 1;
@@ -208,7 +222,7 @@ impl Link {
             return;
         }
         let start = start as Cycle;
-        let end = ceil_cycle(self.clock);
+        let end = self.time;
         match &mut self.busy {
             Some((_, until)) if start <= *until => *until = (*until).max(end),
             _ => {
