@@ -8,15 +8,12 @@
 //! run serially and read the installed cache; called on their own, they
 //! simulate as they go. So that a recording names exactly the points a
 //! real run looks up, no experiment chooses a lookup from a value it
-//! looked up before. Only the uncached runs — Table 4's wire measurements
-//! and the faults grid — take a worker count of their own. Results are
-//! pure functions of their points, so output is bit-identical whatever the
-//! worker count.
-
-use memcomm_util::par::par_map;
+//! looked up before. Table 4's wire runs and the faults grid's resilient
+//! transfers are memo points like the rest. Results are pure functions of
+//! their points, so output is bit-identical whatever the worker count.
 
 use memcomm_commops::{
-    measure_message, run_exchange, run_get_exchange, run_resilient_transfer, ExchangeConfig,
+    cached_resilient_transfer, measure_message, run_exchange, run_get_exchange, ExchangeConfig,
     LibraryProfile, ProtocolConfig, Style,
 };
 use memcomm_kernels::apps::{CommMethod, FemKernel, SorKernel, TransposeKernel};
@@ -33,7 +30,6 @@ use memcomm_model::{
     buffer_packing_expr, chained_expr, AccessPattern, BasicTransfer, BufferPackingPlan,
     ChainedPlan, ModelError, RateTable, ReceiveEngine, SendEngine, Throughput, TransferExpr,
 };
-use memcomm_netsim::link::measure_wire_rate;
 
 /// Default payload for microbenchmark measurements (words).
 pub const MICRO_WORDS: u64 = 16 * 1024;
@@ -238,33 +234,30 @@ pub struct NetworkRow {
     pub paper_addr_data: f64,
 }
 
-/// Table 4: network bandwidth as a function of congestion. The wire runs
-/// are not memo points; they fan out across `jobs` workers.
-pub fn table4(machine: &Machine, words: u64, jobs: usize) -> Vec<NetworkRow> {
+/// Table 4: network bandwidth as a function of congestion, each wire run
+/// looked up through [`microbench::measure_wire`].
+///
+/// # Errors
+///
+/// Propagates the memo's result type; a wire run cannot fail.
+pub fn table4(machine: &Machine, words: u64) -> SimResult<Vec<NetworkRow>> {
     let paper = match machine.name {
         "Cray T3D" => reference::t3d_network(),
         _ => reference::paragon_network(),
     };
-    let runs: Vec<(f64, bool)> = paper
-        .iter()
-        .flat_map(|row| [(row.congestion, false), (row.congestion, true)])
-        .collect();
-    let mbps = par_map(jobs, &runs, |&(congestion, addressed)| {
-        measure_wire_rate(machine.link(congestion), words, addressed)
-            .throughput(machine.clock())
-            .as_mbps()
-    });
-    paper
-        .iter()
-        .zip(mbps.chunks(2))
-        .map(|(row, run)| NetworkRow {
+    every(&paper, |row| {
+        let [data_only, addr_data] = [false, true].map(|addressed| {
+            microbench::measure_wire(machine, row.congestion, words, addressed)
+                .map(|m| m.throughput(machine.clock()).as_mbps())
+        });
+        Ok(NetworkRow {
             congestion: row.congestion,
-            data_only: run[0],
-            addr_data: run[1],
+            data_only: data_only?,
+            addr_data: addr_data?,
             paper_data_only: row.data_only.as_mbps(),
             paper_addr_data: row.addr_data.as_mbps(),
         })
-        .collect()
+    })
 }
 
 // --------------------------------------- Section 5 / Figures 7 and 8
@@ -911,16 +904,11 @@ pub struct FaultRow {
 }
 
 /// Robustness grid: sequence-numbered, checksummed, retried transfers under
-/// the configured fault plan. Every point reports `ok` or its own error, so
-/// a hostile plan degrades the report point by point instead of aborting
-/// the sweep. The transfers are not memo points (their fault counters must
-/// reach the run's registry); they fan out across `jobs` workers.
-pub fn faults(
-    machine: &Machine,
-    words: u64,
-    settings: &FaultSettings,
-    jobs: usize,
-) -> Vec<FaultRow> {
+/// the configured fault plan, each looked up through
+/// [`cached_resilient_transfer`]. Every point reports `ok` or its own
+/// error, so a hostile plan degrades the report point by point instead of
+/// aborting the sweep.
+pub fn faults(machine: &Machine, words: u64, settings: &FaultSettings) -> Vec<FaultRow> {
     let ops = ["1Q1", "1Q64", "wQw"];
     let grid: Vec<(&str, Style)> = ops
         .iter()
@@ -931,35 +919,37 @@ pub fn faults(
         max_cycles: settings.max_cycles,
         ..ProtocolConfig::default()
     };
-    par_map(jobs, &grid, |&(op, style)| {
-        let (x, y) = parse_q(op);
-        let style_label = match style {
-            Style::BufferPacking => "buffer-packing",
-            Style::Chained => "chained",
-        };
-        match run_resilient_transfer(machine, x, y, style, settings.plan(), &cfg) {
-            Ok(r) => FaultRow {
-                op: op.to_string(),
-                style: style_label.to_string(),
-                mbps: Some(r.throughput(machine.clock()).as_mbps()),
-                frames_sent: r.frames_sent,
-                retransmissions: r.retransmissions,
-                degraded: r.degraded,
-                verified: r.verified,
-                error: None,
-            },
-            Err(e) => FaultRow {
-                op: op.to_string(),
-                style: style_label.to_string(),
-                mbps: None,
-                frames_sent: 0,
-                retransmissions: 0,
-                degraded: false,
-                verified: false,
-                error: Some(e.to_string()),
-            },
-        }
-    })
+    grid.iter()
+        .map(|&(op, style)| {
+            let (x, y) = parse_q(op);
+            let style_label = match style {
+                Style::BufferPacking => "buffer-packing",
+                Style::Chained => "chained",
+            };
+            match cached_resilient_transfer(machine, x, y, style, settings.plan(), &cfg) {
+                Ok(r) => FaultRow {
+                    op: op.to_string(),
+                    style: style_label.to_string(),
+                    mbps: Some(r.throughput(machine.clock()).as_mbps()),
+                    frames_sent: r.frames_sent,
+                    retransmissions: r.retransmissions,
+                    degraded: r.degraded,
+                    verified: r.verified,
+                    error: None,
+                },
+                Err(e) => FaultRow {
+                    op: op.to_string(),
+                    style: style_label.to_string(),
+                    mbps: None,
+                    frames_sent: 0,
+                    retransmissions: 0,
+                    degraded: false,
+                    verified: false,
+                    error: Some(e.to_string()),
+                },
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1003,7 +993,7 @@ mod tests {
 
     #[test]
     fn table4_matches_congestion_halving() {
-        let rows = table4(&Machine::paragon(), 4096, 2);
+        let rows = table4(&Machine::paragon(), 4096).unwrap();
         assert_eq!(rows.len(), 3);
         let r1 = &rows[0];
         let r2 = &rows[1];
@@ -1082,7 +1072,7 @@ mod tests {
 
     #[test]
     fn faults_grid_is_clean_without_a_plan() {
-        let rows = faults(&Machine::t3d(), 512, &FaultSettings::default(), 2);
+        let rows = faults(&Machine::t3d(), 512, &FaultSettings::default());
         assert_eq!(rows.len(), 6);
         for r in &rows {
             assert!(
@@ -1108,7 +1098,7 @@ mod tests {
             rate: 0.005,
             ..FaultSettings::default()
         };
-        let rows = faults(&Machine::t3d(), 512, &settings, 2);
+        let rows = faults(&Machine::t3d(), 512, &settings);
         for r in &rows {
             assert!(
                 r.verified && r.error.is_none(),
@@ -1126,7 +1116,7 @@ mod tests {
 
     #[test]
     fn fault_rows_ignore_the_seed_at_zero_rate() {
-        let a = faults(&Machine::t3d(), 256, &FaultSettings::default(), 1);
+        let a = faults(&Machine::t3d(), 256, &FaultSettings::default());
         let b = faults(
             &Machine::t3d(),
             256,
@@ -1134,7 +1124,6 @@ mod tests {
                 seed: 0xDEAD_BEEF,
                 ..FaultSettings::default()
             },
-            2,
         );
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.mbps, rb.mbps, "{}/{}", ra.op, ra.style);

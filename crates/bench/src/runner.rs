@@ -5,9 +5,9 @@
 //!
 //! 1. **plan** — each selected section's fill runs once under
 //!    [`memo::record`], which collects the memo points it looks up (a basic
-//!    transfer, a pattern or get exchange, a library message, each on one
-//!    machine) and simulates none of them, and the runner removes
-//!    duplicates in first-lookup order;
+//!    transfer, a pattern or get exchange, a library message, a wire run
+//!    or a resilient transfer, each on one machine) and simulates none of
+//!    them, and the runner removes duplicates in first-lookup order;
 //! 2. **simulate** — the distinct points run in one fan-out across
 //!    [`SweepOptions::jobs`] workers, in plan order, into the measurement
 //!    cache ([`memcomm_machines::memo`]);
@@ -17,8 +17,9 @@
 //! So each distinct point simulates exactly once per cache: the run adopts
 //! the caller's installed [`memcomm_machines::memo::MemoHandle`] (the
 //! serving process shares one across requests) or installs a fresh one of
-//! its own. Only the faults section's resilient transfers and Table 4's
-//! wire runs are no memo points; they fan out within their own sections.
+//! its own. Every run of the default sections is a memo point, so a warm
+//! pass on a filled cache simulates nothing; only the opt-in `engine` and
+//! `collectives` sections run unrecorded, as they did.
 //!
 //! The engine returns two artifacts with deliberately different contracts:
 //!
@@ -69,9 +70,9 @@ pub const SECTIONS: &[&str] = &[
 /// What to run and how wide to fan out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOptions {
-    /// Worker threads for the point fan-out, the uncached wire and fault
-    /// runs, and an engine or collectives run that sets no worker count of
-    /// its own (1 = serial). Only this run reads it.
+    /// Worker threads for the point fan-out, and for an engine or
+    /// collectives run that sets no worker count of its own (1 = serial).
+    /// Only this run reads it.
     pub jobs: usize,
     /// Payload words for microbenchmark measurements.
     pub micro_words: u64,
@@ -481,7 +482,10 @@ pub struct RunMetrics {
     /// each simulated at most once (a cold run on a fresh cache misses
     /// exactly these).
     pub planned: u64,
-    /// Host milliseconds spent planning and simulating the planned points.
+    /// Host milliseconds spent planning: recording the selected sections'
+    /// fills and removing duplicate points.
+    pub plan_ms: f64,
+    /// Host milliseconds spent simulating the planned points.
     pub simulate_ms: f64,
     /// Host milliseconds spent after the simulate phase: rendering the
     /// sections from the cache (about the sum of the experiments'
@@ -494,12 +498,13 @@ pub struct RunMetrics {
     /// only the simulations that ran, so a memo hit adds nothing.
     pub sim: SimCounters,
     /// Fault-machinery counters for this run (injected, retried, degraded,
-    /// dropped).
+    /// dropped). Like `sim`, they count only the simulations that ran.
     pub faults: FaultCounters,
-    /// Total wall-clock milliseconds.
+    /// Total wall-clock milliseconds: `plan_ms + simulate_ms + render_ms`.
     pub wall_ms: f64,
     /// Registry histogram summaries at the end of the run (protocol frame
-    /// latency, retries per frame, queue depths), sorted by name.
+    /// latency, retries per frame, queue depths), sorted by name. They
+    /// sample only the simulations that ran: a memo hit records nothing.
     pub histograms: Vec<(String, HistogramSummary)>,
     /// Per-experiment breakdown.
     pub experiments: Vec<ExperimentMetrics>,
@@ -527,6 +532,7 @@ impl RunMetrics {
             ("faults_degraded", self.faults.degraded.into()),
             ("faults_dropped", self.faults.dropped.into()),
             ("wall_ms", self.wall_ms.into()),
+            ("plan_ms", self.plan_ms.into()),
             ("simulate_ms", self.simulate_ms.into()),
             ("render_ms", self.render_ms.into()),
             (
@@ -561,11 +567,12 @@ impl RunMetrics {
     /// One-line human summary (cache behaviour + wall time).
     pub fn summary(&self) -> String {
         format!(
-            "{} points in {:.0} ms on {} worker(s) ({} planned points simulated in {:.0} ms, rendered in {:.0} ms); cache: {} hits / {} misses ({:.0}% hit rate, {} entries); simulated {} cycles over {} measurements ({} driver steps, {} blocked); faults: {} injected / {} retried / {} degraded / {} dropped",
+            "{} points in {:.0} ms on {} worker(s) ({} planned points: planned in {:.1} ms, simulated in {:.0} ms, rendered in {:.0} ms); cache: {} hits / {} misses ({:.0}% hit rate, {} entries); simulated {} cycles over {} measurements ({} driver steps, {} blocked); faults: {} injected / {} retried / {} degraded / {} dropped",
             self.points,
             self.wall_ms,
             self.jobs,
             self.planned,
+            self.plan_ms,
             self.simulate_ms,
             self.render_ms,
             self.cache.hits,
@@ -596,8 +603,8 @@ struct Section {
     name: &'static str,
     selected: fn(&SweepOptions, &str) -> bool,
     /// Whether [`distinct_points`] records the fill. It is false for a
-    /// fill whose runs always simulate (Table 4's wire runs, the faults
-    /// grid) or depend on engine runs: recording it would run those.
+    /// fill whose runs depend on engine runs (`engine`, `collectives`):
+    /// recording it would run those.
     recorded: bool,
     fill: Fill,
 }
@@ -690,14 +697,9 @@ const TABLE: &[Section] = &[
     Section::keyed("figure4", |o, r| {
         both(&mut r.figure4, |m| experiments::figure4(m, o.micro_words))
     }),
-    Section {
-        recorded: false,
-        ..Section::keyed("table4", |o, r| {
-            both(&mut r.table4, |m| {
-                Ok(experiments::table4(m, o.micro_words, o.jobs))
-            })
-        })
-    },
+    Section::keyed("table4", |o, r| {
+        both(&mut r.table4, |m| experiments::table4(m, o.micro_words))
+    }),
     Section {
         name: "section5",
         selected: |o, _| o.wants("figure7") || o.wants("figure8"),
@@ -737,14 +739,11 @@ const TABLE: &[Section] = &[
             experiments::model_accuracy(m, &rates, o.exchange_words)
         })
     }),
-    Section {
-        recorded: false,
-        ..Section::keyed("faults", |o, r| {
-            both(&mut r.faults, |m| {
-                Ok(experiments::faults(m, o.exchange_words, &o.faults, o.jobs))
-            })
+    Section::keyed("faults", |o, r| {
+        both(&mut r.faults, |m| {
+            Ok(experiments::faults(m, o.exchange_words, &o.faults))
         })
-    },
+    }),
     Section {
         name: "phases",
         selected: |o, _| o.phases,
@@ -864,12 +863,13 @@ fn sweep(opts: &SweepOptions, sections: &[&Section]) -> (FullReport, RunMetrics)
     let start = Instant::now();
 
     let work = distinct_points(opts, sections);
+    let simulating = Instant::now();
     par::par_map(opts.jobs, &work, |(machine, point)| {
         // A panicking simulation caches nothing, so the section that looks
         // the point up meets the panic again and records it as its failure.
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| measure_point(machine, *point)));
     });
-    let simulate_ms = start.elapsed().as_secs_f64() * 1e3;
+    let rendering = Instant::now();
 
     let mut report = FullReport {
         micro_words: opts.micro_words,
@@ -898,17 +898,24 @@ fn sweep(opts: &SweepOptions, sections: &[&Section]) -> (FullReport, RunMetrics)
         });
     }
 
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let end = Instant::now();
+    let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
+    let [plan_ms, simulate_ms, render_ms] = [
+        ms(start, simulating),
+        ms(simulating, rendering),
+        ms(rendering, end),
+    ];
     let metrics = RunMetrics {
         jobs: opts.jobs,
         points: experiment_metrics.iter().map(|e| e.points).sum(),
         planned: work.len() as u64,
+        plan_ms,
         simulate_ms,
-        render_ms: wall_ms - simulate_ms,
+        render_ms,
         cache: memo::stats().since(cache_before),
         sim: SimCounters::from_obs(&obs).since(sim_before),
         faults: FaultCounters::from_obs(&obs).since(faults_before),
-        wall_ms,
+        wall_ms: plan_ms + simulate_ms + render_ms,
         histograms: obs
             .metrics_snapshot()
             .map(|s| s.histograms)
@@ -950,6 +957,9 @@ mod tests {
         // point once, before rendering.
         assert!(metrics.cache.hits > 0, "{:?}", metrics.cache);
         assert_eq!(metrics.cache.misses, metrics.planned, "{metrics:?}");
+        // The phases split the run's wall time exactly.
+        let phases = metrics.plan_ms + metrics.simulate_ms + metrics.render_ms;
+        assert_eq!(phases, metrics.wall_ms, "{metrics:?}");
     }
 
     #[test]
@@ -965,6 +975,7 @@ mod tests {
         for key in [
             "wall_ms",
             "planned",
+            "plan_ms",
             "simulate_ms",
             "render_ms",
             "drive_steps",

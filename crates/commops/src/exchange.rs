@@ -34,7 +34,8 @@ impl Style {
     /// # Panics
     ///
     /// Panics on a byte that is no `Style` discriminant; only a point built
-    /// by hand instead of by [`exchange_point`] can hold one.
+    /// by hand instead of by [`exchange_point`] or
+    /// [`resilient_point`](crate::resilient_point) can hold one.
     pub(crate) fn from_memo(style: u8) -> Style {
         [Style::BufferPacking, Style::Chained]
             .into_iter()
@@ -454,7 +455,8 @@ impl Agents for Exchange {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Deadlock`] if the co-simulation wedges with work
+/// Returns [`SimError::Protocol`] for buffer packing with zero-word
+/// chunks, [`SimError::Deadlock`] if the co-simulation wedges with work
 /// outstanding, [`SimError::CycleBudget`] past `cfg.max_cycles`, and
 /// propagates allocation, walk-validation and engine protocol errors.
 pub fn run_exchange(
@@ -506,6 +508,13 @@ pub fn run_exchange_specs(
     style: Style,
     cfg: &ExchangeConfig,
 ) -> SimResult<ExchangeResult> {
+    // A chained run reads no chunks; a pipeline cannot cut empty ones.
+    if style == Style::BufferPacking && cfg.chunk_words == Some(0) {
+        return Err(SimError::Protocol {
+            detail: "buffer-packing chunks must hold at least one word".to_string(),
+            at: 0,
+        });
+    }
     let congestion = cfg.congestion.unwrap_or(machine.default_congestion);
     let b_sends = if cfg.full_duplex { cfg.words } else { 0 };
     let obs = memcomm_obs::Obs::current();
@@ -727,6 +736,25 @@ mod tests {
         assert_eq!(ExchangeConfig::from_memo_key(default.memo_key()), default);
         for style in [Style::BufferPacking, Style::Chained] {
             assert_eq!(Style::from_memo(style as u8), style);
+        }
+    }
+
+    #[test]
+    fn zero_word_chunks_fail_typed_for_buffer_packing_and_are_ignored_chained() {
+        let cfg = ExchangeConfig {
+            words: 64,
+            chunk_words: Some(0),
+            ..ExchangeConfig::default()
+        };
+        for m in [Machine::t3d(), Machine::paragon()] {
+            let bp = run_exchange(&m, C1, S64, Style::BufferPacking, &cfg);
+            assert!(
+                matches!(&bp, Err(SimError::Protocol { detail, at: 0 }) if detail.contains("chunk")),
+                "{}: {bp:?}",
+                m.name
+            );
+            let chained = run_exchange(&m, C1, S64, Style::Chained, &cfg).unwrap();
+            assert!(chained.verified, "{}", m.name);
         }
     }
 

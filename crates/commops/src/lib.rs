@@ -62,15 +62,20 @@ pub use exchange::{
 pub use get::{get_point, run_get_exchange};
 pub use layout::WalkSpec;
 pub use library::{measure_message, message_point, LibraryProfile};
-pub use protocol::{blend_rates, run_resilient_transfer, ProtocolConfig, TransferReport};
+pub use protocol::{
+    blend_rates, cached_resilient_transfer, resilient_point, run_resilient_transfer,
+    ProtocolConfig, TransferReport,
+};
 
 use memcomm_machines::memo::{Point, Value};
 use memcomm_machines::{microbench, Machine};
+use memcomm_memsim::fault::FaultPlan;
 use memcomm_memsim::SimResult;
 
 /// Measures one memo point on `machine` through the installed cache, by
 /// the entry function that looks the point up: [`microbench::measure_basic`],
-/// [`run_exchange`], [`run_get_exchange`] or [`measure_message`], called
+/// [`run_exchange`], [`run_get_exchange`], [`measure_message`],
+/// [`microbench::measure_wire`] or [`cached_resilient_transfer`], called
 /// with the inputs the point holds. So a point measured here is a hit for
 /// that function's own later call with the same inputs, and a sweep can
 /// simulate every point it will look up before it looks any up.
@@ -110,6 +115,30 @@ pub fn measure_point(machine: &Machine, point: Point) -> SimResult<Value> {
                 system_buffering,
             },
             words,
+        )?),
+        Point::Wire {
+            congestion_bits,
+            words,
+            address_data_pairs,
+        } => Value::Wire(microbench::measure_wire(
+            machine,
+            f64::from_bits(congestion_bits),
+            words,
+            address_data_pairs,
+        )?),
+        Point::Resilient {
+            x,
+            y,
+            style,
+            faults,
+            protocol,
+        } => Value::Resilient(cached_resilient_transfer(
+            machine,
+            x,
+            y,
+            Style::from_memo(style),
+            FaultPlan::new(faults),
+            &protocol,
         )?),
     })
 }

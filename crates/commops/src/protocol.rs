@@ -25,6 +25,7 @@
 //!   run is flagged [`TransferReport::degraded`]. [`blend_rates`] predicts
 //!   the throughput of a workload that degrades some fraction of the time.
 
+use memcomm_machines::memo::{self, Point};
 use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::fault::{site, FaultPlan};
@@ -36,6 +37,9 @@ use memcomm_model::{AccessPattern, Throughput};
 use memcomm_netsim::link::Step;
 use memcomm_netsim::Link;
 
+pub use memcomm_memsim::fault::ProtocolConfig;
+pub use memcomm_memsim::stats::TransferReport;
+
 use crate::drive::{drive, Agents, LinkWaits};
 use crate::exchange::Style;
 use crate::layout::ExchangeLayout;
@@ -44,67 +48,6 @@ use crate::layout::ExchangeLayout;
 const TAG_HDR: u64 = 0xA5;
 /// Tag byte of an ack control word.
 const TAG_ACK: u64 = 0x5A;
-
-/// Parameters of a resilient transfer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProtocolConfig {
-    /// Payload words to move.
-    pub words: u64,
-    /// Payload words per frame.
-    pub frame_words: u64,
-    /// Initial ack timeout in cycles (attempt 0).
-    pub timeout_cycles: Cycle,
-    /// Timeout multiplier per failed attempt.
-    pub backoff_factor: u32,
-    /// Ceiling on the backed-off timeout.
-    pub max_timeout_cycles: Cycle,
-    /// Retransmissions allowed per frame before the transfer fails.
-    pub max_retries: u32,
-    /// Seed for indexed patterns.
-    pub seed: u64,
-    /// Simulated-cycle budget for the whole transfer.
-    pub max_cycles: Option<Cycle>,
-}
-
-impl Default for ProtocolConfig {
-    fn default() -> Self {
-        ProtocolConfig {
-            words: 4096,
-            frame_words: 64,
-            timeout_cycles: 8192,
-            backoff_factor: 2,
-            max_timeout_cycles: 1 << 17,
-            max_retries: 8,
-            seed: 0x5EED,
-            max_cycles: None,
-        }
-    }
-}
-
-/// Outcome of a resilient transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransferReport {
-    /// Payload words moved.
-    pub words: u64,
-    /// Cycle at which the last agent finished.
-    pub end_cycle: Cycle,
-    /// Whether the destination holds exactly the source data.
-    pub verified: bool,
-    /// Frames transmitted, including retransmissions.
-    pub frames_sent: u64,
-    /// Retransmissions (frames_sent minus the frame count).
-    pub retransmissions: u64,
-    /// Whether the deposit engine was unavailable and the receiver fell
-    /// back to CPU stores.
-    pub degraded: bool,
-}
-
-impl TransferReport {
-    /// End-to-end throughput of the transfer.
-    pub fn throughput(&self, clock: memcomm_memsim::Clock) -> Throughput {
-        clock.throughput(self.words * 8, self.end_cycle.max(1))
-    }
-}
 
 /// The backed-off ack timeout for a retry attempt: `timeout * factor^attempt`
 /// capped at `max`. The schedule itself is the shared
@@ -485,6 +428,44 @@ impl Agents for Transfer<'_> {
             2 => self.links[0].step(&mut self.a.tx, &mut self.b.rx),
             _ => self.links[1].step(&mut self.b.tx, &mut self.a.rx),
         })
+    }
+}
+
+/// [`run_resilient_transfer`] through the installed memo cache (see
+/// [`memcomm_machines::memo`]): a repeated transfer is a lookup, so its
+/// fault counters and protocol histograms count only the runs that
+/// simulate. With no handle installed every call simulates.
+///
+/// # Errors
+///
+/// As [`run_resilient_transfer`] (memoized like a value).
+pub fn cached_resilient_transfer(
+    machine: &Machine,
+    x: AccessPattern,
+    y: AccessPattern,
+    style: Style,
+    plan: FaultPlan,
+    cfg: &ProtocolConfig,
+) -> SimResult<TransferReport> {
+    memo::cached(machine, resilient_point(x, y, style, plan, cfg), || {
+        run_resilient_transfer(machine, x, y, style, plan, cfg)
+    })
+}
+
+/// The memo point [`cached_resilient_transfer`] looks up.
+pub fn resilient_point(
+    x: AccessPattern,
+    y: AccessPattern,
+    style: Style,
+    plan: FaultPlan,
+    cfg: &ProtocolConfig,
+) -> Point {
+    Point::Resilient {
+        x,
+        y,
+        style: style as u8,
+        faults: *plan.config(),
+        protocol: *cfg,
     }
 }
 

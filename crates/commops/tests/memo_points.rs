@@ -4,9 +4,10 @@
 //! a lookup would answer one point with another's result. Through one
 //! shared installed cache, each check changes one input of a base point at
 //! a time — the patterns, the style, every `ExchangeConfig` field, every
-//! `LibraryProfile` field, the words and the machine — and asserts that the
-//! changed point misses, returns exactly what an uncached run returns, and
-//! hits on the repeat. Exchange and get points share patterns and
+//! `LibraryProfile` field, the words, a wire run's congestion and framing,
+//! every `FaultConfig` and `ProtocolConfig` field of a resilient transfer,
+//! and the machine — and asserts that the changed point misses, returns
+//! exactly what an uncached run returns, and hits on the repeat. Exchange and get points share patterns and
 //! parameters, so the shared cache also shows the kinds never collide.
 //! And a point measured through `measure_point`, as the sweep's simulate
 //! phase measures it, is exactly the entry its own function looks up.
@@ -14,11 +15,13 @@
 use std::fmt::Debug;
 
 use memcomm_commops::{
-    exchange_point, get_point, measure_message, measure_point, message_point, run_exchange,
-    run_get_exchange, ExchangeConfig, LibraryProfile, Style,
+    cached_resilient_transfer, exchange_point, get_point, measure_message, measure_point,
+    message_point, resilient_point, run_exchange, run_get_exchange, ExchangeConfig, LibraryProfile,
+    ProtocolConfig, Style,
 };
 use memcomm_machines::memo::{self, MemoCache, MemoHandle, Point, PointValue};
 use memcomm_machines::{microbench, Machine};
+use memcomm_memsim::fault::{FaultConfig, FaultPlan};
 use memcomm_memsim::SimResult;
 use memcomm_model::{AccessPattern, BasicTransfer};
 
@@ -130,6 +133,142 @@ fn exchange_cases() -> Vec<(
     ]
 }
 
+/// One named input and how a variant changes it.
+type Change<T> = (&'static str, fn(&mut T));
+
+/// A base resilient transfer and one variant per input, each differing from
+/// the base in exactly that input.
+fn resilient_cases() -> Vec<(
+    String,
+    Machine,
+    AccessPattern,
+    AccessPattern,
+    Style,
+    FaultConfig,
+    ProtocolConfig,
+)> {
+    let faults = FaultConfig {
+        seed: 3,
+        rate: 0.01,
+        ..FaultConfig::default()
+    };
+    let protocol = ProtocolConfig {
+        words: 256,
+        ..ProtocolConfig::default()
+    };
+    let fault_fields: [Change<FaultConfig>; 9] = [
+        ("seed", |f| f.seed = 4),
+        ("rate", |f| f.rate = 0.02),
+        ("max_jitter_cycles", |f| f.max_jitter_cycles += 1),
+        ("max_stall_cycles", |f| f.max_stall_cycles += 1),
+        ("outage_rate", |f| f.outage_rate = 0.5),
+        ("outage_window_rate", |f| f.outage_window_rate = 0.5),
+        ("outage_window_cycles", |f| f.outage_window_cycles += 1),
+        ("outage_period_cycles", |f| f.outage_period_cycles += 1),
+        ("permanent_outage_rate", |f| f.permanent_outage_rate = 0.5),
+    ];
+    let protocol_fields: [Change<ProtocolConfig>; 8] = [
+        ("words", |p| p.words = 320),
+        ("frame_words", |p| p.frame_words = 32),
+        ("timeout_cycles", |p| p.timeout_cycles += 1),
+        ("backoff_factor", |p| p.backoff_factor = 3),
+        ("max_timeout_cycles", |p| p.max_timeout_cycles += 1),
+        ("max_retries", |p| p.max_retries = 2),
+        ("seed", |p| p.seed = 7),
+        ("max_cycles", |p| p.max_cycles = Some(1_000)),
+    ];
+    let t3d = Machine::t3d();
+    let bp = Style::BufferPacking;
+    let mut cases = vec![
+        ("base".to_string(), t3d.clone(), C, S8, bp, faults, protocol),
+        (
+            "x".into(),
+            t3d.clone(),
+            AccessPattern::Indexed,
+            S8,
+            bp,
+            faults,
+            protocol,
+        ),
+        (
+            "y".into(),
+            t3d.clone(),
+            C,
+            AccessPattern::Strided(16),
+            bp,
+            faults,
+            protocol,
+        ),
+        (
+            "style".into(),
+            t3d.clone(),
+            C,
+            S8,
+            Style::Chained,
+            faults,
+            protocol,
+        ),
+        (
+            "machine".into(),
+            Machine::paragon(),
+            C,
+            S8,
+            bp,
+            faults,
+            protocol,
+        ),
+        (
+            "ablation".into(),
+            ablated_t3d(),
+            C,
+            S8,
+            bp,
+            faults,
+            protocol,
+        ),
+    ];
+    for (field, change) in fault_fields {
+        let mut f = faults;
+        change(&mut f);
+        cases.push((
+            format!("faults.{field}"),
+            t3d.clone(),
+            C,
+            S8,
+            bp,
+            f,
+            protocol,
+        ));
+    }
+    for (field, change) in protocol_fields {
+        let mut p = protocol;
+        change(&mut p);
+        cases.push((
+            format!("protocol.{field}"),
+            t3d.clone(),
+            C,
+            S8,
+            bp,
+            faults,
+            p,
+        ));
+    }
+    cases
+}
+
+/// A base wire run and one variant per input.
+fn wire_cases() -> Vec<(&'static str, Machine, f64, u64, bool)> {
+    let t3d = Machine::t3d();
+    vec![
+        ("base", t3d.clone(), 2.0, 256, false),
+        ("congestion", t3d.clone(), 1.0, 256, false),
+        ("words", t3d.clone(), 2.0, 320, false),
+        ("address_data_pairs", t3d.clone(), 2.0, 256, true),
+        ("machine", Machine::paragon(), 2.0, 256, false),
+        ("ablation", ablated_t3d(), 2.0, 256, false),
+    ]
+}
+
 #[test]
 fn every_input_of_every_point_kind_is_in_the_key() {
     let cache = MemoCache::unbounded();
@@ -206,6 +345,23 @@ fn every_input_of_every_point_kind_is_in_the_key() {
             microbench::measure_basic(&m, transfer, words)
         });
     }
+
+    for (input, m, congestion, words, pairs) in wire_cases() {
+        assert_new_point(&cache, &format!("wire {input}"), || {
+            microbench::measure_wire(&m, congestion, words, pairs)
+        });
+    }
+
+    for (input, m, x, y, style, faults, protocol) in resilient_cases() {
+        let run = || cached_resilient_transfer(&m, x, y, style, FaultPlan::new(faults), &protocol);
+        // A budget too small to finish is an error, stored like a value.
+        assert_eq!(
+            run().is_err(),
+            input == "protocol.max_cycles",
+            "resilient {input}"
+        );
+        assert_new_point(&cache, &format!("resilient {input}"), run);
+    }
 }
 
 /// Measures `point` through `measure_point` on a fresh cache, then runs its
@@ -246,6 +402,23 @@ fn measure_point_stores_what_each_entry_function_looks_up() {
             &t3d,
             message_point(profile, 256),
             || measure_message(&t3d, profile, 256),
+        );
+    }
+    for (input, m, congestion, words, pairs) in wire_cases() {
+        assert_planned(
+            &format!("wire {input}"),
+            &m,
+            microbench::wire_point(congestion, words, pairs),
+            || microbench::measure_wire(&m, congestion, words, pairs),
+        );
+    }
+    for (input, m, x, y, style, faults, protocol) in resilient_cases() {
+        let plan = FaultPlan::new(faults);
+        assert_planned(
+            &format!("resilient {input}"),
+            &m,
+            resilient_point(x, y, style, plan, &protocol),
+            || cached_resilient_transfer(&m, x, y, style, plan, &protocol),
         );
     }
     for transfer in ["1C1", "0D64", "1F0"] {

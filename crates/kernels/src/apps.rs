@@ -7,6 +7,8 @@
 //! (`netsim` derives it), plus the per-message and synchronization costs of
 //! the communication layer in use.
 
+use std::sync::OnceLock;
+
 use memcomm_commops::{run_exchange, ExchangeConfig, Style};
 use memcomm_machines::{microbench, Machine};
 use memcomm_memsim::clock::Cycle;
@@ -376,10 +378,12 @@ pub struct FemKernel {
 impl FemKernel {
     /// A 110k-point synthetic valley over 64 partitions, sized so each
     /// interface is a few hundred words, like the Quake mesh's partitions.
-    pub fn paper_instance() -> Self {
-        FemKernel {
+    /// The mesh is a constant: it is built once per process.
+    pub fn paper_instance() -> &'static FemKernel {
+        static PAPER: OnceLock<FemKernel> = OnceLock::new();
+        PAPER.get_or_init(|| FemKernel {
             mesh: PartitionedMesh::synthetic_valley([48, 48, 48], [4, 4, 4], 1995),
-        }
+        })
     }
 
     /// Words exchanged with one neighbour (the mean interface size).
@@ -407,32 +411,28 @@ impl FemKernel {
             });
         }
         let bytes = self.exchange_words() * 8;
-        let all = traffic::neighbor_exchange(topo, bytes);
-        // Phase = all flows with the same (coordinate delta) direction; for
-        // a shift on a torus each phase is a permutation. A 2-wide torus
-        // ring has no -1 direction (hop deltas tie positive), so that phase
-        // is empty and is dropped rather than scheduled as a no-op round.
-        Ok((0..topo.dims().len())
-            .flat_map(|dim| [-1i64, 1].into_iter().map(move |step| (dim, step)))
-            .map(|(dim, step)| {
-                all.iter()
-                    .copied()
-                    .filter(|f| {
-                        let ca = topo.coords(f.src);
-                        let cb = topo.coords(f.dst);
-                        (0..topo.dims().len()).all(|d| {
-                            let delta = topo.hop_delta(ca[d], cb[d], d);
-                            if d == dim {
-                                delta == step
-                            } else {
-                                delta == 0
-                            }
-                        })
-                    })
-                    .collect()
-            })
-            .filter(|phase: &Vec<traffic::Flow>| !phase.is_empty())
-            .collect())
+        // Phase = all flows with the same (coordinate delta) direction, -1
+        // before +1, lowest dimension first; for a shift on a torus each
+        // phase is a permutation. A 2-wide torus ring has no -1 direction
+        // (hop deltas tie positive), so that phase is empty and is dropped
+        // rather than scheduled as a no-op round.
+        let dims = topo.dims();
+        let mut phases = vec![Vec::new(); 2 * dims.len()];
+        for f in traffic::neighbor_exchange(topo, bytes) {
+            // The flow's hop delta in every dimension, from node-id strides.
+            let mut stride = topo.len();
+            let mut moves = dims.iter().enumerate().filter_map(|(dim, &size)| {
+                stride /= size as usize;
+                let [a, b] = [f.src, f.dst].map(|n| (n / stride % size as usize) as u32);
+                let delta = topo.hop_delta(a, b, dim);
+                (delta != 0).then_some((dim, delta))
+            });
+            if let (Some((dim, step @ (-1 | 1))), None) = (moves.next(), moves.next()) {
+                phases[2 * dim + usize::from(step == 1)].push(f);
+            }
+        }
+        phases.retain(|phase| !phase.is_empty());
+        Ok(phases)
     }
 
     /// Congestion of the phased exchange on an explicit topology/port

@@ -13,7 +13,7 @@ use memcomm_netsim::{LinkParams, Topology};
 
 /// Which basic transfers the machine's hardware/software actually offers
 /// (the "–" cells of the paper's Tables 2 and 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Capabilities {
     /// `xF0`: a DMA engine can feed the network (Paragon yes, T3D no).
     pub fetch_send: bool,

@@ -11,22 +11,30 @@
 //! * pattern exchanges (`commops::run_exchange`, which the Table 6 kernels
 //!   also call per round) and get exchanges (`commops::run_get_exchange`),
 //!   shared by Figures 7/8, Table 5, the accuracy grid and put/get;
-//! * library messages (`commops::measure_message`), behind Figure 1.
+//! * library messages (`commops::measure_message`), behind Figure 1;
+//! * Table 4's wire runs ([`microbench::measure_wire`](crate::microbench::measure_wire))
+//!   and the faults grid's resilient transfers
+//!   (`commops::cached_resilient_transfer`), which recur across the passes
+//!   of a warm cache. A resilient transfer's fault counters and protocol
+//!   histograms count in the registry of the run that simulates it, so,
+//!   like the simulation counters, they count only the simulations that
+//!   ran.
 //!
 //! A [`MemoCache`] makes each distinct point simulate exactly once per
 //! cache. A key is the machine's fingerprint plus a [`Point`]: a closed enum
 //! with one variant per kind, holding as plain data every input that
 //! determines the result. Callers build a point by destructuring their
-//! configuration without `..`, so a field added later does not compile
-//! until the key covers it. Because a point is plain data, a run's lookups
-//! can be collected before anything simulates: [`record`] runs a closure
-//! with every lookup recorded instead of answered. The sweep records each
+//! configuration without `..`, or from a type whose equality and hash
+//! cover every field, so a field added later cannot escape the key.
+//! Because a point is plain data, a run's lookups can be
+//! collected before anything simulates: [`record`] runs a closure with
+//! every lookup recorded instead of answered. The sweep records each
 //! section's own fill this way and simulates the distinct points through
-//! `commops::measure_point` before it renders. Two entry points stay
-//! uncached: `commops::run_resilient_transfer`, whose fault counters and
-//! protocol histograms land in the run's metrics registry and would be
-//! lost on a hit, and `commops::run_exchange_specs`, whose explicit offset
-//! lists would have to be keyed in full.
+//! `commops::measure_point` before it renders. Three entry points stay
+//! uncached: `netsim::link::measure_wire_rate` and
+//! `commops::run_resilient_transfer` simulate on every call, and
+//! `commops::run_exchange_specs`, whose explicit offset lists would have
+//! to be keyed in full, never looks up.
 //!
 //! ## The handle model
 //!
@@ -53,10 +61,10 @@
 //! Per-shard capacities sum exactly to the configured capacity, so the
 //! bound is never exceeded, not even transiently.
 //!
-//! Keys include a fingerprint of the *entire* machine configuration (hashed
-//! from its `Debug` rendering), so mutated machines — the ablation studies
-//! flip individual component parameters — never collide with the stock
-//! configurations.
+//! Keys include a fingerprint of the *entire* machine configuration (a
+//! structural hash of every field, [`machine_fingerprint`]), so mutated
+//! machines — the ablation studies flip individual component parameters —
+//! never collide with the stock configurations.
 //!
 //! Lookups take a shard lock briefly and simulations run outside it, so
 //! parallel sweep workers never serialize on each other. Two workers racing
@@ -68,14 +76,15 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, Once};
 
-use memcomm_memsim::stats::{ExchangeResult, PhaseTimeline};
-use memcomm_memsim::{Cycle, Measurement, SimResult};
+use memcomm_memsim::fault::{FaultConfig, ProtocolConfig};
+use memcomm_memsim::stats::{ExchangeResult, PhaseTimeline, TransferReport};
+use memcomm_memsim::{Cycle, Measurement, NodeParams, SimResult};
 use memcomm_model::{AccessPattern, BasicTransfer, Throughput};
+use memcomm_netsim::LinkParams;
 
 use crate::Machine;
 
@@ -121,6 +130,29 @@ pub enum Point {
         /// Message words.
         words: u64,
     },
+    /// A raw wire run of Table 4 (`microbench::measure_wire`).
+    Wire {
+        /// `f64::to_bits` of the congestion factor.
+        congestion_bits: u64,
+        /// Words streamed.
+        words: u64,
+        /// Whether the words are address-data pairs.
+        address_data_pairs: bool,
+    },
+    /// A resilient transfer under a fault plan
+    /// (`commops::cached_resilient_transfer`).
+    Resilient {
+        /// Source access pattern.
+        x: AccessPattern,
+        /// Destination access pattern.
+        y: AccessPattern,
+        /// The `commops::Style` discriminant.
+        style: u8,
+        /// The fault plan's configuration, its rates keyed by their bits.
+        faults: FaultConfig,
+        /// The protocol parameters.
+        protocol: ProtocolConfig,
+    },
 }
 
 /// Every field of a `commops::ExchangeConfig`, with the congestion factor
@@ -153,6 +185,10 @@ pub enum Value {
     Exchange(ExchangeResult),
     /// A library message's end-to-end throughput.
     Message(Throughput),
+    /// A raw wire run.
+    Wire(Measurement),
+    /// A resilient transfer.
+    Resilient(TransferReport),
 }
 
 /// A result type stored as a [`Value`]; [`cached`] converts through it.
@@ -168,40 +204,28 @@ pub trait PointValue: Sized {
     fn from_value(value: Value) -> Self;
 }
 
-impl PointValue for Option<Measurement> {
-    fn into_value(self) -> Value {
-        Value::Basic(self)
-    }
-    fn from_value(value: Value) -> Self {
-        match value {
-            Value::Basic(m) => m,
-            other => unreachable!("basic point holds {other:?}"),
+macro_rules! point_values {
+    ($($kind:literal: $ty:ty => $variant:ident,)+) => {$(
+        impl PointValue for $ty {
+            fn into_value(self) -> Value {
+                Value::$variant(self)
+            }
+            fn from_value(value: Value) -> Self {
+                match value {
+                    Value::$variant(v) => v,
+                    other => unreachable!("{} point holds {other:?}", $kind),
+                }
+            }
         }
-    }
+    )+};
 }
 
-impl PointValue for ExchangeResult {
-    fn into_value(self) -> Value {
-        Value::Exchange(self)
-    }
-    fn from_value(value: Value) -> Self {
-        match value {
-            Value::Exchange(r) => r,
-            other => unreachable!("exchange point holds {other:?}"),
-        }
-    }
-}
-
-impl PointValue for Throughput {
-    fn into_value(self) -> Value {
-        Value::Message(self)
-    }
-    fn from_value(value: Value) -> Self {
-        match value {
-            Value::Message(t) => t,
-            other => unreachable!("message point holds {other:?}"),
-        }
-    }
+point_values! {
+    "basic": Option<Measurement> => Basic,
+    "exchange": ExchangeResult => Exchange,
+    "message": Throughput => Message,
+    "wire": Measurement => Wire,
+    "resilient": TransferReport => Resilient,
 }
 
 /// Cache key: machine fingerprint and point.
@@ -210,27 +234,80 @@ pub type MemoKey = (u64, Point);
 /// Cached value: a point's result, or its deterministic simulation error.
 pub type Cached = SimResult<Value>;
 
-/// FNV-1a over the machine's complete `Debug` rendering. Every calibrated
-/// parameter shows up in the rendering, so any mutation changes the
-/// fingerprint. The rendering streams straight into the hash; no string is
-/// built.
+/// A structural hash of every field of `machine`. The parameter structs
+/// that hold floats are destructured without `..` and their floats hashed
+/// by their bits; the rest derive `Hash`. So a field added later is
+/// hashed, or does not compile until it is, and any mutation, such as an
+/// ablation's, changes the fingerprint.
 pub fn machine_fingerprint(machine: &Machine) -> u64 {
-    let mut sink = Fnv1a(0xcbf2_9ce4_8422_2325);
-    // Derived `Debug` output fails only if the sink does, and it never does.
-    let _ = fmt::Write::write_fmt(&mut sink, format_args!("{machine:?}"));
-    sink.0
+    let Machine {
+        name,
+        node,
+        link_raw,
+        default_congestion,
+        nodes_per_port,
+        topology,
+        caps,
+    } = machine;
+    let NodeParams {
+        clock_mhz,
+        memory_words,
+        path,
+        cpu,
+        dma,
+        deposit,
+        tx_fifo_words,
+        rx_fifo_words,
+    } = node;
+    let LinkParams {
+        bytes_per_cycle,
+        packet_words,
+        header_bytes,
+        adp_extra_bytes,
+        latency_cycles,
+        congestion,
+    } = link_raw;
+    let mut h = Fold(0xcbf2_9ce4_8422_2325);
+    (name, nodes_per_port, topology, caps).hash(&mut h);
+    (
+        memory_words,
+        path,
+        cpu,
+        dma,
+        deposit,
+        tx_fifo_words,
+        rx_fifo_words,
+    )
+        .hash(&mut h);
+    (packet_words, header_bytes, adp_extra_bytes, latency_cycles).hash(&mut h);
+    for float in [default_congestion, clock_mhz, bytes_per_cycle, congestion] {
+        h.write_u64(float.to_bits());
+    }
+    h.finish()
 }
 
-/// An FNV-1a hasher that formatted text can be written into.
-struct Fnv1a(u64);
+/// Folds each integer it is fed into its state by a multiply and a
+/// rotate. Every step is a bijection of the state, so machines that
+/// differ in one scalar field never share a fingerprint.
+struct Fold(u64);
 
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
-        }
-        Ok(())
+impl Hasher for Fold {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+    }
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
     }
 }
 
@@ -603,11 +680,27 @@ fn stand_in(point: Point) -> Value {
             phases: PhaseTimeline::default(),
         }),
         Point::Message { .. } => Value::Message(Throughput::from_mbps(1.0)),
+        Point::Wire { words, .. } => Value::Wire(Measurement {
+            words,
+            cycles: words.max(1),
+        }),
+        Point::Resilient { protocol, .. } => Value::Resilient(TransferReport {
+            words: protocol.words,
+            end_cycle: protocol.words.max(1),
+            verified: true,
+            frames_sent: 0,
+            retransmissions: 0,
+            degraded: false,
+        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use memcomm_netsim::Topology;
+
     use super::*;
 
     fn basic(transfer: &str, words: u64) -> Point {
@@ -618,18 +711,28 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_fnv1a_of_the_debug_rendering() {
-        let reference = |m: &Machine| {
-            format!("{m:?}")
-                .bytes()
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
-                })
-        };
-        let mut ablated = Machine::t3d();
-        ablated.node.path.readahead.enabled = false;
-        for m in [Machine::t3d(), Machine::paragon(), ablated] {
-            assert_eq!(machine_fingerprint(&m), reference(&m), "{}", m.name);
+    fn every_single_field_mutation_changes_the_fingerprint() {
+        let mutations: [fn(&mut Machine); 8] = [
+            |m| m.name = "renamed",
+            |m| m.node.clock_mhz += 1e-9,
+            |m| m.node.path.readahead.enabled ^= true,
+            |m| m.node.path.dram.turnaround_cycles += 1,
+            |m| m.node.cpu.pfq.depth += 1,
+            |m| m.link_raw.bytes_per_cycle *= 2.0,
+            |m| m.topology = Topology::torus(&[3, 5]),
+            |m| m.caps.receive_store ^= true,
+        ];
+        for base in [Machine::t3d(), Machine::paragon()] {
+            let mut seen = HashSet::from([machine_fingerprint(&base)]);
+            assert_eq!(
+                machine_fingerprint(&base.clone()),
+                machine_fingerprint(&base)
+            );
+            for (i, mutate) in mutations.iter().enumerate() {
+                let mut m = base.clone();
+                mutate(&mut m);
+                assert!(seen.insert(machine_fingerprint(&m)), "{} #{i}", base.name);
+            }
         }
     }
 

@@ -111,6 +111,36 @@ pub fn basic_point(transfer: BasicTransfer, words: u64) -> Point {
     Point::Basic { transfer, words }
 }
 
+/// Measures the raw wire rate of `machine`'s link at `congestion`, as
+/// Table 4 does ([`measure_wire_rate`]: `words` data-only or
+/// address-data-pair words between unconstrained FIFOs), through the
+/// installed memo cache. A wire run cannot fail; the result type is the
+/// memo's.
+pub fn measure_wire(
+    machine: &Machine,
+    congestion: f64,
+    words: u64,
+    address_data_pairs: bool,
+) -> SimResult<Measurement> {
+    let point = wire_point(congestion, words, address_data_pairs);
+    crate::memo::cached(machine, point, || {
+        Ok(measure_wire_rate(
+            machine.link(congestion),
+            words,
+            address_data_pairs,
+        ))
+    })
+}
+
+/// The memo point [`measure_wire`] looks up.
+pub fn wire_point(congestion: f64, words: u64, address_data_pairs: bool) -> Point {
+    Point::Wire {
+        congestion_bits: congestion.to_bits(),
+        words,
+        address_data_pairs,
+    }
+}
+
 /// Runs one basic-transfer simulation unconditionally, bypassing the memo
 /// cache. The cache's correctness rests on this being a pure function of
 /// its arguments.

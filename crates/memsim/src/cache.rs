@@ -11,7 +11,7 @@
 use crate::clock::Cycle;
 
 /// Geometry of the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheParams {
     /// Total capacity in bytes.
     pub size_bytes: u64,

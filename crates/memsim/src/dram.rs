@@ -15,7 +15,7 @@
 use crate::clock::Cycle;
 
 /// Timing and geometry parameters of the DRAM system.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct DramParams {
     /// Number of interleaved banks (1 on the T3D).
     pub banks: u32,

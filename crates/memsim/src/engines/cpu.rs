@@ -13,7 +13,7 @@ use crate::walk::Walk;
 use memcomm_model::AccessPattern;
 
 /// Processor cost model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct CpuParams {
     /// Cycles to generate an address and issue a load (amortized over an
     /// unrolled loop).

@@ -26,7 +26,7 @@ pub enum DepositMode {
 }
 
 /// Deposit-engine cost model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct DepositParams {
     /// Engine overhead per word (FIFO pop, address decode).
     pub word_cycles: Cycle,

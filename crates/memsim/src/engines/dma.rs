@@ -18,7 +18,7 @@ use crate::walk::Walk;
 use memcomm_model::AccessPattern;
 
 /// DMA cost model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct DmaParams {
     /// Words fetched per memory burst.
     pub burst_words: u32,

@@ -24,6 +24,13 @@
 //! the protocol's outage check), recorded into the per-run
 //! `memcomm-obs` metrics registry so parallel runs never contend on — or
 //! cross-contaminate — process-wide statics.
+//!
+//! [`ProtocolConfig`] holds the parameters of the resilient transfer
+//! protocol (`commops::protocol`) that answers a plan's faults. Both
+//! configurations compare and hash by every field, so a transfer under a
+//! plan can key a memoized run.
+
+use std::hash::{Hash, Hasher};
 
 use memcomm_util::rng::Rng;
 
@@ -81,8 +88,9 @@ pub enum LinkFault {
     Delay(Cycle),
 }
 
-/// Configuration of a fault plan.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Configuration of a fault plan. It compares and hashes by the bits of
+/// its fields, so a plan can key a memoized run.
+#[derive(Debug, Clone, Copy)]
 pub struct FaultConfig {
     /// Seed all decisions derive from.
     pub seed: u64,
@@ -124,6 +132,87 @@ impl Default for FaultConfig {
             outage_window_cycles: 2048,
             outage_period_cycles: 1 << 14,
             permanent_outage_rate: 0.0,
+        }
+    }
+}
+
+impl FaultConfig {
+    /// Every field's bits. The destructuring names every field, so a field
+    /// added later does not compile until equality and hashing cover it.
+    fn bits(&self) -> [u64; 9] {
+        let FaultConfig {
+            seed,
+            rate,
+            max_jitter_cycles,
+            max_stall_cycles,
+            outage_rate,
+            outage_window_rate,
+            outage_window_cycles,
+            outage_period_cycles,
+            permanent_outage_rate,
+        } = *self;
+        [
+            seed,
+            rate.to_bits(),
+            max_jitter_cycles,
+            max_stall_cycles,
+            outage_rate.to_bits(),
+            outage_window_rate.to_bits(),
+            outage_window_cycles,
+            outage_period_cycles,
+            permanent_outage_rate.to_bits(),
+        ]
+    }
+}
+
+impl PartialEq for FaultConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for FaultConfig {}
+
+impl Hash for FaultConfig {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.bits().hash(h);
+    }
+}
+
+/// Parameters of a resilient transfer (`commops::run_resilient_transfer`):
+/// the framing, ack timeouts and retry budget of the protocol that answers
+/// a fault plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ProtocolConfig {
+    /// Payload words to move.
+    pub words: u64,
+    /// Payload words per frame.
+    pub frame_words: u64,
+    /// Initial ack timeout in cycles (attempt 0).
+    pub timeout_cycles: Cycle,
+    /// Timeout multiplier per failed attempt.
+    pub backoff_factor: u32,
+    /// Ceiling on the backed-off timeout.
+    pub max_timeout_cycles: Cycle,
+    /// Retransmissions allowed per frame before the transfer fails.
+    pub max_retries: u32,
+    /// Seed for indexed patterns.
+    pub seed: u64,
+    /// Simulated-cycle budget for the whole transfer.
+    pub max_cycles: Option<Cycle>,
+}
+
+impl Default for ProtocolConfig {
+    fn default() -> Self {
+        ProtocolConfig {
+            words: 4096,
+            frame_words: 64,
+            timeout_cycles: 8192,
+            backoff_factor: 2,
+            max_timeout_cycles: 1 << 17,
+            max_retries: 8,
+            seed: 0x5EED,
+            max_cycles: None,
         }
     }
 }
@@ -413,6 +502,23 @@ mod tests {
         });
         assert!(!none.has_link_outages());
         assert_eq!(none.link_outage_until(site::engine_link(0), 0), None);
+    }
+
+    #[test]
+    fn configs_compare_and_hash_by_their_bits() {
+        use std::collections::HashSet;
+        let base = FaultConfig {
+            rate: f64::NAN,
+            ..FaultConfig::default()
+        };
+        assert_eq!(base, base, "a plan equals itself, NaN rates included");
+        let negative_zero = FaultConfig {
+            outage_rate: -0.0,
+            ..FaultConfig::default()
+        };
+        assert_ne!(negative_zero, FaultConfig::default(), "-0.0 is other bits");
+        let set: HashSet<FaultConfig> = [base, base, negative_zero].into();
+        assert_eq!(set.len(), 2);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub enum Port {
 }
 
 /// Memory-path configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct PathParams {
     /// Cache geometry.
     pub cache: CacheParams,

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use crate::clock::Cycle;
 
 /// Pipelined-load queue configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PfqParams {
     /// Number of outstanding loads the pipe holds (3 on the i860XP).
     pub depth: usize,

@@ -8,7 +8,7 @@
 use crate::clock::Cycle;
 
 /// Read-ahead configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReadAheadParams {
     /// Whether the unit is enabled (a load-time choice on the T3D).
     pub enabled: bool,

@@ -252,6 +252,31 @@ impl ExchangeResult {
     }
 }
 
+/// Outcome of a resilient transfer (`commops::run_resilient_transfer`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TransferReport {
+    /// Payload words moved.
+    pub words: u64,
+    /// Cycle at which the last agent finished.
+    pub end_cycle: Cycle,
+    /// Whether the destination holds exactly the source data.
+    pub verified: bool,
+    /// Frames transmitted, including retransmissions.
+    pub frames_sent: u64,
+    /// Retransmissions (frames_sent minus the frame count).
+    pub retransmissions: u64,
+    /// Whether the deposit engine was unavailable and the receiver fell
+    /// back to CPU stores.
+    pub degraded: bool,
+}
+
+impl TransferReport {
+    /// End-to-end throughput of the transfer.
+    pub fn throughput(&self, clock: Clock) -> Throughput {
+        clock.throughput(self.words * 8, self.end_cycle.max(1))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use crate::mem::WORD_BYTES;
 
 /// Write-buffer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WbqParams {
     /// Number of entries (lines or single words, depending on `merge`).
     pub entries: usize,

@@ -21,7 +21,7 @@ pub type NodeId = usize;
 /// assert_eq!(t3d.coords(21), vec![1, 1, 1]);
 /// assert_eq!(t3d.node_at(&[1, 1, 1]), 21);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Topology {
     dims: Vec<u32>,
     wrap: bool,

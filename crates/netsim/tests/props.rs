@@ -1,9 +1,13 @@
 //! Property-based tests of the interconnect substrate.
 
 use memcomm_memsim::nic::{NetWord, TimedFifo};
-use memcomm_netsim::congestion::pattern_congestion;
+use std::collections::BTreeMap;
+
+use memcomm_netsim::congestion::{
+    link_loads, pattern_congestion, scheduled_congestion, CongestionReport,
+};
 use memcomm_netsim::link::{Link, LinkParams, Step};
-use memcomm_netsim::routing::route;
+use memcomm_netsim::routing::{route, LinkId};
 use memcomm_netsim::topology::Topology;
 use memcomm_netsim::traffic;
 use memcomm_util::check::forall;
@@ -198,7 +202,6 @@ fn distance_is_a_metric() {
 /// every link it traverses, and nowhere else).
 #[test]
 fn link_loads_conserve_flit_hops() {
-    use memcomm_netsim::congestion::link_loads;
     forall("link_loads_conserve_flit_hops", 128, |rng| {
         let topo = random_topology(rng);
         let n = topo.len();
@@ -216,5 +219,97 @@ fn link_loads_conserve_flit_hops() {
             .map(|f| f.bytes * topo.distance(f.src, f.dst))
             .sum();
         assert_eq!(total, expected, "byte-hops must be conserved");
+    });
+}
+
+/// Up to `max` flows between random nodes, about a third of them zero-byte.
+fn random_flows(rng: &mut Rng, topo: &Topology, max: usize) -> Vec<traffic::Flow> {
+    let n = topo.len();
+    (0..rng.range_usize(0, max + 1))
+        .map(|_| traffic::Flow {
+            src: rng.range_usize(0, n),
+            dst: rng.range_usize(0, n),
+            bytes: rng.range_u64(0, 3).min(1) * rng.range_u64(1, 512),
+        })
+        .collect()
+}
+
+/// Every route of `routing::route`, folded into an ordered map.
+fn reference_loads(topo: &Topology, flows: &[traffic::Flow]) -> BTreeMap<LinkId, u64> {
+    let mut loads = BTreeMap::new();
+    for f in flows {
+        for link in route(topo, f.src, f.dst) {
+            *loads.entry(link).or_insert(0) += f.bytes;
+        }
+    }
+    loads
+}
+
+/// `pattern_congestion` computed the plain way, from [`reference_loads`].
+fn reference_congestion(
+    topo: &Topology,
+    flows: &[traffic::Flow],
+    nodes_per_port: u32,
+) -> CongestionReport {
+    let unit = flows.iter().map(|f| f.bytes).max().unwrap_or(0).max(1) as f64;
+    let loads = reference_loads(topo, flows);
+    let max_link = loads.values().copied().max().unwrap_or(0) as f64 / unit;
+    let mean_link = if loads.is_empty() {
+        0.0
+    } else {
+        loads.values().sum::<u64>() as f64 / loads.len() as f64 / unit
+    };
+    let per_port = nodes_per_port as usize;
+    let mut inject = vec![0u64; topo.len().div_ceil(per_port)];
+    let mut eject = inject.clone();
+    for f in flows.iter().filter(|f| f.src != f.dst) {
+        inject[f.src / per_port] += f.bytes;
+        eject[f.dst / per_port] += f.bytes;
+    }
+    let port = inject.iter().chain(&eject).copied().max().unwrap_or(0) as f64 / unit;
+    CongestionReport {
+        max_link,
+        mean_link,
+        port,
+        factor: max_link.max(port).max(1.0),
+    }
+}
+
+fn bits(r: CongestionReport) -> [u64; 4] {
+    [r.max_link, r.mean_link, r.port, r.factor].map(f64::to_bits)
+}
+
+/// The flat link array agrees with a naive routing of every flow, field by
+/// field and bit for bit, on random tori and meshes (1- and 2-wide
+/// dimensions included) with zero-byte and self flows: for one pattern,
+/// for the worst round of a schedule (the later of equal rounds), and for
+/// the per-link loads themselves.
+#[test]
+fn congestion_matches_a_naive_reference() {
+    forall("congestion_matches_a_naive_reference", 256, |rng| {
+        let topo = random_topology(rng);
+        let nodes_per_port = rng.range_u32(1, 4);
+        let rounds: Vec<Vec<traffic::Flow>> = (0..rng.range_usize(0, 5))
+            .map(|_| random_flows(rng, &topo, 12))
+            .collect();
+        for flows in &rounds {
+            assert_eq!(link_loads(&topo, flows), reference_loads(&topo, flows));
+            let (got, want) = (
+                pattern_congestion(&topo, flows, nodes_per_port),
+                reference_congestion(&topo, flows, nodes_per_port),
+            );
+            assert_eq!(bits(got), bits(want), "{topo}: {got:?} vs {want:?}");
+        }
+        let want = rounds
+            .iter()
+            .map(|r| reference_congestion(&topo, r, nodes_per_port))
+            .max_by(|a, b| a.factor.total_cmp(&b.factor))
+            .map_or([0.0, 0.0, 0.0, 1.0].map(f64::to_bits), bits);
+        assert_eq!(
+            bits(scheduled_congestion(&topo, &rounds, nodes_per_port)),
+            want,
+            "{topo}: schedule of {} rounds",
+            rounds.len()
+        );
     });
 }

@@ -6,10 +6,11 @@
 //! The plan's size is pinned per section, so a recording that gains a
 //! point fails as surely as one that misses one.
 //!
-//! A run's simulation counters count its own simulations, each once: a
-//! cold run counts the same at every worker count, and a warm rerun, which
-//! simulates nothing, counts nothing, while the other test here sweeps
-//! concurrently in the same process.
+//! A run's simulation and fault counters count its own simulations, each
+//! once: a cold run under a seeded fault plan counts the same at every
+//! worker count, and a warm rerun, which simulates nothing, counts
+//! nothing, while the other test here sweeps concurrently in the same
+//! process.
 //!
 //! A sweep's worker count is its own: `run_sweep` leaves the process-wide
 //! default as it found it, so one served request cannot change the width
@@ -17,13 +18,13 @@
 
 use std::collections::BTreeSet;
 
+use memcomm_bench::experiments::FaultSettings;
 use memcomm_bench::runner::{run_sweep, SweepOptions, SECTIONS};
 use memcomm_machines::memo::{self, MemoCache};
 use memcomm_util::par;
 
 /// The distinct points each section looks up alone at [`small`] sizes, in
-/// [`SECTIONS`] order. Table 4's wire runs and the faults grid are no memo
-/// points.
+/// [`SECTIONS`] order.
 const PLANNED: [(&str, u64); 16] = [
     ("calibration", 28),
     ("figure1", 28),
@@ -31,7 +32,7 @@ const PLANNED: [(&str, u64); 16] = [
     ("table2", 8),
     ("table3", 12),
     ("figure4", 52),
-    ("table4", 0),
+    ("table4", 12),
     ("figure7", 76),
     ("figure8", 76),
     ("table5", 8),
@@ -40,11 +41,11 @@ const PLANNED: [(&str, u64); 16] = [
     ("putget", 12),
     ("scaling", 15),
     ("accuracy", 152),
-    ("faults", 0),
+    ("faults", 12),
 ];
 
 /// The distinct points of the full default set at [`small`] sizes.
-const PLANNED_ALL: u64 = 247;
+const PLANNED_ALL: u64 = 271;
 
 fn small(jobs: usize, sections: BTreeSet<String>) -> SweepOptions {
     SweepOptions {
@@ -93,38 +94,48 @@ fn a_cold_sweep_misses_exactly_its_planned_points() {
 
 #[test]
 fn a_run_counts_its_own_simulations_once() {
-    // Every default section whose runs are memo points: Table 4's wire runs
-    // and the faults grid simulate on every run, warm or cold.
-    let sections: BTreeSet<String> = SECTIONS
-        .iter()
-        .filter(|&&key| key != "table4" && key != "faults")
-        .map(|key| key.to_string())
-        .collect();
+    // Every default section, under a seeded fault plan.
+    let opts = |jobs| SweepOptions {
+        faults: FaultSettings {
+            seed: 42,
+            rate: 0.02,
+            ..FaultSettings::default()
+        },
+        ..small(jobs, BTreeSet::new())
+    };
     let mut first_cold = None;
     for jobs in [1, 2, 4, 8] {
-        let opts = small(jobs, sections.clone());
         let cache = MemoCache::unbounded();
         let _memo = memo::install(&cache);
 
-        let (_, cold) = run_sweep(&opts);
+        let (_, cold) = run_sweep(&opts(jobs));
         assert!(
             cold.sim.measurements > 0 && cold.sim.measurements <= cold.planned,
             "jobs {jobs}: at most one simulation per planned point: {cold:?}"
         );
-        assert_eq!(*first_cold.get_or_insert(cold.sim), cold.sim, "jobs {jobs}");
-
-        let (_, warm) = run_sweep(&opts);
-        assert_eq!(warm.cache.misses, 0, "jobs {jobs}");
-        let s = warm.sim;
+        assert!(cold.faults.injected > 0, "jobs {jobs}: the plan fires");
         assert_eq!(
-            (
+            *first_cold.get_or_insert((cold.sim, cold.faults)),
+            (cold.sim, cold.faults),
+            "jobs {jobs}"
+        );
+
+        let (_, warm) = run_sweep(&opts(jobs));
+        assert_eq!(warm.cache.misses, 0, "jobs {jobs}");
+        let (s, f) = (warm.sim, warm.faults);
+        assert_eq!(
+            [
                 s.cycles,
                 s.words,
                 s.measurements,
                 s.drive_steps,
-                s.drive_blocked
-            ),
-            (0, 0, 0, 0, 0),
+                s.drive_blocked,
+                f.injected,
+                f.retried,
+                f.degraded,
+                f.dropped
+            ],
+            [0; 9],
             "jobs {jobs}: a warm rerun simulates nothing"
         );
     }
