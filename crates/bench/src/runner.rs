@@ -84,8 +84,8 @@ pub struct SweepOptions {
     pub sections: BTreeSet<String>,
     /// Fault-injection settings for the robustness section. The zero-rate
     /// default makes the section a faultless baseline; its seed is never
-    /// echoed into the report, so zero-rate runs are byte-identical
-    /// whatever the seed.
+    /// echoed into the report or keyed into a memo point, so zero-rate runs
+    /// are byte-identical whatever the seed, and share their points.
     pub faults: experiments::FaultSettings,
     /// Also run the per-stage phase-attribution breakdown. Like `engine`
     /// and `collectives`, it is opt-in and no [`SECTIONS`] key, so default

@@ -3,7 +3,7 @@
 //! One [`Client`] wraps one TCP connection and speaks strict
 //! request/response: every call writes one frame and reads one frame.
 //! Transport and framing failures surface as
-//! [`SimError::Protocol`](memcomm_memsim::SimError::Protocol), keeping
+//! [`SimError::Protocol`], keeping
 //! the service's error taxonomy uniform from the wire up.
 
 use std::io;

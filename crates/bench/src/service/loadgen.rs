@@ -304,8 +304,9 @@ fn run_client(opts: &LoadgenOptions, client: usize, obs: &Obs) -> SimResult<Clie
 ///
 /// # Errors
 ///
-/// [`SimError::Protocol`] when a client cannot connect (individual
-/// request failures are counted, not fatal).
+/// [`SimError::Protocol`](memcomm_memsim::SimError::Protocol) when a
+/// client cannot connect (individual request failures are counted, not
+/// fatal).
 pub fn run_loadgen(opts: &LoadgenOptions) -> SimResult<LoadgenReport> {
     let obs = Obs::new(false);
     let _obs_guard = obs.install();

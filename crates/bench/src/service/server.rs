@@ -4,7 +4,7 @@
 //! Concurrency discipline: every accepted connection gets a handler
 //! thread (connections are cheap — they mostly block on reads), but a
 //! dispatch only runs while holding one of `workers` permits from the
-//! [`Gate`], so at most `workers` simulations are in flight however many
+//! `Gate`, so at most `workers` simulations are in flight however many
 //! clients are connected. Inside a dispatch the usual
 //! [`memcomm_util::par`] fan-out applies, with the service's cache and
 //! metrics handles propagated into the workers.

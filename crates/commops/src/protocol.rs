@@ -28,7 +28,7 @@
 use memcomm_machines::memo::{self, Point};
 use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
-use memcomm_memsim::fault::{site, FaultPlan};
+use memcomm_memsim::fault::{site, FaultConfig, FaultPlan};
 use memcomm_memsim::nic::{NetWord, WordKind};
 use memcomm_memsim::node::Watchdog;
 use memcomm_memsim::walk::Walk;
@@ -453,6 +453,11 @@ pub fn cached_resilient_transfer(
 }
 
 /// The memo point [`cached_resilient_transfer`] looks up.
+///
+/// A plan that cannot fire keys as [`FaultConfig::default`]: the links and
+/// FIFOs disarm it and every decision needs a rate above 0, so none of its
+/// fields reach the simulation, and a zero-rate grid under a new seed hits
+/// the entries of the last one.
 pub fn resilient_point(
     x: AccessPattern,
     y: AccessPattern,
@@ -460,11 +465,16 @@ pub fn resilient_point(
     plan: FaultPlan,
     cfg: &ProtocolConfig,
 ) -> Point {
+    let faults = if plan.is_active() {
+        *plan.config()
+    } else {
+        FaultConfig::default()
+    };
     Point::Resilient {
         x,
         y,
         style: style as u8,
-        faults: *plan.config(),
+        faults,
         protocol: *cfg,
     }
 }
@@ -627,7 +637,6 @@ pub fn run_resilient_transfer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memcomm_memsim::fault::FaultConfig;
 
     const C1: AccessPattern = AccessPattern::Contiguous;
     const S64: AccessPattern = AccessPattern::Strided(64);

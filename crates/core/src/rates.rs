@@ -17,7 +17,7 @@ use crate::{AccessPattern, BasicTransfer, Engine, ModelError, Throughput};
 /// lookup for `Strided(s)` without an exact entry interpolates linearly in
 /// `ln(stride)` between the nearest measured strides of the same transfer
 /// shape, clamping outside the measured range. This encodes the paper's
-/// observation that "the numbers do not vary for large strides, [so] the
+/// observation that "the numbers do not vary for large strides, \[so\] the
 /// throughput for stride 64 applies to any larger stride" while still
 /// modelling the contiguous→strided falloff at small strides.
 ///

@@ -3,7 +3,7 @@
 //! Calibrated simulator configurations for the two machines the paper
 //! measures, the microbenchmark harness that measures every basic transfer
 //! on the simulated nodes ([`microbench`]), the paper's published figures
-//! ([`reference`]) and a calibration report comparing the two
+//! ([`reference`](mod@reference)) and a calibration report comparing the two
 //! ([`calibrate`]).
 //!
 //! Calibration is **parameter-level, not output-level**: the configurations

@@ -68,7 +68,6 @@ pub mod pfq;
 pub mod readahead;
 pub mod scenario;
 pub mod stats;
-pub mod trace;
 pub mod walk;
 pub mod wbq;
 

@@ -13,7 +13,6 @@ use crate::clock::Cycle;
 use crate::dram::{Dram, DramOp, DramParams};
 use crate::mem::WORD_BYTES;
 use crate::readahead::{ReadAhead, ReadAheadParams};
-use crate::trace::{Trace, TraceEntry, TraceOp};
 use crate::wbq::{Wbq, WbqParams};
 
 /// The requester of a memory operation.
@@ -48,25 +47,6 @@ pub struct PathParams {
     pub switch_window_cycles: Cycle,
 }
 
-/// Counters for reports and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PathStats {
-    /// CPU cacheable loads.
-    pub cpu_loads: u64,
-    /// CPU stores.
-    pub cpu_stores: u64,
-    /// Uncached (pipelined) loads.
-    pub uncached_loads: u64,
-    /// Background write-buffer drains.
-    pub background_drains: u64,
-    /// Drains forced by a full buffer or store-to-load conflict.
-    pub forced_drains: u64,
-    /// Requester-switch penalties applied.
-    pub switch_penalties: u64,
-    /// Engine (DMA/deposit) accesses.
-    pub engine_accesses: u64,
-}
-
 /// The node memory path.
 #[derive(Debug, Clone)]
 pub struct MemPath {
@@ -77,8 +57,6 @@ pub struct MemPath {
     params: PathParams,
     last_port: Option<(Port, Cycle)>,
     last_drain_end: Cycle,
-    stats: PathStats,
-    trace: Option<Trace>,
 }
 
 impl MemPath {
@@ -97,42 +75,12 @@ impl MemPath {
             params,
             last_port: None,
             last_drain_end: 0,
-            stats: PathStats::default(),
-            trace: None,
-        }
-    }
-
-    /// Starts recording a memory-reference trace (see
-    /// [`trace`](crate::trace)). Any previous trace is discarded.
-    pub fn enable_tracing(&mut self) {
-        self.trace = Some(Trace::new());
-    }
-
-    /// Stops tracing and returns the recorded trace, if tracing was on.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
-    }
-
-    fn record(&mut self, cycle: Cycle, port: Port, op: TraceOp, addr: u64, words: u32) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEntry {
-                cycle,
-                port,
-                op,
-                addr,
-                words,
-            });
         }
     }
 
     /// Configuration.
     pub fn params(&self) -> &PathParams {
         &self.params
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> PathStats {
-        self.stats
     }
 
     /// Cache counters.
@@ -145,17 +93,11 @@ impl MemPath {
         self.dram.stats()
     }
 
-    /// Write-buffer counters.
-    pub fn wbq_stats(&self) -> crate::wbq::WbqStats {
-        self.wbq.stats()
-    }
-
     fn arbitrate(&mut self, port: Port, t: Cycle) -> Cycle {
         let t = match self.last_port {
             Some((last, at))
                 if last != port && t.saturating_sub(at) < self.params.switch_window_cycles =>
             {
-                self.stats.switch_penalties += 1;
                 t + self.params.switch_penalty_cycles
             }
             _ => t,
@@ -175,7 +117,6 @@ impl MemPath {
                 return;
             }
             self.drain_one(self.dram.free_at(front_addr));
-            self.stats.background_drains += 1;
         }
     }
 
@@ -189,13 +130,6 @@ impl MemPath {
         // transaction: the next drain cannot start before the previous one
         // completed, even to an idle bank.
         let at = at.max(self.last_drain_end);
-        self.record(
-            at,
-            Port::Cpu,
-            TraceOp::Drain,
-            item.line_base,
-            item.words.max(1),
-        );
         let span = self.dram.access(
             at,
             item.line_base,
@@ -216,7 +150,6 @@ impl MemPath {
             let addr = self.wbq.front_line().expect("predicate holds on empty");
             let start = now.max(self.dram.free_at(addr));
             now = self.drain_one(start);
-            self.stats.forced_drains += 1;
         }
         now
     }
@@ -224,9 +157,7 @@ impl MemPath {
     /// A cacheable CPU load of the word at `addr`, requested at `t`.
     /// Returns when the data is available to the processor.
     pub fn cpu_load(&mut self, t: Cycle, port: Port, addr: u64) -> Cycle {
-        self.stats.cpu_loads += 1;
         let t = self.arbitrate(port, t);
-        self.record(t, port, TraceOp::Load, addr, 1);
         self.background_drain(t);
         // Store-to-load ordering: pending buffered stores to this line must
         // reach memory first.
@@ -269,9 +200,7 @@ impl MemPath {
     /// Returns when the data arrives; the caller's pipelined-load queue
     /// decides whether the processor waits.
     pub fn uncached_load(&mut self, t: Cycle, port: Port, addr: u64) -> Cycle {
-        self.stats.uncached_loads += 1;
         let t = self.arbitrate(port, t);
-        self.record(t, port, TraceOp::UncachedLoad, addr, 1);
         self.background_drain(t);
         let t = if self.wbq.overlaps(addr) {
             let base = self.cache.line_base(addr);
@@ -286,9 +215,7 @@ impl MemPath {
     /// the processor may proceed: stores are posted to the write buffer,
     /// which stalls the processor only while it is full.
     pub fn cpu_store(&mut self, t: Cycle, port: Port, addr: u64) -> Cycle {
-        self.stats.cpu_stores += 1;
         let t = self.arbitrate(port, t);
-        self.record(t, port, TraceOp::Store, addr, 1);
         self.background_drain(t);
         self.cache.store(addr);
         if self.wbq.push(addr) {
@@ -303,9 +230,7 @@ impl MemPath {
     /// (deposit engine). Invalidates the cache lines it covers, as the T3D
     /// annex does line by line. Returns when the write completed.
     pub fn engine_write(&mut self, t: Cycle, port: Port, addr: u64, words: u32) -> Cycle {
-        self.stats.engine_accesses += 1;
         let t = self.arbitrate(port, t);
-        self.record(t, port, TraceOp::EngineWrite, addr, words);
         self.background_drain(t);
         let line_bytes = self.params.cache.line_bytes;
         let last = self
@@ -325,9 +250,7 @@ impl MemPath {
     /// A background-engine read of `words` consecutive words at `addr`
     /// (DMA fetch). Returns when the data is out of memory.
     pub fn engine_read(&mut self, t: Cycle, port: Port, addr: u64, words: u32) -> Cycle {
-        self.stats.engine_accesses += 1;
         let t = self.arbitrate(port, t);
-        self.record(t, port, TraceOp::EngineRead, addr, words);
         self.background_drain(t);
         let t = if self.wbq.overlaps(addr) {
             let base = self.cache.line_base(addr);
@@ -395,8 +318,7 @@ mod tests {
             release_times.push(t);
         }
         assert_eq!(release_times[..6], [0, 0, 0, 0, 0, 0][..]);
-        assert!(release_times[11] > 0);
-        assert!(p.wbq_stats().full_stalls > 0);
+        assert!(release_times[6] > 0, "the seventh store waits for a drain");
     }
 
     #[test]
@@ -408,7 +330,9 @@ mod tests {
         // The load had to wait for the buffered store to drain (22) and then
         // fetch the line (22 + 3 burst + 10 latency).
         assert!(ready >= 40, "got {ready}");
-        assert!(p.stats().forced_drains >= 1);
+        let idle = MemPath::new(t3d_ish()).cpu_load(0, Port::Cpu, 0x100);
+        assert!(ready > idle, "the drain delays the load: {ready} vs {idle}");
+        assert_eq!(p.flush(ready), ready, "the store already drained");
     }
 
     #[test]
@@ -419,7 +343,7 @@ mod tests {
         // drained in the background, so the load is not delayed.
         let ready = p.cpu_load(10_000, Port::Cpu, 0x8000);
         assert_eq!(ready, 10_000 + 22 + 3 + 10);
-        assert!(p.stats().background_drains >= 1);
+        assert_eq!(p.flush(ready), ready, "nothing is left to drain");
     }
 
     #[test]
@@ -439,17 +363,22 @@ mod tests {
 
     #[test]
     fn switch_penalty_applies_within_window() {
-        let mut params = t3d_ish();
-        params.switch_penalty_cycles = 10;
-        params.switch_window_cycles = 100;
-        let mut p = MemPath::new(params);
-        let t = p.cpu_load(0, Port::Cpu, 0x0);
-        let before = p.stats().switch_penalties;
-        let _ = p.engine_write(t, Port::Deposit, 0x10000, 1);
-        assert_eq!(p.stats().switch_penalties, before + 1);
-        // Far apart in time: no penalty.
-        let _ = p.cpu_load(t + 10_000, Port::Cpu, 0x2000);
-        assert_eq!(p.stats().switch_penalties, before + 1);
+        // The same requests on a path with and without the penalty.
+        let run = |penalty: Cycle| {
+            let mut params = t3d_ish();
+            params.switch_penalty_cycles = penalty;
+            params.switch_window_cycles = 100;
+            let mut p = MemPath::new(params);
+            let t = p.cpu_load(0, Port::Cpu, 0x0);
+            let written = p.engine_write(t, Port::Deposit, 0x10000, 1);
+            // Far apart in time: no penalty.
+            let far = p.cpu_load(t + 10_000, Port::Cpu, 0x2000) - t;
+            (written, far)
+        };
+        let (written, far) = run(10);
+        let (written_free, far_free) = run(0);
+        assert_eq!(written, written_free + 10, "a close switch pays");
+        assert_eq!(far, far_free, "a distant switch pays nothing");
     }
 
     #[test]

@@ -76,6 +76,53 @@ pub fn run_store_stream(node: &mut Node, dst: &Walk) -> SimResult<Measurement> {
     Ok(Measurement::new(dst.len(), end))
 }
 
+/// Drives a sending agent against an ideal network port that takes one
+/// word every `cycles_per_word` cycles. `step` advances the agent once and
+/// returns its outcome and clock. Returns the agent's clock when it is done
+/// and the later of that clock and the cycle the port took the last word.
+fn drive_into_ideal_sink(
+    node: &mut Node,
+    words: u64,
+    cycles_per_word: Cycle,
+    (driver, sink): (&'static str, &'static str),
+    mut step: impl FnMut(&mut Node) -> SimResult<(Step, Cycle)>,
+) -> SimResult<(Cycle, Cycle)> {
+    let (mut t, mut sink_t) = (0, 0);
+    let mut dog = watchdog_for(words);
+    loop {
+        dog.tick(driver, t)?;
+        let (outcome, now) = step(node)?;
+        t = now;
+        match outcome {
+            Step::Done => break,
+            Step::Blocked => {
+                let Some((at, _)) = node.tx.pop(sink_t) else {
+                    return Err(SimError::Starved {
+                        engine: sink,
+                        at: sink_t,
+                    });
+                };
+                sink_t = at + cycles_per_word;
+            }
+            Step::Progressed => {
+                // Keep the port draining words that arrived in its past.
+                while sink_t <= t {
+                    match node.tx.pop(sink_t) {
+                        Some((at, _)) => sink_t = at + cycles_per_word,
+                        None => break,
+                    }
+                }
+            }
+        }
+    }
+    let mut last = t;
+    while let Some((at, _)) = node.tx.pop(sink_t) {
+        sink_t = at + cycles_per_word;
+        last = last.max(at);
+    }
+    Ok((t, last))
+}
+
 /// Runs a processor load-send `xS0` against an ideal network port accepting
 /// one word every `sink_cycles_per_word` cycles. When `remote_dst` is given,
 /// each word is sent as an address-data pair following that walk.
@@ -92,36 +139,12 @@ pub fn run_load_send(
 ) -> SimResult<Measurement> {
     let mut cpu = node.cpu();
     let mut sender = CpuSender::new(src.clone(), remote_dst.cloned());
-    let mut sink_t: Cycle = 0;
-    let mut dog = watchdog_for(src.len());
-    loop {
-        dog.tick("load-send driver", cpu.t)?;
-        match sender.step(&mut cpu, &mut node.path, &node.mem, &mut node.tx)? {
-            Step::Done => break,
-            Step::Blocked => {
-                let Some((at, _)) = node.tx.pop(sink_t) else {
-                    return Err(SimError::Starved {
-                        engine: "load-send sink",
-                        at: sink_t,
-                    });
-                };
-                sink_t = at + sink_cycles_per_word;
-            }
-            Step::Progressed => {
-                // Keep the port draining words that arrived in its past.
-                while sink_t <= cpu.t {
-                    match node.tx.pop(sink_t) {
-                        Some((at, _)) => sink_t = at + sink_cycles_per_word,
-                        None => break,
-                    }
-                }
-            }
-        }
-    }
-    while node.tx.pop(sink_t).is_some() {
-        sink_t += sink_cycles_per_word;
-    }
-    Ok(Measurement::new(src.len(), cpu.t))
+    let names = ("load-send driver", "load-send sink");
+    let (end, _) = drive_into_ideal_sink(node, src.len(), sink_cycles_per_word, names, |node| {
+        let outcome = sender.step(&mut cpu, &mut node.path, &node.mem, &mut node.tx)?;
+        Ok((outcome, cpu.t))
+    })?;
+    Ok(Measurement::new(src.len(), end))
 }
 
 /// Runs a DMA fetch-send `1F0` against an ideal network port.
@@ -140,48 +163,60 @@ pub fn run_fetch_send(
     sink_cycles_per_word: Cycle,
 ) -> SimResult<Measurement> {
     let mut dma = Dma::new(node.params().dma, src.clone());
-    let mut sink_t: Cycle = 0;
-    let mut dog = watchdog_for(src.len());
-    loop {
-        dog.tick("fetch-send driver", dma.t)?;
-        match dma.step(&mut node.path, &node.mem, &mut node.tx) {
-            Step::Done => break,
-            Step::Blocked => {
-                let Some((at, _)) = node.tx.pop(sink_t) else {
-                    return Err(SimError::Starved {
-                        engine: "fetch-send sink",
-                        at: sink_t,
-                    });
-                };
-                sink_t = at + sink_cycles_per_word;
-            }
-            Step::Progressed => {
-                while sink_t <= dma.t {
-                    match node.tx.pop(sink_t) {
-                        Some((at, _)) => sink_t = at + sink_cycles_per_word,
-                        None => break,
-                    }
-                }
-            }
-        }
-    }
+    let names = ("fetch-send driver", "fetch-send sink");
     // The transfer is complete when the port has taken the last word.
-    let mut end = dma.t;
-    while let Some((at, _)) = node.tx.pop(sink_t) {
-        sink_t = at + sink_cycles_per_word;
-        end = end.max(at);
-    }
+    let (_, end) = drive_into_ideal_sink(node, src.len(), sink_cycles_per_word, names, |node| {
+        let outcome = dma.step(&mut node.path, &node.mem, &mut node.tx);
+        Ok((outcome, dma.t))
+    })?;
     Ok(Measurement::new(src.len(), end))
 }
 
-fn feed_words(dst: &Walk, addressed: bool) -> Vec<NetWord> {
-    (0..dst.len())
+/// Drives a receiving agent from an ideal network port that offers the
+/// words of `dst` (carrying their addresses when `addressed`), one every
+/// `cycles_per_word` cycles. `step` advances the agent once and returns its
+/// outcome and clock. Returns the agent's clock when it is done.
+fn drive_from_ideal_feed(
+    node: &mut Node,
+    dst: &Walk,
+    addressed: bool,
+    cycles_per_word: Cycle,
+    (driver, agent): (&'static str, &'static str),
+    mut step: impl FnMut(&mut Node) -> SimResult<(Step, Cycle)>,
+) -> SimResult<Cycle> {
+    let words: Vec<NetWord> = (0..dst.len())
         .map(|i| NetWord {
             addr: addressed.then(|| dst.addr(i)),
             data: i,
             kind: WordKind::Data,
         })
-        .collect()
+        .collect();
+    let (mut t, mut source_t, mut fed) = (0, 0, 0);
+    let mut dog = watchdog_for(dst.len());
+    loop {
+        dog.tick(driver, t)?;
+        while fed < words.len() {
+            match node.rx.push(source_t, words[fed]) {
+                Some(at) => {
+                    source_t = at.max(source_t) + cycles_per_word;
+                    fed += 1;
+                }
+                None => break,
+            }
+        }
+        let (outcome, now) = step(node)?;
+        t = now;
+        match outcome {
+            Step::Done => return Ok(t),
+            Step::Blocked if fed >= words.len() => {
+                return Err(SimError::Starved {
+                    engine: agent,
+                    at: t,
+                })
+            }
+            Step::Blocked | Step::Progressed => {}
+        }
+    }
 }
 
 /// Runs a processor receive-store `0Ry`: words arrive at one per
@@ -198,37 +233,14 @@ pub fn run_receive_store(
     addressed: bool,
     feed_cycles_per_word: Cycle,
 ) -> SimResult<Measurement> {
-    let words = feed_words(dst, addressed);
     let mut cpu = node.cpu();
     let mut receiver = CpuReceiver::new(dst.clone());
-    let mut source_t: Cycle = 0;
-    let mut fed = 0usize;
-    let mut dog = watchdog_for(dst.len());
-    loop {
-        dog.tick("receive-store driver", cpu.t)?;
-        while fed < words.len() {
-            match node.rx.push(source_t, words[fed]) {
-                Some(at) => {
-                    source_t = at.max(source_t) + feed_cycles_per_word;
-                    fed += 1;
-                }
-                None => break,
-            }
-        }
-        match receiver.step(&mut cpu, &mut node.path, &mut node.mem, &mut node.rx)? {
-            Step::Done => break,
-            Step::Blocked => {
-                if fed >= words.len() {
-                    return Err(SimError::Starved {
-                        engine: "cpu receiver",
-                        at: cpu.t,
-                    });
-                }
-            }
-            Step::Progressed => {}
-        }
-    }
-    let end = node.path.flush(cpu.t);
+    let names = ("receive-store driver", "cpu receiver");
+    let t = drive_from_ideal_feed(node, dst, addressed, feed_cycles_per_word, names, |node| {
+        let outcome = receiver.step(&mut cpu, &mut node.path, &mut node.mem, &mut node.rx)?;
+        Ok((outcome, cpu.t))
+    })?;
+    let end = node.path.flush(t);
     Ok(Measurement::new(dst.len(), end))
 }
 
@@ -245,41 +257,18 @@ pub fn run_receive_deposit(
     addressed: bool,
     feed_cycles_per_word: Cycle,
 ) -> SimResult<Measurement> {
-    let words = feed_words(dst, addressed);
     let mode = if addressed {
         DepositMode::Addressed
     } else {
         DepositMode::Stream(dst.clone())
     };
     let mut engine = DepositEngine::new(node.params().deposit, mode, dst.len());
-    let mut source_t: Cycle = 0;
-    let mut fed = 0usize;
-    let mut dog = watchdog_for(dst.len());
-    loop {
-        dog.tick("receive-deposit driver", engine.t)?;
-        while fed < words.len() {
-            match node.rx.push(source_t, words[fed]) {
-                Some(at) => {
-                    source_t = at.max(source_t) + feed_cycles_per_word;
-                    fed += 1;
-                }
-                None => break,
-            }
-        }
-        match engine.step(&mut node.path, &mut node.mem, &mut node.rx)? {
-            Step::Done => break,
-            Step::Blocked => {
-                if fed >= words.len() {
-                    return Err(SimError::Starved {
-                        engine: "deposit engine",
-                        at: engine.t,
-                    });
-                }
-            }
-            Step::Progressed => {}
-        }
-    }
-    Ok(Measurement::new(dst.len(), engine.t))
+    let names = ("receive-deposit driver", "deposit engine");
+    let end = drive_from_ideal_feed(node, dst, addressed, feed_cycles_per_word, names, |node| {
+        let outcome = engine.step(&mut node.path, &mut node.mem, &mut node.rx)?;
+        Ok((outcome, engine.t))
+    })?;
+    Ok(Measurement::new(dst.len(), end))
 }
 
 #[cfg(test)]

@@ -38,17 +38,6 @@ struct Entry {
     mask: u64,
 }
 
-/// Counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WbqStats {
-    /// Stores accepted into a fresh entry.
-    pub queued: u64,
-    /// Stores merged into an existing entry.
-    pub merged: u64,
-    /// Pushes rejected because the queue was full (drain stalls).
-    pub full_stalls: u64,
-}
-
 /// The write buffer.
 #[derive(Debug, Clone)]
 pub struct Wbq {
@@ -57,7 +46,6 @@ pub struct Wbq {
     entries: VecDeque<Entry>,
     last_drained: Option<u64>,
     last_delta: Option<i64>,
-    stats: WbqStats,
 }
 
 impl Wbq {
@@ -84,18 +72,12 @@ impl Wbq {
             entries: VecDeque::with_capacity(params.entries),
             last_drained: None,
             last_delta: None,
-            stats: WbqStats::default(),
         }
     }
 
     /// Configuration.
     pub fn params(&self) -> &WbqParams {
         &self.params
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> WbqStats {
-        self.stats
     }
 
     /// Number of occupied entries.
@@ -119,7 +101,7 @@ impl Wbq {
 
     /// Attempts to post a store of the word at `addr`. Returns `true` if the
     /// store was absorbed (queued or merged); `false` if the queue is full
-    /// and must be drained first (the caller records the stall and calls
+    /// and must be drained first (the caller stalls and calls
     /// [`pop`](Self::pop)).
     pub fn push(&mut self, addr: u64) -> bool {
         let base = self.line_base(addr);
@@ -127,19 +109,16 @@ impl Wbq {
         if self.params.merge {
             if let Some(e) = self.entries.iter_mut().find(|e| e.line_base == base) {
                 e.mask |= bit;
-                self.stats.merged += 1;
                 return true;
             }
         }
         if self.is_full() {
-            self.stats.full_stalls += 1;
             return false;
         }
         self.entries.push_back(Entry {
             line_base: base,
             mask: bit,
         });
-        self.stats.queued += 1;
         true
     }
 
@@ -191,7 +170,6 @@ mod tests {
         let d = q.pop().unwrap();
         assert_eq!(d.words, 4);
         assert_eq!(d.line_base, 0);
-        assert_eq!(q.stats().merged, 3);
     }
 
     #[test]
@@ -200,7 +178,6 @@ mod tests {
         assert!(q.push(0));
         assert!(q.push(64));
         assert!(!q.push(128));
-        assert_eq!(q.stats().full_stalls, 1);
         q.pop();
         assert!(q.push(128));
     }

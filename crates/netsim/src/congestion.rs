@@ -5,7 +5,7 @@
 //! flows, this module routes each with dimension-order routing, accumulates
 //! per-link loads, and reports the pattern's congestion factor — including
 //! the T3D's port quirk: "two adjacent nodes share a single communication
-//! port [so] the minimal congestion is *two* unless half of the processors
+//! port \[so\] the minimal congestion is *two* unless half of the processors
 //! remain unused."
 
 use std::collections::BTreeMap;

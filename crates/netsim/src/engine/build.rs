@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::error::{SimError, SimResult};
 use memcomm_memsim::fault::{site, FaultPlan};
-use memcomm_memsim::nic::{NetWord, TimedFifo};
+use memcomm_memsim::nic::TimedFifo;
 use memcomm_util::arena::Arena;
 use memcomm_util::par;
 
@@ -47,10 +47,7 @@ pub(crate) struct Net {
     pub link_to: Vec<u32>,
     pub wt: f64,
     pub latency: Cycle,
-    pub source_wc: Cycle,
-    pub drain_wc: Cycle,
     pub fault: FaultPlan,
-    pub pairs: bool,
     /// Link-level retransmission policy (see [`super::RetryPolicy`]).
     pub retry: super::RetryPolicy,
     /// Whether the fault plan can take links out (checked per transmit).
@@ -100,15 +97,6 @@ impl Attribution {
     /// Word `seq`'s `[queue, wire, backoff]` charges so far.
     pub fn read(&self, seq: u64) -> [u64; 3] {
         self.slot(seq).each_ref().map(|c| c.load(Relaxed))
-    }
-}
-
-/// The NIC word carrying `seq`: data only, or an address-data pair.
-pub(crate) fn net_word(pairs: bool, seq: u64) -> NetWord {
-    if pairs {
-        NetWord::addressed(seq.wrapping_mul(8), seq)
-    } else {
-        NetWord::data(seq)
     }
 }
 
@@ -500,10 +488,7 @@ pub(crate) fn build_sim<'a>(
         link_to: links.iter().map(|l| l.to as u32).collect(),
         wt,
         latency: cfg.link.latency_cycles.max(1),
-        source_wc: cfg.source_word_cycles,
-        drain_wc: cfg.drain_word_cycles,
         fault: cfg.fault,
-        pairs: cfg.address_data_pairs,
         retry: cfg.retry,
         outages: cfg.fault.has_link_outages(),
         drain_slot,

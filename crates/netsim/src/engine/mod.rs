@@ -34,10 +34,10 @@
 //! # Memory at scale
 //!
 //! Per-node state lives in structure-of-arrays form inside each shard
-//! ([`shard::Shard`]): two NIC FIFOs, a feed cursor, and two pacing
-//! scalars per node — a few hundred bytes — instead of a full simulated
-//! memory node. A 4096-node torus builds in tens of megabytes, dominated
-//! by its flow table rather than by node state.
+//! (`shard::Shard`): two NIC FIFOs, a feed cursor, and the cycles of the
+//! last feed and drain per node — a few hundred bytes — instead of a full
+//! simulated memory node. A 4096-node torus builds in tens of megabytes,
+//! dominated by its flow table rather than by node state.
 //!
 //! # Deadlock freedom
 //!
@@ -54,7 +54,7 @@
 //! # Scheduler
 //!
 //! Each shard keeps the words in flight to its nodes in its own window
-//! ring ([`sched::DeliveryRing`]): deliveries *are* time-keyed, and a
+//! ring (`sched::DeliveryRing`): deliveries *are* time-keyed, and a
 //! window releases its slot in push order, unsorted — each lane still
 //! receives its words in rank order, and the head heaps return the minimum
 //! rank whatever order lanes fill in. Words and freed credits bound for
@@ -88,6 +88,7 @@ use std::sync::MutexGuard;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::error::{SimError, SimResult};
 use memcomm_memsim::fault::FaultPlan;
+use memcomm_memsim::nic::NetWord;
 use memcomm_memsim::node::{NodeParams, Watchdog};
 use memcomm_obs::{Histogram, HistogramSummary, Obs, Series, SeriesKind};
 use memcomm_util::backoff::exp_backoff;
@@ -241,15 +242,6 @@ pub struct EngineConfig {
     /// round-trip never limits a path and contention comes from the wires
     /// themselves, matching the fluid assumption of the analytic model.
     pub vc_slots: u32,
-    /// Cycles between consecutive words the memory side feeds into `tx`
-    /// (0 = unpaced: memory keeps the NIC saturated and the injection port
-    /// is the bottleneck).
-    pub source_word_cycles: Cycle,
-    /// Cycles between consecutive words the memory side drains from `rx`
-    /// (0 = unpaced).
-    pub drain_word_cycles: Cycle,
-    /// Send address-data pairs instead of data-only words.
-    pub address_data_pairs: bool,
     /// Worker threads for the shard fan-out (0 = the process-wide setting).
     /// Never affects results, only wall-clock.
     pub jobs: usize,
@@ -301,9 +293,6 @@ impl EngineConfig {
             node,
             nodes_per_port: 1,
             vc_slots: 64,
-            source_word_cycles: 0,
-            drain_word_cycles: 0,
-            address_data_pairs: false,
             jobs: 0,
             shards: 0,
             max_windows: 1 << 22,
@@ -317,10 +306,9 @@ impl EngineConfig {
         }
     }
 
-    /// Wire cycles per word under this configuration's framing.
+    /// Wire cycles per data word.
     pub fn word_cycles(&self) -> f64 {
-        self.link
-            .word_cycles(&build::net_word(self.address_data_pairs, 0))
+        self.link.word_cycles(&NetWord::data(0))
     }
 }
 
@@ -577,10 +565,10 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
     let mut last_progress_t0: Cycle = 0;
     // How long legitimate inactivity can last, in windows: fault stalls and
     // jitter park words in the future, backoff waits park retries with
-    // nothing in flight, transient link outages silence whole links for a
-    // window, and slow memory pacing leaves gaps. Saturating throughout —
-    // adversarial fault bounds (jitter or stalls near `u64::MAX`) must
-    // widen the budget, never wrap it into a hair trigger.
+    // nothing in flight, and transient link outages silence whole links for
+    // a window. Saturating throughout — adversarial fault bounds (jitter or
+    // stalls near `u64::MAX`) must widen the budget, never wrap it into a
+    // hair trigger.
     let fault_slack = if cfg.fault.is_active() {
         let c = cfg.fault.config();
         let mut slack = c.max_stall_cycles.saturating_add(c.max_jitter_cycles);
@@ -596,11 +584,7 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
     // the last word's rx-ready stamp lands `wt` cycles ahead while the
     // drain idles), so the wire time bounds legitimate gaps too.
     let word_gap = 2 * (cfg.word_cycles().ceil() as Cycle);
-    let idle_limit = 2 + fault_slack
-        .saturating_add(cfg.source_word_cycles)
-        .saturating_add(cfg.drain_word_cycles)
-        .saturating_add(word_gap)
-        / window;
+    let idle_limit = 2 + fault_slack.saturating_add(word_gap) / window;
 
     // Window `r` covers `[r·L, (r+1)·L)`. The helpers spawn once for the
     // run; between windows they park at the barrier while this thread

@@ -77,9 +77,11 @@ pub(crate) struct Shard {
     pub feed_pos: Vec<u32>,
     /// Next word index of the flow under the cursor, per local node.
     pub feed_word: Vec<u32>,
-    /// When the memory side may feed the next word into `tx`, per node.
+    /// When the memory side last fed a word into `tx`, per node: the next
+    /// feed starts no earlier.
     pub src_free: Vec<Cycle>,
-    /// When the memory side may drain the next word from `rx`, per node.
+    /// When the memory side last drained a word from `rx`, per node: the
+    /// next drain starts no earlier.
     pub drain_free: Vec<Cycle>,
     /// Words awaiting the ejection port (same word-major order as links),
     /// per local node.

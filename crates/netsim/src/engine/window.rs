@@ -9,11 +9,11 @@
 
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::fault::{site, LinkFault};
-use memcomm_memsim::nic::TimedFifo;
+use memcomm_memsim::nic::{NetWord, TimedFifo};
 
 use crate::link::ceil_cycle;
 
-use super::build::{net_word, Net, BACKOFF, QUEUE, WIRE};
+use super::build::{Net, BACKOFF, QUEUE, WIRE};
 use super::sched::{word_rank, Delivery, QEntry};
 use super::shard::{Shard, BUSY_ONE};
 use super::{EngineEvent, EventKind};
@@ -113,10 +113,10 @@ impl Shard {
                     break;
                 }
                 let seq = (u64::from(fi) << 32) | u64::from(feed_word[i]);
-                let Some(at) = tx[i].push(t, net_word(net.pairs, seq)) else {
+                let Some(at) = tx[i].push(t, NetWord::data(seq)) else {
                     break;
                 };
-                src_free[i] = at + net.source_wc;
+                src_free[i] = at;
                 feed_word[i] += 1;
                 out.progress += 1;
             }
@@ -386,7 +386,7 @@ impl Shard {
                     }
                 }
                 rx[local]
-                    .push(t_in, net_word(net.pairs, seq))
+                    .push(t_in, NetWord::data(seq))
                     .expect("arbitration checked rx had space");
                 out.free_credit(net, e.prev_link, e.prev_vc);
                 out.eject_events.push(EngineEvent {
@@ -409,7 +409,7 @@ impl Shard {
                     break;
                 }
                 let (at, w) = rx[i].pop(t).expect("front_ready implies non-empty");
-                drain_free[i] = at + net.drain_wc;
+                drain_free[i] = at;
                 drained_flows[net.drain_slot[(w.data >> 32) as usize] as usize] += 1;
                 out.drained += 1;
                 out.last_drain = out.last_drain.max(at);

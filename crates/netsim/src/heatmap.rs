@@ -3,7 +3,7 @@
 //! 2D/3D tori (`repro --heatmap`).
 //!
 //! Everything here is integer arithmetic over the engine's
-//! [`Telemetry`](crate::engine::Telemetry) — utilization in parts per
+//! [`Telemetry`] — utilization in parts per
 //! million, occupancy as per-tick means — so renderings are byte-identical
 //! wherever the telemetry is (which the engine guarantees at any
 //! jobs × shards).

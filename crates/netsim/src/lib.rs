@@ -4,7 +4,7 @@
 //! dimension-order routing, the traffic patterns of the paper's kernels
 //! (cyclic shift, transpose/all-to-all-personalized, random permutations,
 //! irregular graph exchanges), flow-level congestion analysis, and a
-//! word-granular [`Link`](link::Link) used by the end-to-end co-simulations.
+//! word-granular [`Link`] used by the end-to-end co-simulations.
 //!
 //! The paper's model deliberately reduces the network to a bandwidth at a
 //! given *congestion* factor (Table 4): "congestion two means a network link

@@ -1,6 +1,6 @@
 //! Word-granular link model for end-to-end co-simulation.
 //!
-//! A [`Link`] moves [`NetWord`](memcomm_memsim::nic::NetWord)s from a
+//! A [`Link`] moves [`NetWord`]s from a
 //! sender's transmit FIFO to a receiver's receive FIFO. Each word costs wire
 //! time proportional to its framing — 8 bytes for data-only (`Nd`), 16 for
 //! address-data pairs (`Nadp`), plus an amortized packet header — scaled by

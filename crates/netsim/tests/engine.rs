@@ -33,9 +33,6 @@ fn fuzz_cfg(rng: &mut Rng) -> EngineConfig {
     let mut cfg = EngineConfig::new(link, NodeParams::default());
     cfg.nodes_per_port = rng.range_u32(1, 3);
     cfg.vc_slots = rng.range_u32(2, 65);
-    cfg.source_word_cycles = rng.range_u64(0, 4);
-    cfg.drain_word_cycles = rng.range_u64(0, 4);
-    cfg.address_data_pairs = rng.bool();
     cfg.jobs = 1;
     cfg
 }
@@ -53,7 +50,7 @@ fn random_flows(rng: &mut Rng, topo: &Topology) -> Vec<Flow> {
 
 /// Random flow sets on random topologies always drain, watchdog-clean:
 /// every word that enters the network leaves it, whatever the shape, the
-/// buffering, the pacing, or the port sharing.
+/// buffering, or the port sharing.
 #[test]
 fn random_traffic_always_drains() {
     forall("random_traffic_always_drains", 192, |rng| {

@@ -5,8 +5,8 @@
 //! the queues, the shard partition, the stage-major fold, nor the digest —
 //! so any bug in them shows up here as a mismatch. Every case draws seeded
 //! traffic, a fuzzed configuration (latency, buffering, NIC FIFO depth,
-//! port sharing, pacing, fault plans with outages and retry budgets), and
-//! its own worker and shard count for the production run. The whole
+//! port sharing, fault plans with outages and retry budgets), and its own
+//! worker and shard count for the production run. The whole
 //! observable outcome must match the oracle: the event stream (when
 //! recorded), the digest, and every counter and ledger. Since the oracle
 //! has no partition, agreement at a random jobs × shards is also the
@@ -57,9 +57,6 @@ fn fuzz_cfg(rng: &mut Rng) -> EngineConfig {
     let mut cfg = EngineConfig::new(link, node);
     cfg.nodes_per_port = rng.range_u32(1, 3);
     cfg.vc_slots = rng.range_u32(2, 65);
-    cfg.source_word_cycles = rng.range_u64(0, 4);
-    cfg.drain_word_cycles = rng.range_u64(0, 4);
-    cfg.address_data_pairs = rng.bool();
     cfg.record_events = true;
     cfg.record_latency = rng.bool();
     // Half the cases arm the telemetry sampler at a random tick, so every

@@ -184,10 +184,10 @@ pub fn run(topo: &Topology, flows: &[Flow], cfg: &EngineConfig) -> EngineOutcome
 
     let window = cfg.link.latency_cycles.max(1);
     let wt = cfg.word_cycles();
-    // Idle windows a live run can sit through: pacing and wire gaps, plus
-    // fault stalls, jitter, the deepest backoff and one outage window.
+    // Idle windows a live run can sit through: wire gaps, plus fault
+    // stalls, jitter, the deepest backoff and one outage window.
     let (fc, gap) = (cfg.fault.config(), 2 * wt.ceil() as Cycle);
-    let mut slack = vec![cfg.source_word_cycles, cfg.drain_word_cycles, gap];
+    let mut slack = vec![gap];
     if cfg.fault.is_active() {
         let backoff = cfg.retry.delay(cfg.retry.max_retries);
         slack.extend([fc.max_stall_cycles, fc.max_jitter_cycles, backoff]);
@@ -253,7 +253,7 @@ pub fn run(topo: &Topology, flows: &[Flow], cfg: &EngineConfig) -> EngineOutcome
                 let Some(at) = tx[v].push(t, NetWord::data(seq)) else {
                     break;
                 };
-                src_free[v] = at + cfg.source_word_cycles;
+                src_free[v] = at;
                 fed[v] += 1;
                 progress += 1;
             }
@@ -385,7 +385,7 @@ pub fn run(topo: &Topology, flows: &[Flow], cfg: &EngineConfig) -> EngineOutcome
                     break;
                 }
                 let (at, w) = rx[v].pop(t).expect("a head");
-                drain_free[v] = at + cfg.drain_word_cycles;
+                drain_free[v] = at;
                 delivered[(w.data >> 32) as usize] += 1;
                 drained += 1;
                 out.cycles = out.cycles.max(at);

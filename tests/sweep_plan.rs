@@ -12,6 +12,9 @@
 //! nothing, while the other test here sweeps concurrently in the same
 //! process.
 //!
+//! A fault plan that cannot fire keys its grid without its seed: a
+//! zero-rate grid under a new seed is a warm rerun of the last one.
+//!
 //! A sweep's worker count is its own: `run_sweep` leaves the process-wide
 //! default as it found it, so one served request cannot change the width
 //! of a concurrent one.
@@ -139,6 +142,24 @@ fn a_run_counts_its_own_simulations_once() {
             "jobs {jobs}: a warm rerun simulates nothing"
         );
     }
+}
+
+#[test]
+fn a_zero_rate_fault_grid_hits_whatever_its_seed() {
+    let opts = |seed| SweepOptions {
+        faults: FaultSettings {
+            seed,
+            ..FaultSettings::default()
+        },
+        ..small(2, BTreeSet::from(["faults".to_string()]))
+    };
+    let cache = MemoCache::unbounded();
+    let _memo = memo::install(&cache);
+    let (first, cold) = run_sweep(&opts(1));
+    assert_eq!(cold.cache.misses, 12, "seed 1: {cold:?}");
+    let (second, warm) = run_sweep(&opts(2));
+    assert_eq!(warm.cache.misses, 0, "seed 2: {warm:?}");
+    assert_eq!(second.to_json().render(), first.to_json().render());
 }
 
 #[test]
