@@ -865,6 +865,10 @@ fn sweep(opts: &SweepOptions, sections: &[&Section]) -> (FullReport, RunMetrics)
     let work = distinct_points(opts, sections);
     let simulating = Instant::now();
     par::par_map(opts.jobs, &work, |(machine, point)| {
+        // Workers start with no handles: count into this run's registry
+        // and fill this run's cache.
+        let _obs_guard = obs.install();
+        let _memo_guard = memo::install(&cache);
         // A panicking simulation caches nothing, so the section that looks
         // the point up meets the panic again and records it as its failure.
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| measure_point(machine, *point)));

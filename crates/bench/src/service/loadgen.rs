@@ -309,7 +309,6 @@ fn run_client(opts: &LoadgenOptions, client: usize, obs: &Obs) -> SimResult<Clie
 /// fatal).
 pub fn run_loadgen(opts: &LoadgenOptions) -> SimResult<LoadgenReport> {
     let obs = Obs::new(false);
-    let _obs_guard = obs.install();
     let clients: Vec<usize> = (0..opts.clients.max(1)).collect();
     let start = Instant::now();
     let results = par::par_map(clients.len(), &clients, |&c| run_client(opts, c, &obs));

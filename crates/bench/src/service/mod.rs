@@ -80,8 +80,7 @@ pub struct Outcome {
 
 /// Executes one parsed request against the service state and returns the
 /// response document. Installs the shared cache and metrics handles for
-/// the duration, so nested sweeps adopt them (and `par_map` fan-outs
-/// propagate them into workers).
+/// the duration, so nested sweeps adopt them.
 pub fn dispatch(req: &Request, state: &ServiceState) -> Outcome {
     let _obs_guard = state.obs.install();
     let _memo_guard = memo::install(&state.cache);
@@ -153,7 +152,6 @@ pub fn dispatch_bytes(payload: &[u8], state: &ServiceState) -> (Vec<u8>, bool) {
     {
         Ok(req) => dispatch(&req, state),
         Err(e) => {
-            let _obs_guard = state.obs.install();
             state.obs.count("service.requests.total", 1);
             error(state, &e)
         }

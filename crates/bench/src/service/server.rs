@@ -6,8 +6,8 @@
 //! dispatch only runs while holding one of `workers` permits from the
 //! `Gate`, so at most `workers` simulations are in flight however many
 //! clients are connected. Inside a dispatch the usual
-//! [`memcomm_util::par`] fan-out applies, with the service's cache and
-//! metrics handles propagated into the workers.
+//! [`memcomm_util::par`] fan-out applies, and the sweep installs the
+//! service's cache and metrics handles in its workers.
 //!
 //! Robustness contract (pinned by the protocol tests):
 //!
@@ -16,8 +16,9 @@
 //! * an oversized length prefix gets a typed `protocol` error reply and
 //!   the connection is closed (the stream position is unknowable after a
 //!   refused frame);
-//! * garbage payload bytes get a typed error reply and the connection
-//!   stays usable;
+//! * garbage payload bytes, or JSON nested deeper than
+//!   [`memcomm_util::json::MAX_DEPTH`], get a typed error reply and the
+//!   connection stays usable;
 //! * a `shutdown` request is answered (`{"kind": "bye"}`) before the
 //!   flag flips, then every handler winds down at its next read poll.
 
@@ -288,7 +289,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 let reply = proto::error_response(&proto::protocol(e.to_string()))
                     .render()
                     .into_bytes();
-                let _obs_guard = shared.state.obs.install();
                 shared.state.obs.count("service.requests.total", 1);
                 shared.state.obs.count("service.errors", 1);
                 let _ = frame::write_frame(&mut stream, &reply);
@@ -322,7 +322,6 @@ fn record_latency(shared: &Shared, payload: &[u8], micros: u64) {
         .and_then(|text| memcomm_util::json::Json::parse(text).ok())
         .and_then(|doc| super::Request::parse(&doc).ok())
         .map_or("error", |req| req.class());
-    let _obs_guard = shared.state.obs.install();
     shared
         .state
         .obs

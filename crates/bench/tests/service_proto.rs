@@ -1,8 +1,8 @@
 //! Protocol robustness tier: hostile and broken clients against a live
 //! server.
 //!
-//! Truncated frames, oversized length prefixes, garbage JSON, and
-//! mid-request disconnects must each produce a typed error (the
+//! Truncated frames, oversized length prefixes, garbage or deeply nested
+//! JSON, and mid-request disconnects must each produce a typed error (the
 //! `SimError::Protocol` taxonomy on the wire as `code: "protocol"`) or a
 //! clean connection drop — never a panic, and never a wedged worker pool.
 //! Every scenario ends by proving the server still answers pings.
@@ -45,6 +45,22 @@ fn garbage_json_gets_a_typed_error_and_the_connection_survives() {
     assert_eq!(doc.get("kind").and_then(Json::as_str), Some("error"));
     assert_eq!(doc.get("code").and_then(Json::as_str), Some("protocol"));
     // The same connection keeps working after the error.
+    let pong = c.request(&Request::Ping).expect("connection still usable");
+    assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+    assert_alive(&server, 2);
+}
+
+/// A frame far under the size cap that nests 100,000 arrays deep: the
+/// parser refuses it at its depth bound instead of overflowing the
+/// connection thread's stack.
+#[test]
+fn a_deeply_nested_frame_gets_a_typed_error_and_the_connection_survives() {
+    let server = start(2);
+    let mut c = Client::connect(server.addr()).expect("connect");
+    let reply = c.call_bytes(&[b'['; 100_000]).expect("server replies");
+    let doc = Json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+    assert_eq!(doc.get("kind").and_then(Json::as_str), Some("error"));
+    assert_eq!(doc.get("code").and_then(Json::as_str), Some("protocol"));
     let pong = c.request(&Request::Ping).expect("connection still usable");
     assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
     assert_alive(&server, 2);

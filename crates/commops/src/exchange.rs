@@ -2,7 +2,7 @@
 //! the chosen implementation style running against one shared memory path
 //! per node.
 
-use memcomm_machines::memo::{self, ExchangeKey, Point};
+use memcomm_machines::memo::{self, Point};
 use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::engines::{Cpu, CpuReceiver, CpuSender, DepositEngine, DepositMode, Step};
@@ -11,132 +11,12 @@ use memcomm_memsim::{stats, Node, SimError, SimResult};
 use memcomm_model::AccessPattern;
 use memcomm_netsim::Link;
 
-pub use memcomm_memsim::stats::{ExchangeResult, PhaseTimeline};
+pub use memcomm_memsim::stats::{ExchangeConfig, ExchangeResult, PhaseTimeline};
+pub use memcomm_model::Style;
 
 use crate::drive::{drive, Agents, LinkWaits};
 use crate::layout::{ExchangeLayout, WalkSpec};
 use crate::roles::{CpuDuties, DmaChunkQueue, PipelinedCpu};
-
-/// The two implementation families of `xQy` (Section 5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Style {
-    /// `xQy = xC1 ∘ (send ‖ Nd ‖ receive) ∘ 1Cy` — pack, move block,
-    /// unpack.
-    BufferPacking,
-    /// `xQ'y = xS0 ‖ Nadp ‖ 0Dy` — direct transfer, addresses on the wire
-    /// for non-contiguous destinations.
-    Chained,
-}
-
-impl Style {
-    /// The style whose discriminant a memo point holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a byte that is no `Style` discriminant; only a point built
-    /// by hand instead of by [`exchange_point`] or
-    /// [`resilient_point`](crate::resilient_point) can hold one.
-    pub(crate) fn from_memo(style: u8) -> Style {
-        [Style::BufferPacking, Style::Chained]
-            .into_iter()
-            .find(|&s| s as u8 == style)
-            .unwrap_or_else(|| panic!("{style} is no Style discriminant"))
-    }
-}
-
-/// Parameters of an exchange measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExchangeConfig {
-    /// Payload words each node sends (and receives).
-    pub words: u64,
-    /// Pipelining chunk for buffer packing: `None` is store-and-forward
-    /// (pack the whole message, send it, unpack it — what PVM-era libraries
-    /// did); `Some(c)` pipelines at chunk granularity (the ablation of
-    /// DESIGN.md).
-    pub chunk_words: Option<u64>,
-    /// Network congestion factor; `None` uses the machine's representative
-    /// value (2).
-    pub congestion: Option<f64>,
-    /// Whether both nodes send simultaneously. The paper's T3D numbers are
-    /// symmetric (every node sends and receives, as in a transpose step);
-    /// its Paragon measurements "did not run sending and receiving
-    /// simultaneously at each node" — half duplex.
-    pub full_duplex: bool,
-    /// Expert buffer packing skips the gather (scatter) copy when the
-    /// source (destination) pattern is already contiguous; PVM-style
-    /// libraries never do (Section 3.4: "message passing libraries like PVM
-    /// force the programmer to copy the data elements in all cases").
-    pub elide_contiguous_copies: bool,
-    /// Seed for indexed patterns.
-    pub seed: u64,
-    /// Simulated-cycle budget: the exchange fails with
-    /// [`SimError::CycleBudget`] instead of running past it. `None` leaves
-    /// only the step-bound watchdog.
-    pub max_cycles: Option<Cycle>,
-}
-
-impl ExchangeConfig {
-    /// The memo key of these parameters. The destructuring names every
-    /// field, so a field added later does not compile until the key covers
-    /// it.
-    pub(crate) fn memo_key(&self) -> ExchangeKey {
-        let ExchangeConfig {
-            words,
-            chunk_words,
-            congestion,
-            full_duplex,
-            elide_contiguous_copies,
-            seed,
-            max_cycles,
-        } = *self;
-        ExchangeKey {
-            words,
-            chunk_words,
-            congestion_bits: congestion.map(f64::to_bits),
-            full_duplex,
-            elide_contiguous_copies,
-            seed,
-            max_cycles,
-        }
-    }
-
-    /// The parameters a memo key holds: the inverse of
-    /// [`memo_key`](Self::memo_key), destructuring the key the same way.
-    pub(crate) fn from_memo_key(key: ExchangeKey) -> ExchangeConfig {
-        let ExchangeKey {
-            words,
-            chunk_words,
-            congestion_bits,
-            full_duplex,
-            elide_contiguous_copies,
-            seed,
-            max_cycles,
-        } = key;
-        ExchangeConfig {
-            words,
-            chunk_words,
-            congestion: congestion_bits.map(f64::from_bits),
-            full_duplex,
-            elide_contiguous_copies,
-            seed,
-            max_cycles,
-        }
-    }
-}
-
-impl Default for ExchangeConfig {
-    fn default() -> Self {
-        ExchangeConfig {
-            words: 8192,
-            chunk_words: None,
-            congestion: None,
-            full_duplex: true,
-            elide_contiguous_copies: false,
-            seed: 0x5EED,
-            max_cycles: None,
-        }
-    }
-}
 
 #[allow(clippy::large_enum_variant)] // one per node; size is irrelevant here
 enum MainRole {
@@ -487,8 +367,8 @@ pub fn exchange_point(
     Point::Exchange {
         x,
         y,
-        style: style as u8,
-        cfg: cfg.memo_key(),
+        style,
+        cfg: *cfg,
     }
 }
 
@@ -706,37 +586,6 @@ mod tests {
         let fast = run_exchange(&m, C1, C1, Style::Chained, &c1).unwrap();
         let slow = run_exchange(&m, C1, C1, Style::Chained, &c4).unwrap();
         assert!(slow.end_cycle > 2 * fast.end_cycle);
-    }
-
-    #[test]
-    fn exchange_parameters_round_trip_through_their_memo_key() {
-        // Both sides name every field, so a field added to either type
-        // does not compile here until the round trip covers it.
-        let cfg = ExchangeConfig {
-            words: 777,
-            chunk_words: Some(64),
-            congestion: Some(2.5),
-            full_duplex: false,
-            elide_contiguous_copies: true,
-            seed: 42,
-            max_cycles: Some(1 << 20),
-        };
-        let key = ExchangeKey {
-            words: 777,
-            chunk_words: Some(64),
-            congestion_bits: Some(2.5f64.to_bits()),
-            full_duplex: false,
-            elide_contiguous_copies: true,
-            seed: 42,
-            max_cycles: Some(1 << 20),
-        };
-        assert_eq!(cfg.memo_key(), key);
-        assert_eq!(ExchangeConfig::from_memo_key(key), cfg);
-        let default = ExchangeConfig::default();
-        assert_eq!(ExchangeConfig::from_memo_key(default.memo_key()), default);
-        for style in [Style::BufferPacking, Style::Chained] {
-            assert_eq!(Style::from_memo(style as u8), style);
-        }
     }
 
     #[test]

@@ -268,11 +268,7 @@ pub fn run_get_exchange(
 
 /// The memo point [`run_get_exchange`] looks up.
 pub fn get_point(x: AccessPattern, y: AccessPattern, cfg: &ExchangeConfig) -> Point {
-    Point::Get {
-        x,
-        y,
-        cfg: cfg.memo_key(),
-    }
+    Point::Get { x, y, cfg: *cfg }
 }
 
 fn simulate_get_exchange(

@@ -89,19 +89,10 @@ pub fn measure_point(machine: &Machine, point: Point) -> SimResult<Value> {
         Point::Basic { transfer, words } => {
             Value::Basic(microbench::measure_basic(machine, transfer, words)?)
         }
-        Point::Exchange { x, y, style, cfg } => Value::Exchange(run_exchange(
-            machine,
-            x,
-            y,
-            Style::from_memo(style),
-            &ExchangeConfig::from_memo_key(cfg),
-        )?),
-        Point::Get { x, y, cfg } => Value::Exchange(run_get_exchange(
-            machine,
-            x,
-            y,
-            &ExchangeConfig::from_memo_key(cfg),
-        )?),
+        Point::Exchange { x, y, style, cfg } => {
+            Value::Exchange(run_exchange(machine, x, y, style, &cfg)?)
+        }
+        Point::Get { x, y, cfg } => Value::Exchange(run_get_exchange(machine, x, y, &cfg)?),
         Point::Message {
             library,
             per_message_cycles,
@@ -136,7 +127,7 @@ pub fn measure_point(machine: &Machine, point: Point) -> SimResult<Value> {
             machine,
             x,
             y,
-            Style::from_memo(style),
+            style,
             FaultPlan::new(faults),
             &protocol,
         )?),

@@ -473,7 +473,7 @@ pub fn resilient_point(
     Point::Resilient {
         x,
         y,
-        style: style as u8,
+        style,
         faults,
         protocol: *cfg,
     }

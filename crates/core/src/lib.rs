@@ -78,7 +78,7 @@ pub use error::ModelError;
 pub use expr::{ResourceCap, TransferExpr};
 pub use ops::{
     buffer_packing_expr, chained_expr, symmetric_exchange_caps, BufferPackingPlan, ChainedPlan,
-    ReceiveEngine, SendEngine,
+    ReceiveEngine, SendEngine, Style,
 };
 pub use pattern::{classify_offsets, AccessPattern};
 pub use rate::{MBps, Throughput};

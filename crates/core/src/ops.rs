@@ -54,6 +54,17 @@ impl ReceiveEngine {
     }
 }
 
+/// The two implementation families of `xQy` (Section 5.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Style {
+    /// `xQy = xC1 ∘ (send ‖ Nd ‖ receive) ∘ 1Cy` — pack, move block,
+    /// unpack ([`buffer_packing_expr`]).
+    BufferPacking,
+    /// `xQ'y = xS0 ‖ Nadp ‖ 0Dy` — direct transfer, addresses on the wire
+    /// for non-contiguous destinations ([`chained_expr`]).
+    Chained,
+}
+
 /// Configuration of a buffer-packing implementation of `xQy`.
 ///
 /// The defaults describe the PVM-style implementation on the T3D

@@ -42,14 +42,14 @@
 //! one behind `static` storage, which meant two concurrent runs (the
 //! simulation server, a test harness, a benchmark) bled entries and
 //! counters into each other. Instead, whoever owns a run builds a
-//! [`MemoHandle`] and [`install`]s it on the current thread; everything
-//! downstream picks it up via [`current`], and a
-//! [`memcomm_util::par`] propagator re-installs it inside every `par_map`
-//! worker, mirroring how `memcomm_obs::Obs` handles travel. With no handle
-//! installed, [`cached`] simply simulates — correct, just uncached — and
-//! traces exactly as an uncached run does. A hit skips the simulation, so
-//! it also emits no trace process: a trace shows exactly the simulations
-//! that actually ran.
+//! [`MemoHandle`] and [`install`]s it on the current thread, and everything
+//! downstream on that thread picks it up via [`current`], as
+//! `memcomm_obs::Obs` handles travel. A spawned thread starts with none:
+//! the sweep's simulate phase installs its handle in each of its workers.
+//! With no handle installed, [`cached`] simply simulates — correct, just
+//! uncached — and traces exactly as an uncached run does. A hit skips the
+//! simulation, so it also emits no trace process: a trace shows exactly
+//! the simulations that actually ran.
 //!
 //! ## Sharding and eviction
 //!
@@ -78,12 +78,12 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 
 use memcomm_memsim::fault::{FaultConfig, ProtocolConfig};
-use memcomm_memsim::stats::{ExchangeResult, PhaseTimeline, TransferReport};
+use memcomm_memsim::stats::{ExchangeConfig, ExchangeResult, PhaseTimeline, TransferReport};
 use memcomm_memsim::{Cycle, Measurement, NodeParams, SimResult};
-use memcomm_model::{AccessPattern, BasicTransfer, Throughput};
+use memcomm_model::{AccessPattern, BasicTransfer, Style, Throughput};
 use memcomm_netsim::LinkParams;
 
 use crate::Machine;
@@ -105,10 +105,10 @@ pub enum Point {
         x: AccessPattern,
         /// Destination access pattern.
         y: AccessPattern,
-        /// The `commops::Style` discriminant.
-        style: u8,
+        /// The implementation family.
+        style: Style,
         /// The exchange parameters.
-        cfg: ExchangeKey,
+        cfg: ExchangeConfig,
     },
     /// A get-based exchange (`commops::run_get_exchange`).
     Get {
@@ -117,7 +117,7 @@ pub enum Point {
         /// Local destination access pattern.
         y: AccessPattern,
         /// The exchange parameters.
-        cfg: ExchangeKey,
+        cfg: ExchangeConfig,
     },
     /// One library message (`commops::measure_message`).
     Message {
@@ -146,33 +146,13 @@ pub enum Point {
         x: AccessPattern,
         /// Destination access pattern.
         y: AccessPattern,
-        /// The `commops::Style` discriminant.
-        style: u8,
+        /// The implementation family.
+        style: Style,
         /// The fault plan's configuration, its rates keyed by their bits.
         faults: FaultConfig,
         /// The protocol parameters.
         protocol: ProtocolConfig,
     },
-}
-
-/// Every field of a `commops::ExchangeConfig`, with the congestion factor
-/// keyed by its bit pattern so the key hashes and compares exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ExchangeKey {
-    /// Payload words each node sends.
-    pub words: u64,
-    /// Buffer-packing pipeline chunk.
-    pub chunk_words: Option<u64>,
-    /// `f64::to_bits` of the congestion factor.
-    pub congestion_bits: Option<u64>,
-    /// Whether both nodes send simultaneously.
-    pub full_duplex: bool,
-    /// Whether contiguous gather/scatter copies are elided.
-    pub elide_contiguous_copies: bool,
-    /// Seed for indexed patterns.
-    pub seed: u64,
-    /// Simulated-cycle budget.
-    pub max_cycles: Option<Cycle>,
 }
 
 /// A point's result, one variant per result type of the [`Point`] kinds.
@@ -441,8 +421,8 @@ pub struct MemoCache {
     caps: Vec<usize>,
 }
 
-/// A shared reference to a [`MemoCache`] — what gets installed, captured
-/// and propagated across `par_map` fan-outs.
+/// A shared reference to a [`MemoCache`] — what gets installed on the
+/// threads of a run.
 pub type MemoHandle = Arc<MemoCache>;
 
 impl MemoCache {
@@ -560,11 +540,8 @@ pub fn current() -> Option<MemoHandle> {
 }
 
 /// Installs `handle` on the current thread until the guard drops; nested
-/// installs restore the previous handle. Also registers the `par_map`
-/// propagator, so fan-outs started while this handle is installed inherit
-/// it in every worker.
+/// installs restore the previous handle.
 pub fn install(handle: &MemoHandle) -> MemoInstallGuard {
-    ensure_propagator();
     let previous = CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(handle)));
     MemoInstallGuard {
         previous: Some(previous),
@@ -583,23 +560,6 @@ impl Drop for MemoInstallGuard {
             CURRENT.with(|c| *c.borrow_mut() = previous);
         }
     }
-}
-
-struct MemoCarrier(MemoHandle);
-
-impl memcomm_util::par::CrossThread for MemoCarrier {
-    fn install(&self) -> Box<dyn std::any::Any> {
-        Box::new(install(&self.0))
-    }
-}
-
-fn capture_current() -> Option<Box<dyn memcomm_util::par::CrossThread>> {
-    current().map(|h| Box::new(MemoCarrier(h)) as Box<dyn memcomm_util::par::CrossThread>)
-}
-
-fn ensure_propagator() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| memcomm_util::par::set_propagator(capture_current));
 }
 
 /// Reads the current thread's cache statistics (zeros with no handle

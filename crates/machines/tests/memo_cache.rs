@@ -177,37 +177,6 @@ fn handles_do_not_bleed_between_runs() {
     assert_eq!(b.stats().misses, 1);
 }
 
-/// The `par_map` propagator: workers inherit the caller's handle, so a
-/// fanned-out sweep fills one shared cache.
-#[test]
-fn par_map_workers_inherit_the_installed_handle() {
-    let cache = MemoCache::unbounded();
-    let _guard = memo::install(&cache);
-    let t = transfer();
-    let machine = Machine::t3d();
-    let keys: Vec<u64> = (0..64).map(|i| 64 + i).collect();
-    let results = memcomm_util::par::par_map(8, &keys, |&k| {
-        memo::cached(&machine, basic(t, k), || synth(k))
-            .expect("synthetic values never fail")
-            .expect("synthetic values are Some")
-    });
-    assert_eq!(results.len(), 64);
-    let stats = cache.stats();
-    assert_eq!(
-        stats.entries, 64,
-        "every worker must fill the shared cache: {stats:?}"
-    );
-    // Re-running serially must hit every key.
-    for &k in &keys {
-        let _ = memo::cached(
-            &machine,
-            basic(t, k),
-            || -> SimResult<Option<Measurement>> { panic!("must hit, not simulate") },
-        );
-    }
-    assert_eq!(cache.stats().hits, 64, "{:?}", cache.stats());
-}
-
 #[test]
 fn clamping_holds_under_load() {
     // Clamping: capacity smaller than the shard count still yields a

@@ -43,8 +43,6 @@ pub struct CacheStats {
     pub store_hits: u64,
     /// Store lookups that missed.
     pub store_misses: u64,
-    /// Lines invalidated by external agents (deposit engine).
-    pub invalidations: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -198,7 +196,6 @@ impl Cache {
         let (first, tag) = self.set_and_tag(addr);
         if let Some(line) = self.find(first, tag) {
             self.lines[line].valid = false;
-            self.stats.invalidations += 1;
         }
     }
 }
@@ -279,7 +276,6 @@ mod tests {
         c.load(64);
         c.invalidate_line(64);
         assert!(matches!(c.load(64), LoadOutcome::Miss));
-        assert_eq!(c.stats().invalidations, 1);
     }
 
     #[test]

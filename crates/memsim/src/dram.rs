@@ -83,17 +83,11 @@ pub struct Span {
 /// Counters exposed for tests and reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
-    /// Read accesses (bursts count once).
-    pub reads: u64,
-    /// Write accesses.
-    pub writes: u64,
     /// Accesses that hit an open row: always 0 under the closed-page
     /// policy, kept so row-hit ratios stay readable.
     pub row_hits: u64,
     /// Accesses that had to open a row: every access.
     pub row_misses: u64,
-    /// Posted writes served at the pipelined cost.
-    pub posted_pipelined: u64,
 }
 
 /// The DRAM system: banks plus a shared data channel.
@@ -166,15 +160,8 @@ impl Dram {
         let first = match op {
             DramOp::Read => self.params.read_miss_cycles,
             DramOp::Write | DramOp::PostedWrite { regular: false } => self.params.write_miss_cycles,
-            DramOp::PostedWrite { regular: true } => {
-                self.stats.posted_pipelined += 1;
-                self.params.posted_write_miss_cycles
-            }
+            DramOp::PostedWrite { regular: true } => self.params.posted_write_miss_cycles,
         };
-        match op {
-            DramOp::Read => self.stats.reads += 1,
-            DramOp::Write | DramOp::PostedWrite { .. } => self.stats.writes += 1,
-        }
         let burst = u64::from(words - 1) * self.params.burst_word_cycles;
         let access_end = start + first + burst;
         let channel_occ = u64::from(words) * self.params.channel_word_cycles;
@@ -241,7 +228,6 @@ mod tests {
             DramOp::PostedWrite { regular: true },
         );
         assert_eq!(regular.end - regular.start, 14);
-        assert_eq!(d.stats().posted_pipelined, 1);
     }
 
     #[test]

@@ -259,8 +259,9 @@ mod tests {
         }
         let mut d = DepositEngine::new(params(), DepositMode::Addressed, 16);
         drive(&mut d, &mut p, &mut mem, &mut rx);
-        // 16 contiguous words at coalesce 4: four DRAM writes, not sixteen.
-        assert_eq!(p.dram_stats().writes, 4);
+        // 16 contiguous words at coalesce 4: four DRAM writes, not sixteen
+        // (every access opens a row).
+        assert_eq!(p.dram_stats().row_misses, 4);
     }
 
     #[test]
@@ -284,7 +285,7 @@ mod tests {
         }
         let mut d = DepositEngine::new(params(), DepositMode::Addressed, 8);
         drive(&mut d, &mut p, &mut mem, &mut rx);
-        assert_eq!(p.dram_stats().writes, 8);
+        assert_eq!(p.dram_stats().row_misses, 8);
     }
 
     #[test]

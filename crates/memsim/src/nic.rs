@@ -95,7 +95,6 @@ pub struct TimedFifo {
     free_slots: VecDeque<Cycle>,
     capacity: usize,
     pushed: u64,
-    popped: u64,
     stalls: u64,
     faults: Option<(crate::fault::FaultPlan, u64)>,
     obs: memcomm_obs::Obs,
@@ -114,7 +113,6 @@ impl TimedFifo {
             free_slots: vec![0; capacity].into(),
             capacity,
             pushed: 0,
-            popped: 0,
             stalls: 0,
             faults: None,
             obs: memcomm_obs::Obs::disabled(),
@@ -167,11 +165,6 @@ impl TimedFifo {
         self.pushed
     }
 
-    /// Total words ever popped.
-    pub fn total_popped(&self) -> u64 {
-        self.popped
-    }
-
     /// Attempts to push at local time `t`. On success returns the cycle the
     /// word actually entered the FIFO (`>= t`; later if the freeing pop
     /// happened later). Returns `None` when every slot is occupied — the
@@ -212,7 +205,6 @@ impl TimedFifo {
             }
             _ => self.free_slots.push_back(at),
         }
-        self.popped += 1;
         Some((at, word))
     }
 }
@@ -233,7 +225,7 @@ mod tests {
         assert_eq!(f.pop(5).unwrap().1.data, 1);
         assert_eq!(f.pop(5).unwrap().1.data, 2);
         assert_eq!(f.total_pushed(), 2);
-        assert_eq!(f.total_popped(), 2);
+        assert!(f.is_empty());
     }
 
     #[test]

@@ -17,24 +17,12 @@ pub struct ReadAheadParams {
     pub buffer_hit_cycles: Cycle,
 }
 
-/// Counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadAheadStats {
-    /// Demand fills served from the prefetch buffer.
-    pub prefetch_hits: u64,
-    /// Prefetches issued.
-    pub prefetches: u64,
-    /// Prefetched lines that were never used.
-    pub wasted: u64,
-}
-
 /// The read-ahead unit's state.
 #[derive(Debug, Clone)]
 pub struct ReadAhead {
     params: ReadAheadParams,
     last_fill: Option<u64>,
     prefetched: Option<(u64, Cycle)>,
-    stats: ReadAheadStats,
 }
 
 impl ReadAhead {
@@ -44,18 +32,12 @@ impl ReadAhead {
             params,
             last_fill: None,
             prefetched: None,
-            stats: ReadAheadStats::default(),
         }
     }
 
     /// Configuration.
     pub fn params(&self) -> &ReadAheadParams {
         &self.params
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> ReadAheadStats {
-        self.stats
     }
 
     /// Checks whether a demand fill of `line_base` is already in the
@@ -68,7 +50,6 @@ impl ReadAhead {
         match self.prefetched {
             Some((line, ready)) if line == line_base => {
                 self.prefetched = None;
-                self.stats.prefetch_hits += 1;
                 Some(now.max(ready) + self.params.buffer_hit_cycles)
             }
             _ => None,
@@ -92,11 +73,7 @@ impl ReadAhead {
     /// Records that the prefetch of `line_base` was issued and will be ready
     /// at `ready_at`. A previously buffered unused line is discarded.
     pub fn note_prefetch(&mut self, line_base: u64, ready_at: Cycle) {
-        if self.prefetched.is_some() {
-            self.stats.wasted += 1;
-        }
         self.prefetched = Some((line_base, ready_at));
-        self.stats.prefetches += 1;
         self.last_fill = Some(line_base);
     }
 }
@@ -132,7 +109,6 @@ mod tests {
         r.note_prefetch(64, 100);
         assert_eq!(r.buffer_hit(64, 50), Some(104));
         assert_eq!(r.buffer_hit(64, 50), None, "entry consumed");
-        assert_eq!(r.stats().prefetch_hits, 1);
     }
 
     #[test]
@@ -164,10 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn replacing_unused_prefetch_counts_as_waste() {
+    fn a_new_prefetch_replaces_an_unused_one() {
         let mut r = unit(true);
         r.note_prefetch(64, 0);
         r.note_prefetch(128, 0);
-        assert_eq!(r.stats().wasted, 1);
+        assert_eq!(r.buffer_hit(64, 10), None, "the replaced line is gone");
+        assert_eq!(r.buffer_hit(128, 10), Some(14));
     }
 }

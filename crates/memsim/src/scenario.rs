@@ -381,7 +381,8 @@ mod tests {
         let src = n.alloc_walk(AccessPattern::Contiguous, N, None).unwrap();
         let m = run_fetch_send(&mut n, &src, 8).unwrap();
         assert_eq!(m.words, N);
-        assert_eq!(n.tx.total_popped(), N);
+        assert_eq!(n.tx.total_pushed(), N);
+        assert!(n.tx.is_empty());
     }
 
     #[test]

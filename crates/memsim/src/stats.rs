@@ -1,4 +1,7 @@
-//! Measurement results and the per-run simulation and fault counters.
+//! Exchange parameters, measurement results and the per-run simulation
+//! and fault counters.
+
+use std::hash::{Hash, Hasher};
 
 use crate::clock::{Clock, Cycle};
 use memcomm_model::Throughput;
@@ -218,6 +221,93 @@ impl PhaseTimeline {
         // the wire, which every exchange crosses.
         out[last_present.unwrap_or(2)] += end_cycle - running;
         out
+    }
+}
+
+/// Parameters of a symmetric two-node exchange (put- or get-based). It
+/// compares and hashes by the bits of its fields, so a parameter set can
+/// key a memoized run.
+#[derive(Debug, Clone, Copy)]
+pub struct ExchangeConfig {
+    /// Payload words each node sends (and receives).
+    pub words: u64,
+    /// Pipelining chunk for buffer packing: `None` is store-and-forward
+    /// (pack the whole message, send it, unpack it — what PVM-era libraries
+    /// did); `Some(c)` pipelines at chunk granularity (the ablation of
+    /// DESIGN.md).
+    pub chunk_words: Option<u64>,
+    /// Network congestion factor; `None` uses the machine's representative
+    /// value (2).
+    pub congestion: Option<f64>,
+    /// Whether both nodes send simultaneously. The paper's T3D numbers are
+    /// symmetric (every node sends and receives, as in a transpose step);
+    /// its Paragon measurements "did not run sending and receiving
+    /// simultaneously at each node" — half duplex.
+    pub full_duplex: bool,
+    /// Expert buffer packing skips the gather (scatter) copy when the
+    /// source (destination) pattern is already contiguous; PVM-style
+    /// libraries never do (Section 3.4: "message passing libraries like PVM
+    /// force the programmer to copy the data elements in all cases").
+    pub elide_contiguous_copies: bool,
+    /// Seed for indexed patterns.
+    pub seed: u64,
+    /// Simulated-cycle budget: the exchange fails with
+    /// [`SimError::CycleBudget`](crate::SimError::CycleBudget) instead of
+    /// running past it. `None` leaves only the step-bound watchdog.
+    pub max_cycles: Option<Cycle>,
+}
+
+impl Default for ExchangeConfig {
+    fn default() -> Self {
+        ExchangeConfig {
+            words: 8192,
+            chunk_words: None,
+            congestion: None,
+            full_duplex: true,
+            elide_contiguous_copies: false,
+            seed: 0x5EED,
+            max_cycles: None,
+        }
+    }
+}
+
+impl ExchangeConfig {
+    /// Every field, the congestion factor by its bits. The destructuring
+    /// names every field, so a field added later does not compile until
+    /// equality and hashing cover it.
+    fn bits(&self) -> impl Eq + Hash {
+        let ExchangeConfig {
+            words,
+            chunk_words,
+            congestion,
+            full_duplex,
+            elide_contiguous_copies,
+            seed,
+            max_cycles,
+        } = *self;
+        (
+            words,
+            chunk_words,
+            congestion.map(f64::to_bits),
+            full_duplex,
+            elide_contiguous_copies,
+            seed,
+            max_cycles,
+        )
+    }
+}
+
+impl PartialEq for ExchangeConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for ExchangeConfig {}
+
+impl Hash for ExchangeConfig {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.bits().hash(h);
     }
 }
 

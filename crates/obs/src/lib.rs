@@ -19,10 +19,9 @@
 //! * **explicitly** — components capture `Obs::current()` at construction
 //!   (links, NIC FIFOs) and record through the captured handle;
 //! * **implicitly** — [`Obs::install`] puts a handle into thread-local
-//!   storage, and a propagator hook registered with
-//!   [`memcomm_util::par::set_propagator`] re-installs it inside every
-//!   `par_map` worker, so parallel sweep workers inherit the run's handle
-//!   without any plumbing through the fan-out machinery.
+//!   storage for everything downstream on that thread. A spawned thread
+//!   starts with the disabled handle: the sweep's simulate phase installs
+//!   its run's handle in each of its workers.
 //!
 //! ## Determinism contract
 //!
@@ -46,7 +45,7 @@ pub mod span;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 
 pub use registry::{Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use series::{Series, SeriesKind};
@@ -83,10 +82,8 @@ impl Obs {
     }
 
     /// Creates an enabled handle with a fresh registry, plus a trace sink
-    /// when `trace` is true. Also registers the cross-thread propagator so
-    /// installed handles survive `par_map` fan-out.
+    /// when `trace` is true.
     pub fn new(trace: bool) -> Obs {
-        ensure_propagator();
         Obs {
             inner: Some(Arc::new(ObsInner {
                 registry: MetricsRegistry::new(),
@@ -307,26 +304,6 @@ impl Drop for PointGuard {
     }
 }
 
-struct ObsCarrier(Obs);
-
-impl memcomm_util::par::CrossThread for ObsCarrier {
-    fn install(&self) -> Box<dyn std::any::Any> {
-        Box::new(self.0.install())
-    }
-}
-
-fn capture_current() -> Option<Box<dyn memcomm_util::par::CrossThread>> {
-    let current = Obs::current();
-    current
-        .is_enabled()
-        .then(|| Box::new(ObsCarrier(current)) as Box<dyn memcomm_util::par::CrossThread>)
-}
-
-fn ensure_propagator() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| memcomm_util::par::set_propagator(capture_current));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,19 +383,6 @@ mod tests {
         assert_eq!(stats.spans, 2);
         assert!(trace.contains("first point"));
         assert!(trace.contains("second point"));
-    }
-
-    #[test]
-    fn par_map_workers_inherit_the_installed_handle() {
-        let obs = Obs::new(false);
-        let _g = obs.install();
-        let items: Vec<u64> = (0..64).collect();
-        let results = memcomm_util::par::par_map(4, &items, |&x| {
-            Obs::current().count("worker.items", 1);
-            x
-        });
-        assert_eq!(results.len(), 64);
-        assert_eq!(obs.counter("worker.items"), 64);
     }
 
     #[test]

@@ -9,6 +9,12 @@
 
 use std::fmt;
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so the bound keeps a hostile document
+/// from overflowing a thread's stack; the deepest pinned document (the
+/// service transcript) nests 7 levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -150,10 +156,11 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first syntax error.
+    /// Returns a human-readable description of the first syntax error, or
+    /// of the first array or object nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut pos = 0;
-        let value = parse_value(text, &mut pos)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(text.as_bytes(), &mut pos);
         if pos != text.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -224,11 +231,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -239,7 +251,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(text, pos)? {
+                let key = match parse_value(text, pos, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -248,7 +260,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(text, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -270,7 +282,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(text, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -447,6 +459,21 @@ mod tests {
         let items: Vec<Json> = (0..100_000).map(|i| Json::str(&format!("s{i}"))).collect();
         let doc = Json::Arr(items.clone()).render();
         assert_eq!(Json::parse(&doc).expect("parses"), Json::Arr(items));
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        // Unbounded, each of these overflows the stack and aborts.
+        assert!(Json::parse(&nested(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\": ".repeat(100_000)).is_err());
+        let mut at_bound = Json::Arr(vec![]);
+        for _ in 1..MAX_DEPTH {
+            at_bound = Json::Arr(vec![at_bound]);
+        }
+        assert_eq!(Json::parse(&nested(MAX_DEPTH)), Ok(at_bound));
+        let past = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(past.contains("deeper than 64 levels"), "{past}");
     }
 
     #[test]

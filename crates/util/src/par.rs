@@ -8,54 +8,16 @@
 //! assert. The event engine steps its shards through thousands of short
 //! windows with [`par_rounds`], which keeps one group of threads for the
 //! whole run.
+//!
+//! Worker threads start with fresh thread-local state: work that reads a
+//! handle installed on the calling thread installs it itself.
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, OnceLock, PoisonError};
+use std::sync::{Barrier, Mutex, PoisonError};
 
 static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// A context captured on the calling thread for re-installation inside
-/// every [`par_map`] and [`par_rounds`] worker — the hook higher layers (the observability
-/// crate, the measurement memo cache) use to make thread-local run state
-/// survive the fan-out without threading handles through every call
-/// signature.
-pub trait CrossThread: Send + Sync {
-    /// Installs the captured context on the current worker thread; the
-    /// returned guard uninstalls it when dropped at worker exit.
-    fn install(&self) -> Box<dyn Any>;
-}
-
-/// Signature of a capture hook: called on the *calling* thread once per
-/// parallel [`par_map`] or [`par_rounds`] call, returning `None` when there is nothing to carry
-/// (the common case — workers then start with pristine thread state).
-pub type CaptureFn = fn() -> Option<Box<dyn CrossThread>>;
-
-static PROPAGATORS: OnceLock<Mutex<Vec<CaptureFn>>> = OnceLock::new();
-
-fn propagators() -> &'static Mutex<Vec<CaptureFn>> {
-    PROPAGATORS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Registers a process-wide context propagator. Several independent layers
-/// may each register one hook (observability handles, the memo cache);
-/// every registered hook is consulted at each fan-out and every captured
-/// context is installed in every worker. Registering the same function
-/// again is a no-op, so each layer can guard its registration with a
-/// simple `Once`.
-pub fn set_propagator(capture: CaptureFn) {
-    let mut hooks = propagators().lock().expect("propagator registry poisoned");
-    if !hooks.iter().any(|&h| std::ptr::fn_addr_eq(h, capture)) {
-        hooks.push(capture);
-    }
-}
-
-/// Captures every registered propagator's context on the calling thread.
-fn capture_contexts() -> Vec<Box<dyn CrossThread>> {
-    let hooks = propagators().lock().expect("propagator registry poisoned");
-    hooks.iter().filter_map(|capture| capture()).collect()
-}
 
 /// Sets the process-wide default worker count: what a caller that passes
 /// no count of its own reads through [`jobs`] (the event engine, when its
@@ -92,13 +54,10 @@ where
         return items.iter().map(&f).collect();
     }
     let next = AtomicUsize::new(0);
-    let carried = capture_contexts();
-    let carried = &carried;
     let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 scope.spawn(|| {
-                    let _contexts: Vec<_> = carried.iter().map(|c| c.as_ref().install()).collect();
                     let mut out = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -144,8 +103,7 @@ where
 ///
 /// This is for a loop of many short parallel steps, such as the event
 /// engine's conservative windows, where spawning threads per step would
-/// cost more than the step. Captured contexts (see [`set_propagator`]) are
-/// installed once per helper, not once per round.
+/// cost more than the step.
 ///
 /// # Panics
 ///
@@ -178,7 +136,6 @@ where
     let stop = AtomicBool::new(false);
     let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let barrier = Barrier::new(jobs);
-    let carried = capture_contexts();
     let share = |round: u64| {
         let claimed = std::panic::catch_unwind(AssertUnwindSafe(|| loop {
             let lo = next.fetch_add(chunk, Ordering::Relaxed);
@@ -196,7 +153,6 @@ where
     std::thread::scope(|scope| {
         for _ in 1..jobs {
             scope.spawn(|| {
-                let _contexts: Vec<_> = carried.iter().map(|c| c.as_ref().install()).collect();
                 for round in 0.. {
                     barrier.wait();
                     if stop.load(Ordering::Relaxed) {
@@ -357,35 +313,6 @@ mod tests {
         for site in [FailIn::Helper, FailIn::Caller, FailIn::Between] {
             assert_eq!(panicking_group(site), "boom in round 2");
         }
-    }
-
-    #[test]
-    fn contexts_are_installed_once_per_helper() {
-        struct Counted;
-        static INSTALLS: AtomicUsize = AtomicUsize::new(0);
-        thread_local!(static ARMED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
-        impl CrossThread for Counted {
-            fn install(&self) -> Box<dyn Any> {
-                INSTALLS.fetch_add(1, Ordering::Relaxed);
-                Box::new(())
-            }
-        }
-        // Other tests fan out concurrently; only this thread arms capture.
-        fn capture() -> Option<Box<dyn CrossThread>> {
-            ARMED
-                .with(|a| a.get())
-                .then(|| Box::new(Counted) as Box<dyn CrossThread>)
-        }
-        set_propagator(capture);
-        ARMED.with(|a| a.set(true));
-        let items: Vec<u32> = (0..8).collect();
-        par_rounds(3, 1, &items, |_, _| {}, |round| round < 9);
-        ARMED.with(|a| a.set(false));
-        assert_eq!(
-            INSTALLS.load(Ordering::Relaxed),
-            2,
-            "two helpers, ten rounds"
-        );
     }
 
     #[test]

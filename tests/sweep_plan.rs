@@ -4,7 +4,10 @@
 //! planned — each simulates once, in the one fan-out, and the render finds
 //! every lookup cached — and a warm rerun on that cache misses nothing.
 //! The plan's size is pinned per section, so a recording that gains a
-//! point fails as surely as one that misses one.
+//! point fails as surely as one that misses one. A cold sweep's cache and
+//! simulation counters are the same at every worker count: the simulate
+//! phase's workers fill the run's cache and count into its registry, as
+//! its inline jobs-1 fan-out does under the caller's handles.
 //!
 //! A run's simulation and fault counters count its own simulations, each
 //! once: a cold run under a seeded fault plan counts the same at every
@@ -67,6 +70,7 @@ fn a_cold_sweep_misses_exactly_its_planned_points() {
         .iter()
         .map(|&(key, planned)| (BTreeSet::from([key.to_string()]), planned));
     for (sections, planned) in alone.chain([(BTreeSet::new(), PLANNED_ALL)]) {
+        let mut serial = None;
         for jobs in [1, 2, 4, 8] {
             let what = format!("{sections:?} at jobs {jobs}");
             let opts = small(jobs, sections.clone());
@@ -82,6 +86,11 @@ fn a_cold_sweep_misses_exactly_its_planned_points() {
             assert_eq!(cold.planned, planned, "{what}: the plan's size");
             assert_eq!(cold.cache.misses, cold.planned, "{what}: cold {cold:?}");
             assert_eq!(cold.cache.entries, cold.planned, "{what}: one entry each");
+            assert_eq!(
+                *serial.get_or_insert((cold.cache, cold.sim)),
+                (cold.cache, cold.sim),
+                "{what}: cold counters against jobs 1"
+            );
 
             let (warm_report, warm) = run_sweep(&opts);
             assert_eq!(warm.cache.misses, 0, "{what}: warm {warm:?}");
