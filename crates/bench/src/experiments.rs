@@ -16,9 +16,9 @@ use memcomm_commops::{
     cached_resilient_transfer, measure_message, run_exchange, run_get_exchange, ExchangeConfig,
     LibraryProfile, ProtocolConfig, Style,
 };
-use memcomm_kernels::apps::{CommMethod, FemKernel, SorKernel, TransposeKernel};
+use memcomm_kernels::apps::{CommMethod, FemKernel, SorKernel, Table6Kernel, TransposeKernel};
 use memcomm_kernels::mesh::PartitionedMesh;
-use memcomm_kernels::netrun::{self, EngineOptions, Table6Kernel};
+use memcomm_kernels::netrun::{self, EngineOptions};
 use memcomm_kernels::KernelMeasurement;
 use memcomm_machines::calibrate;
 use memcomm_machines::microbench::{self, StrideSide};
@@ -28,7 +28,7 @@ use memcomm_memsim::fault::{FaultConfig, FaultPlan};
 use memcomm_memsim::SimResult;
 use memcomm_model::{
     buffer_packing_expr, chained_expr, AccessPattern, BasicTransfer, BufferPackingPlan,
-    ChainedPlan, ModelError, RateTable, ReceiveEngine, SendEngine, Throughput, TransferExpr,
+    ChainedPlan, ModelError, RateTable, ReceiveEngine, SendEngine, TransferExpr,
 };
 
 /// Default payload for microbenchmark measurements (words).
@@ -492,12 +492,13 @@ pub fn scaling(machine: &Machine) -> SimResult<Vec<ScalingPoint>> {
     // n = 2048 is the largest whose stride-n destination region fits the
     // simulated node memory (a stride-4096 patch spans 256 MB).
     every(&[128u64, 256, 512, 1024, 2048], |&n| {
-        let kernel = TransposeKernel {
+        let transpose = TransposeKernel {
             n,
             words_per_element: 2,
         };
+        let kernel = Table6Kernel::Transpose(transpose);
         // The analytic congestion, once for the three measurements.
-        let congestion = kernel.congestion(machine)?;
+        let congestion = kernel.analytic_congestion(machine, &machine.topology)?;
         let methods = [
             CommMethod::Pvm,
             CommMethod::BufferPacking,
@@ -509,7 +510,7 @@ pub fn scaling(machine: &Machine) -> SimResult<Vec<ScalingPoint>> {
         .map(|m| m.per_node.as_mbps());
         Ok(ScalingPoint {
             n,
-            patch_words: kernel.try_patch_words(p)?,
+            patch_words: transpose.try_patch_words(p)?,
             pvm,
             buffer_packing,
             chained,
@@ -593,7 +594,7 @@ pub fn section341(rates: &RateTable) -> SimResult<Section341> {
         .and_then(|e| e.estimate(rates))
         .map(|t| t.as_mbps())
         .unwrap_or(f64::NAN);
-    let measured = TransposeKernel::paper_instance()
+    let measured = Table6Kernel::Transpose(TransposeKernel::paper_instance())
         .measure(&t3d, CommMethod::BufferPacking)?
         .per_node
         .as_mbps();
@@ -644,54 +645,38 @@ pub fn table6(rates: &RateTable) -> SimResult<Vec<KernelRow>> {
     let t3d = Machine::t3d();
     let p = t3d.topology.len() as u64;
     let paper = reference::table6();
-    let transpose = TransposeKernel::paper_instance();
-    let fem = FemKernel::paper_instance();
-    let sor = SorKernel::paper_instance();
-
-    let mut rows = Vec::new();
-    let mut push = |name: &str, [bp, ch, pvm]: [KernelMeasurement; 3], model: f64| {
-        let p = paper
+    let kernels = [
+        Table6Kernel::Transpose(TransposeKernel::paper_instance()),
+        Table6Kernel::Fem(FemKernel::paper_instance().clone()),
+        Table6Kernel::Sor(SorKernel::paper_instance()),
+    ];
+    every(&kernels, |kernel| {
+        let name = kernel.name();
+        let paper = paper
             .iter()
             .find(|r| r.kernel == name)
             .expect("paper rows cover all kernels");
-        rows.push(KernelRow {
+        // The analytic congestion, once for the three measurements.
+        let congestion = kernel.analytic_congestion(&t3d, &t3d.topology)?;
+        let [bp, ch, pvm] = by_method(TABLE6_METHODS, |m| {
+            kernel.measure_at(&t3d, m, p, congestion)
+        })?;
+        Ok(KernelRow {
             kernel: name.to_string(),
             sim_bp: bp.per_node.as_mbps(),
             sim_chained: ch.per_node.as_mbps(),
             sim_pvm: pvm.per_node.as_mbps(),
-            model_chained: model,
-            paper_bp: p.measured_bp.as_mbps(),
-            paper_chained: p.measured_chained.as_mbps(),
-            paper_model_chained: p.model_chained.as_mbps(),
-            paper_pvm3: p.pvm3.as_mbps(),
+            model_chained: kernel
+                .model_chained(rates)
+                .map_or(f64::NAN, |t| t.as_mbps()),
+            paper_bp: paper.measured_bp.as_mbps(),
+            paper_chained: paper.measured_chained.as_mbps(),
+            paper_model_chained: paper.model_chained.as_mbps(),
+            paper_pvm3: paper.pvm3.as_mbps(),
             congestion: ch.congestion,
             verified: bp.verified && ch.verified && pvm.verified,
-        });
-    };
-    let mbps = |t: Result<Throughput, ModelError>| t.map_or(f64::NAN, |t| t.as_mbps());
-
-    // Each kernel's analytic congestion, once for its three measurements.
-    let congestion = transpose.congestion(&t3d)?;
-    push(
-        "Transpose",
-        by_method(TABLE6_METHODS, |m| {
-            transpose.measure_at(&t3d, m, p, congestion)
-        })?,
-        mbps(transpose.model_chained(rates)),
-    );
-    let congestion = fem.congestion(&t3d)?;
-    push(
-        "FEM",
-        by_method(TABLE6_METHODS, |m| fem.measure_at(&t3d, m, congestion))?,
-        mbps(fem.model_chained(rates)),
-    );
-    let congestion = sor.congestion(&t3d)?;
-    push(
-        "SOR",
-        by_method(TABLE6_METHODS, |m| sor.measure_at(&t3d, m, congestion))?,
-        mbps(sor.model_chained(rates)),
-    );
-    Ok(rows)
+        })
+    })
 }
 
 /// Table 6's columns, in its measuring order.

@@ -17,11 +17,14 @@
 //! * **an analytic cost** ([`analytic_cost`]): per round, the closed-form
 //!   congestion factor of the round's flow pattern prices the widest
 //!   source's serialization over the machine's wire, plus a pipeline fill —
-//!   the exact inverse of the engine bridge's factor derivation, so the two
-//!   are directly comparable cycle for cycle. Rounds compose sequentially
-//!   (∘, times add); within a round every node's send ‖ wire ‖ receive run
-//!   in parallel, captured by the congestion factor and mirrored at the
-//!   algebra level by [`round_expr`].
+//!   the exact inverse of the engine bridge's factor derivation, which
+//!   reads the round's extent and fill from the same two `netsim` functions
+//!   ([`round_extent`], [`LinkParams::pipeline_fill`]), so the two are
+//!   directly comparable cycle for cycle. Rounds compose sequentially (∘,
+//!   times add); within a round every node's send ‖ wire ‖ receive run in
+//!   parallel, which the congestion factor captures.
+//!
+//! [`LinkParams::pipeline_fill`]: memcomm_netsim::LinkParams::pipeline_fill
 //!
 //! Volumes are accounted in words and compared against information-
 //! theoretic floors ([`Collective::lower_bound_words`]): each non-root must
@@ -35,21 +38,14 @@
 //! trades a `n·log₂(n) / (2·(n − 1))` volume overshoot for its shallow
 //! round count, and the ring variant meets the floor up to block padding.
 
-use std::collections::HashMap;
-
 use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::nic::NetWord;
 use memcomm_memsim::{SimError, SimResult};
-use memcomm_model::{
-    buffer_packing_expr, chained_expr, AccessPattern, BufferPackingPlan, ChainedPlan,
-    ReceiveEngine, SendEngine, TransferExpr, WORD_BYTES,
-};
-use memcomm_netsim::congestion::pattern_congestion;
+use memcomm_model::WORD_BYTES;
+use memcomm_netsim::congestion::{pattern_congestion, round_extent};
 use memcomm_netsim::topology::Topology;
 use memcomm_netsim::traffic::{aapc_xor_schedule, Flow};
-
-use crate::exchange::Style;
 
 /// Every collective, in report order.
 pub const ALL: [Collective; 6] = [
@@ -362,23 +358,14 @@ pub fn analytic_cost(
     let sched = coll.schedule(topo.len(), words)?;
     let link = machine.link(1.0);
     let wt = link.word_cycles(&NetWord::data(0));
-    let latency = link.latency_cycles as f64;
     let mut rounds = Vec::with_capacity(sched.len());
     let mut end_cycle: Cycle = 0;
     let mut congestion = 1.0f64;
     for flows in &sched {
         let factor = pattern_congestion(topo, flows, machine.nodes_per_port).factor;
-        let mut per_src: HashMap<usize, u64> = HashMap::new();
-        let mut max_hops = 0u64;
-        for f in flows {
-            if f.src == f.dst || f.bytes == 0 {
-                continue;
-            }
-            *per_src.entry(f.src).or_default() += f.bytes.div_ceil(WORD_BYTES);
-            max_hops = max_hops.max(topo.distance(f.src, f.dst));
-        }
-        let widest = per_src.values().copied().max().unwrap_or(0);
-        let fill = (max_hops + 2) as f64 * (wt + latency);
+        // A round that moves nothing still pays its two-stage fill.
+        let (widest, max_hops) = round_extent(topo, flows);
+        let fill = link.pipeline_fill(max_hops);
         let cycles = (fill + widest as f64 * wt * factor).ceil() as Cycle;
         end_cycle += cycles;
         congestion = congestion.max(factor);
@@ -393,72 +380,6 @@ pub fn analytic_cost(
         rounds,
         end_cycle,
         congestion,
-    })
-}
-
-// ------------------------------------------------------ algebra compiling
-
-/// The copy-transfer expression of one collective round in a given style:
-/// within the round every node's send, wire, and receive engines run in
-/// parallel (‖) — the contiguous `1Q1` / `1Q'1` of Section 5, with the
-/// machine-appropriate engines.
-///
-/// # Errors
-///
-/// Propagates composition errors; with the machine plans these cannot
-/// occur.
-pub fn round_expr(machine: &Machine, style: Style) -> SimResult<TransferExpr> {
-    let one = AccessPattern::Contiguous;
-    let expr = match style {
-        Style::BufferPacking => buffer_packing_expr(
-            one,
-            one,
-            BufferPackingPlan {
-                send: if machine.caps.fetch_send {
-                    SendEngine::Dma
-                } else {
-                    SendEngine::Processor
-                },
-                recv: ReceiveEngine::Deposit,
-                elide_contiguous_copies: false,
-                overlap_unpack: false,
-            },
-        ),
-        Style::Chained => chained_expr(
-            one,
-            one,
-            ChainedPlan {
-                recv: if machine.deposit_noncontiguous() {
-                    ReceiveEngine::Deposit
-                } else {
-                    ReceiveEngine::Processor
-                },
-            },
-        ),
-    };
-    expr.map_err(|e| SimError::Protocol {
-        detail: format!("collective round expression: {e}"),
-        at: 0,
-    })
-}
-
-/// The end-to-end copy-transfer expression of a collective: its rounds'
-/// expressions composed sequentially (∘ across rounds, ‖ within each).
-///
-/// # Errors
-///
-/// [`SimError::Protocol`] for invalid node counts or a zero payload.
-pub fn collective_expr(
-    machine: &Machine,
-    coll: Collective,
-    n: usize,
-    style: Style,
-) -> SimResult<TransferExpr> {
-    let rounds = coll.round_count(n)?;
-    let stage = round_expr(machine, style)?;
-    TransferExpr::seq(vec![stage; rounds as usize]).map_err(|e| SimError::Protocol {
-        detail: format!("collective composition: {e}"),
-        at: 0,
     })
 }
 
@@ -551,17 +472,5 @@ mod tests {
         );
         assert_eq!(cost.completions().last().copied(), Some(cost.end_cycle));
         assert!(cost.congestion >= 1.0);
-    }
-
-    #[test]
-    fn expressions_compose_rounds_sequentially() {
-        let t3d = Machine::t3d();
-        let expr = collective_expr(&t3d, Collective::Broadcast, 16, Style::Chained).unwrap();
-        match expr {
-            TransferExpr::Seq(stages) => assert_eq!(stages.len(), 4),
-            other => panic!("expected a sequential composition, got {other:?}"),
-        }
-        let shown = round_expr(&t3d, Style::Chained).unwrap().to_string();
-        assert_eq!(shown, "(1S0 || Nd || 0D1)");
     }
 }

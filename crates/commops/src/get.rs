@@ -143,7 +143,7 @@ fn build_get_side(
         layout.src.slice(0, pull_words),
         layout.dst.slice(0, pull_words),
     );
-    let responder = AnnexEngine::new(machine.node.deposit, 0, serve_words);
+    let responder = AnnexEngine::new(machine.node.deposit, serve_words);
     let deposit = if machine.deposit_noncontiguous() {
         ReplySink::Deposit(DepositEngine::new(
             machine.node.deposit,

@@ -19,7 +19,8 @@
 //! simulated transfer moves real data and is verified.
 //!
 //! [`library`] adds the message-library layer (PVM-style buffered messaging
-//! vs a low-level put interface) used by Figure 1 and the Table 6 PVM rows.
+//! vs a low-level put interface) behind Figure 1; its cost profile,
+//! [`LibraryProfile`], also prices the Table 6 kernels' rounds.
 //!
 //! ```rust
 //! use memcomm_commops::{run_exchange, ExchangeConfig, Style};
@@ -93,20 +94,9 @@ pub fn measure_point(machine: &Machine, point: Point) -> SimResult<Value> {
             Value::Exchange(run_exchange(machine, x, y, style, &cfg)?)
         }
         Point::Get { x, y, cfg } => Value::Exchange(run_get_exchange(machine, x, y, &cfg)?),
-        Point::Message {
-            library,
-            per_message_cycles,
-            system_buffering,
-            words,
-        } => Value::Message(measure_message(
-            machine,
-            LibraryProfile {
-                name: library,
-                per_message_cycles,
-                system_buffering,
-            },
-            words,
-        )?),
+        Point::Message { profile, words } => {
+            Value::Message(measure_message(machine, profile, words)?)
+        }
         Point::Wire {
             congestion_bits,
             words,

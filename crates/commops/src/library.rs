@@ -5,9 +5,11 @@
 //! throughput". The mechanisms that separate them are per-message constant
 //! software overhead and forced system buffering (extra local copies on
 //! both sides); both are implemented here on the simulated machines, not
-//! assumed.
+//! assumed. The profile that sets them, [`LibraryProfile`], lives beside
+//! the machine, where the Table 6 kernels read it too.
 
 use memcomm_machines::memo::{self, Point};
+pub use memcomm_machines::LibraryProfile;
 use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::engines::{Cpu, CpuSender, DepositEngine, DepositMode, LocalCopier, Step};
@@ -17,41 +19,6 @@ use memcomm_model::{AccessPattern, Throughput};
 use memcomm_netsim::Link;
 
 use crate::drive::{drive, Agents, LinkWaits};
-
-/// A message-passing library's cost profile.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LibraryProfile {
-    /// Library name.
-    pub name: &'static str,
-    /// Constant software cost per message on each side (argument checking,
-    /// buffer management, protocol).
-    pub per_message_cycles: Cycle,
-    /// Whether the library forces store-and-forward copies through system
-    /// buffers on both sides (PVM semantics).
-    pub system_buffering: bool,
-}
-
-impl LibraryProfile {
-    /// A PVM-like portable library: tens of microseconds of per-message
-    /// overhead and mandatory system buffering on both ends.
-    pub fn pvm(machine: &Machine) -> Self {
-        LibraryProfile {
-            name: "PVM",
-            per_message_cycles: (40.0e-6 * machine.clock().hz()) as Cycle,
-            system_buffering: true,
-        }
-    }
-
-    /// The fastest vendor path (`libsma` on the T3D, SUNMOS `libnx` on the
-    /// Paragon): a put with microseconds of overhead and no extra copies.
-    pub fn low_level(machine: &Machine) -> Self {
-        LibraryProfile {
-            name: "low-level",
-            per_message_cycles: (2.0e-6 * machine.clock().hz()) as Cycle,
-            system_buffering: false,
-        }
-    }
-}
 
 /// A message's agents: A's sending processor, B's deposit engine, and the
 /// link between them.
@@ -118,17 +85,7 @@ pub fn measure_message(
 
 /// The memo point [`measure_message`] looks up.
 pub fn message_point(profile: LibraryProfile, words: u64) -> Point {
-    let LibraryProfile {
-        name,
-        per_message_cycles,
-        system_buffering,
-    } = profile;
-    Point::Message {
-        library: name,
-        per_message_cycles,
-        system_buffering,
-        words,
-    }
+    Point::Message { profile, words }
 }
 
 fn simulate_message(

@@ -1,16 +1,17 @@
 //! The application kernels of Section 6 / Table 6.
 //!
-//! Each kernel measures the throughput of its *communication step* on a
-//! simulated machine, per node, exactly as the paper reports: a
-//! representative pairwise exchange is co-simulated in detail at the
-//! congestion factor the full pattern imposes on the machine's topology
-//! (`netsim` derives it), plus the per-message and synchronization costs of
-//! the communication layer in use.
+//! [`TransposeKernel`], [`FemKernel`] and [`SorKernel`] each hold one
+//! kernel's decomposition: its parameters and the communication rounds it
+//! runs on a topology. [`Table6Kernel`] prices any of them the way the paper
+//! reports: per node, one representative pairwise exchange co-simulated in
+//! detail at the congestion factor the kernel's rounds impose on the
+//! machine's topology (`netsim` derives it), plus the per-message and
+//! synchronization costs of the communication layer in use.
 
 use std::sync::OnceLock;
 
 use memcomm_commops::{run_exchange, ExchangeConfig, Style};
-use memcomm_machines::{microbench, Machine};
+use memcomm_machines::{microbench, LibraryProfile, Machine};
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::{SimError, SimResult};
 use memcomm_model::{
@@ -51,12 +52,13 @@ impl CommMethod {
         }
     }
 
-    fn per_message_cycles(self, machine: &Machine) -> Cycle {
-        let us = match self {
-            CommMethod::Pvm => 40.0e-6,
-            _ => 2.0e-6,
-        };
-        (us * machine.clock().hz()) as Cycle
+    /// The message library the method runs over: PVM's, or the low-level
+    /// vendor path that hand-written and chained code use.
+    fn profile(self, machine: &Machine) -> LibraryProfile {
+        match self {
+            CommMethod::Pvm => LibraryProfile::pvm(machine),
+            _ => LibraryProfile::low_level(machine),
+        }
     }
 
     /// Per-iteration synchronization: a dissemination barrier over the
@@ -102,8 +104,8 @@ fn system_copy_cycles(machine: &Machine, words: u64) -> SimResult<Cycle> {
 }
 
 /// One representative round of a kernel's communication step: the
-/// exchange [`measure`](Round::measure) co-simulates, which for PVM adds a
-/// system-buffer copy on each side.
+/// exchange [`measure`](Round::measure) co-simulates, which a
+/// system-buffering library pays a copy on each side for.
 #[derive(Debug, Clone, Copy)]
 struct Round {
     kernel: &'static str,
@@ -117,16 +119,18 @@ struct Round {
 
 impl Round {
     fn measure(&self, machine: &Machine) -> SimResult<(Cycle, KernelMeasurement)> {
+        let profile = self.method.profile(machine);
         let cfg = ExchangeConfig {
             words: self.words,
             congestion: Some(self.congestion),
-            // PVM always copies; hand-written code may elide.
-            elide_contiguous_copies: self.elide_contiguous_copies && self.method != CommMethod::Pvm,
+            // A system-buffering library always copies; hand-written code
+            // may elide.
+            elide_contiguous_copies: self.elide_contiguous_copies && !profile.system_buffering,
             ..ExchangeConfig::default()
         };
         let result = run_exchange(machine, self.x, self.y, self.method.style(), &cfg)?;
-        let mut round = result.end_cycle + self.method.per_message_cycles(machine);
-        if self.method == CommMethod::Pvm {
+        let mut round = result.end_cycle + profile.per_message_cycles;
+        if profile.system_buffering {
             round += 2 * system_copy_cycles(machine, self.words)?;
         }
         let m = KernelMeasurement {
@@ -137,6 +141,159 @@ impl Round {
             verified: result.verified,
         };
         Ok((round, m))
+    }
+}
+
+/// One of the three Table 6 kernels: the one type that prices a kernel's
+/// communication step, at the analytic congestion factor or at any other
+/// (the event engine substitutes its own).
+#[derive(Debug, Clone)]
+pub enum Table6Kernel {
+    /// The 2D-FFT transpose (all-to-all personalized exchange).
+    Transpose(TransposeKernel),
+    /// The FEM boundary exchange (phased neighbour shifts).
+    Fem(FemKernel),
+    /// The SOR halo shift (two sequential cyclic shifts).
+    Sor(SorKernel),
+}
+
+impl Table6Kernel {
+    /// The kernel's Table 6 row label.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Table6Kernel::Transpose(_) => "Transpose",
+            Table6Kernel::Fem(_) => "FEM",
+            Table6Kernel::Sor(_) => "SOR",
+        }
+    }
+
+    /// The kernel's communication rounds on `topo` — what both the analytic
+    /// congestion factor and the event engine execute.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] for configurations that do not decompose over
+    /// the topology.
+    pub fn rounds(&self, topo: &Topology) -> SimResult<Vec<Vec<traffic::Flow>>> {
+        match self {
+            Table6Kernel::Transpose(k) => k.rounds(topo),
+            Table6Kernel::Fem(k) => k.rounds(topo),
+            Table6Kernel::Sor(k) => k.rounds(topo),
+        }
+    }
+
+    /// The analytic congestion factor on `topo`: the worst of the kernel's
+    /// [`rounds`](Self::rounds) under the machine's port sharing
+    /// ([`scheduled_congestion`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] for configurations that do not decompose over
+    /// the topology.
+    pub fn analytic_congestion(&self, machine: &Machine, topo: &Topology) -> SimResult<f64> {
+        Ok(scheduled_congestion(topo, &self.rounds(topo)?, machine.nodes_per_port).factor)
+    }
+
+    /// Measures the communication step per node on the machine's own
+    /// topology, at the analytic congestion factor.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] when the kernel does not decompose over the
+    /// machine, and simulation failures from the co-simulated exchange.
+    pub fn measure(&self, machine: &Machine, method: CommMethod) -> SimResult<KernelMeasurement> {
+        let congestion = self.analytic_congestion(machine, &machine.topology)?;
+        self.measure_at(machine, method, machine.topology.len() as u64, congestion)
+    }
+
+    /// Measures the communication step per node at an explicit node count
+    /// `p` and congestion factor. SOR's step is two sequential halo-row
+    /// exchanges plus the iteration's synchronization, and its rate is one
+    /// halo row over the whole step (the paper's per-node accounting).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] when the transpose does not decompose over
+    /// `p` nodes, and simulation failures from the co-simulated exchange.
+    pub fn measure_at(
+        &self,
+        machine: &Machine,
+        method: CommMethod,
+        p: u64,
+        congestion: f64,
+    ) -> SimResult<KernelMeasurement> {
+        let (cycles, m) = self.round(method, p, congestion)?.measure(machine)?;
+        let Table6Kernel::Sor(k) = self else {
+            return Ok(m);
+        };
+        let iteration = 2 * cycles + method.sync_cycles(machine);
+        Ok(KernelMeasurement {
+            per_node: machine.clock().throughput(k.n * 8, iteration),
+            ..m
+        })
+    }
+
+    /// The kernel's representative round on `p` nodes at `congestion`.
+    fn round(&self, method: CommMethod, p: u64, congestion: f64) -> SimResult<Round> {
+        let (x, y, words, elide_contiguous_copies) = match self {
+            // The transpose patch is short contiguous runs, not one block:
+            // the gather copy is genuinely needed (the paper models it as
+            // 1C1).
+            Table6Kernel::Transpose(k) => {
+                let words = k.try_patch_words(p)?;
+                (AccessPattern::Contiguous, k.stride()?, words, false)
+            }
+            Table6Kernel::Fem(k) => (
+                AccessPattern::Indexed,
+                AccessPattern::Indexed,
+                k.exchange_words(),
+                false,
+            ),
+            // Halo rows are contiguous: a hand-written buffer-packing SOR
+            // does not copy them, which is why the paper's Table 6 shows
+            // chained and buffer packing nearly equal for SOR.
+            Table6Kernel::Sor(k) => (
+                AccessPattern::Contiguous,
+                AccessPattern::Contiguous,
+                k.n,
+                true,
+            ),
+        };
+        Ok(Round {
+            kernel: self.name(),
+            x,
+            y,
+            method,
+            words,
+            congestion,
+            elide_contiguous_copies,
+        })
+    }
+
+    /// The copy-transfer model's chained estimate from a measured rate
+    /// table: `1Q'n` for the transpose, `ωQ'ω` for FEM and `1Q'1` for SOR.
+    /// It ignores per-message and synchronization costs, which is why the
+    /// paper's own Table 6 shows a large model-vs-measured gap for SOR. A
+    /// transpose `n` past the 32-bit stride range prices as the widest
+    /// stride: the table prices every stride past its widest anchor alike.
+    ///
+    /// # Errors
+    ///
+    /// Propagates missing-rate errors from the table, and
+    /// [`ModelError::InvalidStride`] for a transpose of `n = 0`.
+    pub fn model_chained(&self, rates: &RateTable) -> Result<Throughput, ModelError> {
+        let (x, y) = match self {
+            Table6Kernel::Transpose(k) => (
+                AccessPattern::Contiguous,
+                AccessPattern::strided(u32::try_from(k.n).unwrap_or(u32::MAX))?,
+            ),
+            Table6Kernel::Fem(_) => (AccessPattern::Indexed, AccessPattern::Indexed),
+            Table6Kernel::Sor(_) => (AccessPattern::Contiguous, AccessPattern::Contiguous),
+        };
+        let plan = ChainedPlan {
+            recv: ReceiveEngine::Deposit,
+        };
+        chained_expr(x, y, plan)?.estimate(rates)
     }
 }
 
@@ -160,7 +317,6 @@ impl TransposeKernel {
             words_per_element: 2,
         }
     }
-
     /// Validates a node count for this kernel: the XOR schedule needs a
     /// power of two, the patch decomposition needs `p` to divide `n` —
     /// anything else used to truncate silently into a wrong patch size —
@@ -241,74 +397,9 @@ impl TransposeKernel {
         Ok(traffic::aapc_xor_schedule(p as usize, patch * 8))
     }
 
-    /// The scheduled all-to-all congestion on an explicit topology/port
-    /// configuration (worst round of the XOR schedule).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] for an invalid decomposition.
-    pub fn congestion_on(&self, topo: &Topology, nodes_per_port: u32) -> SimResult<f64> {
-        Ok(scheduled_congestion(topo, &self.rounds(topo)?, nodes_per_port).factor)
-    }
-
-    /// The congestion of the scheduled all-to-all on this machine's
-    /// topology (worst round of the XOR schedule, including port sharing).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] when the matrix does not decompose over the
-    /// machine's node count.
-    pub fn congestion(&self, machine: &Machine) -> SimResult<f64> {
-        self.congestion_on(&machine.topology, machine.nodes_per_port)
-    }
-
-    /// The round of `words`-word patches at `congestion`. The transpose
-    /// patch is short contiguous runs, not one block: the gather copy is
-    /// genuinely needed (the paper models it as 1C1).
-    fn round(&self, method: CommMethod, words: u64, congestion: f64) -> SimResult<Round> {
-        Ok(Round {
-            kernel: "Transpose",
-            x: AccessPattern::Contiguous,
-            y: self.stride()?,
-            method,
-            words,
-            congestion,
-            elide_contiguous_copies: false,
-        })
-    }
-
-    /// Measures the communication step per node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures from the co-simulated exchange.
-    pub fn measure(&self, machine: &Machine, method: CommMethod) -> SimResult<KernelMeasurement> {
-        let p = machine.topology.len() as u64;
-        let congestion = self.congestion(machine)?;
-        self.measure_at(machine, method, p, congestion)
-    }
-
-    /// Measures at an explicit node count and congestion factor — the entry
-    /// point the event engine uses to substitute its own simulated factor
-    /// for the analytic one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures from the co-simulated exchange.
-    pub fn measure_at(
-        &self,
-        machine: &Machine,
-        method: CommMethod,
-        p: u64,
-        congestion: f64,
-    ) -> SimResult<KernelMeasurement> {
-        let words = self.try_patch_words(p)?;
-        Ok(self.round(method, words, congestion)?.measure(machine)?.1)
-    }
-
     /// Measures the *entire* transpose — all `p − 1` rounds of the XOR
     /// schedule, each co-simulated at its own round congestion — and
-    /// returns the aggregate per-node rate. [`measure`](Self::measure) uses
+    /// returns the aggregate per-node rate. [`Table6Kernel::measure`] uses
     /// one representative round at the worst round congestion; this method
     /// is the long-form validation that the shortcut is sound.
     ///
@@ -331,7 +422,9 @@ impl TransposeKernel {
                 .factor
                 .max(1.0);
             worst = worst.max(congestion);
-            let (cycles, m) = self.round(method, patch, congestion)?.measure(machine)?;
+            let (cycles, m) = Table6Kernel::Transpose(*self)
+                .round(method, p as u64, congestion)?
+                .measure(machine)?;
             total_cycles += cycles;
             verified &= m.verified;
         }
@@ -343,26 +436,6 @@ impl TransposeKernel {
             congestion: worst,
             verified,
         })
-    }
-
-    /// The copy-transfer model's chained estimate for this kernel, from a
-    /// measured rate table. An `n` past the 32-bit stride range prices as
-    /// the widest stride: the table prices every stride past its widest
-    /// anchor alike.
-    ///
-    /// # Errors
-    ///
-    /// Propagates missing-rate errors from the table, and
-    /// [`ModelError::InvalidStride`] for `n = 0`.
-    pub fn model_chained(&self, rates: &RateTable) -> Result<Throughput, ModelError> {
-        chained_expr(
-            AccessPattern::Contiguous,
-            AccessPattern::strided(u32::try_from(self.n).unwrap_or(u32::MAX))?,
-            ChainedPlan {
-                recv: ReceiveEngine::Deposit,
-            },
-        )?
-        .estimate(rates)
     }
 }
 
@@ -434,78 +507,6 @@ impl FemKernel {
         phases.retain(|phase| !phase.is_empty());
         Ok(phases)
     }
-
-    /// Congestion of the phased exchange on an explicit topology/port
-    /// configuration; the factor is the worst phase.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] on a mesh/topology size mismatch.
-    pub fn congestion_on(&self, topo: &Topology, nodes_per_port: u32) -> SimResult<f64> {
-        Ok(scheduled_congestion(topo, &self.rounds(topo)?, nodes_per_port).factor)
-    }
-
-    /// Congestion of the neighbour-exchange pattern on the machine. The
-    /// exchange is scheduled in per-direction phases (one shift per
-    /// topology direction), as solvers do; the factor is the worst phase.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] when the mesh was partitioned for a different
-    /// node count than the machine has.
-    pub fn congestion(&self, machine: &Machine) -> SimResult<f64> {
-        self.congestion_on(&machine.topology, machine.nodes_per_port)
-    }
-
-    /// Measures the boundary-exchange step per node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures from the co-simulated exchange.
-    pub fn measure(&self, machine: &Machine, method: CommMethod) -> SimResult<KernelMeasurement> {
-        let congestion = self.congestion(machine)?;
-        self.measure_at(machine, method, congestion)
-    }
-
-    /// Measures at an explicit congestion factor (the event engine
-    /// substitutes its simulated factor here).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures from the co-simulated exchange.
-    pub fn measure_at(
-        &self,
-        machine: &Machine,
-        method: CommMethod,
-        congestion: f64,
-    ) -> SimResult<KernelMeasurement> {
-        let round = Round {
-            kernel: "FEM",
-            x: AccessPattern::Indexed,
-            y: AccessPattern::Indexed,
-            method,
-            words: self.exchange_words(),
-            congestion,
-            elide_contiguous_copies: false,
-        };
-        Ok(round.measure(machine)?.1)
-    }
-
-    /// The model's chained estimate (`ωQ'ω`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates missing-rate errors from the table.
-    pub fn model_chained(&self, rates: &RateTable) -> Result<Throughput, ModelError> {
-        chained_expr(
-            AccessPattern::Indexed,
-            AccessPattern::Indexed,
-            ChainedPlan {
-                recv: ReceiveEngine::Deposit,
-            },
-        )?
-        .estimate(rates)
-    }
 }
 
 /// The SOR halo-shift kernel (Section 6.1.3): contiguous overlap rows
@@ -564,7 +565,8 @@ impl SorKernel {
     }
 
     /// The two sequential halo shifts of one relaxation (up then down) —
-    /// the rounds the event engine executes.
+    /// what both the analytic congestion factor and the event engine
+    /// execute.
     ///
     /// # Errors
     ///
@@ -576,90 +578,6 @@ impl SorKernel {
             traffic::cyclic_shift(topo, 1, bytes),
             traffic::cyclic_shift(topo, topo.len() - 1, bytes),
         ])
-    }
-
-    /// Congestion of the shift pattern on an explicit topology/port
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] for an invalid configuration.
-    pub fn congestion_on(&self, topo: &Topology, nodes_per_port: u32) -> SimResult<f64> {
-        self.validate_on(topo)?;
-        let flows = traffic::cyclic_shift(topo, 1, self.n * 8);
-        Ok(pattern_congestion(topo, &flows, nodes_per_port).factor)
-    }
-
-    /// Congestion of the shift pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] for an invalid configuration.
-    pub fn congestion(&self, machine: &Machine) -> SimResult<f64> {
-        self.congestion_on(&machine.topology, machine.nodes_per_port)
-    }
-
-    /// Measures the halo exchange per node: two sequential row exchanges
-    /// plus the iteration synchronization; the reported rate is one halo
-    /// row over the full communication phase (the paper's per-node
-    /// accounting).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures from the co-simulated exchange.
-    pub fn measure(&self, machine: &Machine, method: CommMethod) -> SimResult<KernelMeasurement> {
-        let congestion = self.congestion(machine)?;
-        self.measure_at(machine, method, congestion)
-    }
-
-    /// Measures at an explicit congestion factor (the event engine
-    /// substitutes its simulated factor here).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures from the co-simulated exchange.
-    pub fn measure_at(
-        &self,
-        machine: &Machine,
-        method: CommMethod,
-        congestion: f64,
-    ) -> SimResult<KernelMeasurement> {
-        // One halo-row exchange. Halo rows are contiguous: a hand-written
-        // buffer-packing SOR does not copy them, which is why the paper's
-        // Table 6 shows chained and buffer packing nearly equal for SOR.
-        let (round, first) = Round {
-            kernel: "SOR",
-            x: AccessPattern::Contiguous,
-            y: AccessPattern::Contiguous,
-            method,
-            words: self.n,
-            congestion,
-            elide_contiguous_copies: true,
-        }
-        .measure(machine)?;
-        let iteration = 2 * round + method.sync_cycles(machine);
-        Ok(KernelMeasurement {
-            per_node: machine.clock().throughput(self.n * 8, iteration),
-            ..first
-        })
-    }
-
-    /// The model's chained estimate (`1Q'1`), which ignores the per-message
-    /// and synchronization costs — the paper's own Table 6 shows the same
-    /// large model-vs-measured gap for SOR.
-    ///
-    /// # Errors
-    ///
-    /// Propagates missing-rate errors from the table.
-    pub fn model_chained(&self, rates: &RateTable) -> Result<Throughput, ModelError> {
-        chained_expr(
-            AccessPattern::Contiguous,
-            AccessPattern::Contiguous,
-            ChainedPlan {
-                recv: ReceiveEngine::Deposit,
-            },
-        )?
-        .estimate(rates)
     }
 }
 
@@ -677,19 +595,35 @@ mod tests {
     #[test]
     fn congestion_factors_are_reasonable() {
         let t3d = Machine::t3d();
-        let transpose = TransposeKernel::paper_instance().congestion(&t3d).unwrap();
+        let transpose = Table6Kernel::Transpose(TransposeKernel::paper_instance());
+        let transpose = transpose.analytic_congestion(&t3d, &t3d.topology).unwrap();
         assert!(
             (2.0..=4.0).contains(&transpose),
             "transpose congestion {transpose}"
         );
-        let sor = SorKernel::paper_instance().congestion(&t3d).unwrap();
-        assert!((2.0..=2.5).contains(&sor), "shift congestion {sor}");
+        let sor = Table6Kernel::Sor(SorKernel::paper_instance());
+        let sor_t3d = sor.analytic_congestion(&t3d, &t3d.topology).unwrap();
+        assert!((2.0..=2.5).contains(&sor_t3d), "shift congestion {sor_t3d}");
         let paragon = Machine::paragon();
-        let sor_p = SorKernel::paper_instance().congestion(&paragon).unwrap();
+        let sor_p = sor
+            .analytic_congestion(&paragon, &paragon.topology)
+            .unwrap();
         assert!(
-            sor_p >= 1.0 && sor_p <= sor,
+            sor_p >= 1.0 && sor_p <= sor_t3d,
             "no port sharing on the Paragon"
         );
+        // SOR's factor is the worse of its two shifts; at every
+        // power-of-two scale either machine stretches to, that is the +1
+        // shift's factor alone, to the bit.
+        for machine in [t3d, paragon] {
+            for nodes in (1..=12).map(|k| 1usize << k) {
+                let topo = crate::netrun::engine_topology(&machine, Some(nodes)).unwrap();
+                let shift = traffic::cyclic_shift(&topo, 1, SorKernel::paper_instance().n * 8);
+                let up = pattern_congestion(&topo, &shift, machine.nodes_per_port).factor;
+                let both = sor.analytic_congestion(&machine, &topo).unwrap();
+                assert_eq!(both.to_bits(), up.to_bits(), "{} at {nodes}", machine.name);
+            }
+        }
     }
 
     #[test]
@@ -701,8 +635,9 @@ mod tests {
             n: 100,
             words_per_element: 2,
         };
+        let bad = Table6Kernel::Transpose(bad);
         assert!(matches!(
-            bad.congestion(&t3d),
+            bad.analytic_congestion(&t3d, &t3d.topology),
             Err(SimError::Protocol { .. })
         ));
         assert!(matches!(
@@ -721,10 +656,10 @@ mod tests {
         let small = Topology::torus(&[4, 4]);
         assert!(matches!(fem.rounds(&small), Err(SimError::Protocol { .. })));
         // SOR needs a neighbour.
-        let sor = SorKernel::paper_instance();
+        let sor = Table6Kernel::Sor(SorKernel::paper_instance());
         let lone = Topology::torus(&[1]);
         assert!(matches!(
-            sor.congestion_on(&lone, 1),
+            sor.analytic_congestion(&t3d, &lone),
             Err(SimError::Protocol { .. })
         ));
         // Matrix sizes past the 32-bit stride range: n = 2^61 on 4 nodes,
@@ -743,8 +678,9 @@ mod tests {
                 Err(SimError::Protocol { .. })
             ));
             assert!(matches!(k.rounds(topo), Err(SimError::Protocol { .. })));
+            let k = Table6Kernel::Transpose(k);
             assert!(matches!(
-                k.congestion_on(topo, 2),
+                k.analytic_congestion(&t3d, topo),
                 Err(SimError::Protocol { .. })
             ));
             assert!(matches!(
@@ -774,18 +710,19 @@ mod tests {
             Err(SimError::Protocol { .. })
         ));
         // The model prices a stride past the 32-bit range as the widest.
+        let huge = TransposeKernel {
+            n: 1 << 61,
+            words_per_element: 2,
+        };
         assert!(matches!(
-            TransposeKernel {
-                n: 1 << 61,
-                words_per_element: 2
-            }
-            .model_chained(&RateTable::default()),
+            Table6Kernel::Transpose(huge).model_chained(&RateTable::default()),
             Err(ModelError::MissingRate(_))
         ));
     }
 
     #[test]
     fn fem_congestion_generalizes_to_any_even_dim_torus() {
+        let t3d = Machine::t3d();
         // Scaled power-of-two tori hit 2-wide rings ([2,2,2] at 8 nodes,
         // [4,4,2] at 32); the duplicated ±1 exchange flows used to double
         // the worst-phase factor to 4 there. With shared ports (T3D npp=2)
@@ -800,10 +737,10 @@ mod tests {
         ] {
             let topo = Topology::torus(&dims);
             let parts = [dims[0] as usize, dims[1] as usize, dims[2] as usize];
-            let fem = FemKernel {
+            let fem = Table6Kernel::Fem(FemKernel {
                 mesh: PartitionedMesh::synthetic_valley([48, 48, 48], parts, 1995),
-            };
-            let f = fem.congestion_on(&topo, 2).unwrap();
+            });
+            let f = fem.analytic_congestion(&t3d, &topo).unwrap();
             assert!(
                 (f - 2.0).abs() < 1e-9,
                 "phased exchange on {dims:?} priced at {f}, want 2.0"
@@ -821,7 +758,7 @@ mod tests {
     #[test]
     fn chained_beats_buffer_packing_beats_pvm_on_t3d() {
         let t3d = Machine::t3d();
-        let k = TransposeKernel::paper_instance();
+        let k = Table6Kernel::Transpose(TransposeKernel::paper_instance());
         let bp = k.measure(&t3d, CommMethod::BufferPacking).unwrap();
         let ch = k.measure(&t3d, CommMethod::Chained).unwrap();
         let pvm = k.measure(&t3d, CommMethod::Pvm).unwrap();
@@ -840,7 +777,9 @@ mod tests {
         let t3d = Machine::t3d();
         let k = TransposeKernel::paper_instance();
         let full = k.measure_full(&t3d, CommMethod::Chained).unwrap();
-        let single = k.measure(&t3d, CommMethod::Chained).unwrap();
+        let single = Table6Kernel::Transpose(k)
+            .measure(&t3d, CommMethod::Chained)
+            .unwrap();
         assert!(full.verified);
         let ratio = full.per_node.as_mbps() / single.per_node.as_mbps();
         assert!(
@@ -857,6 +796,7 @@ mod tests {
         assert_eq!(k.mesh.partitions(), 64);
         assert_eq!(k.exchange_words(), 144, "12x12 faces");
         let t3d = Machine::t3d();
+        let k = Table6Kernel::Fem(k.clone());
         let ch = k.measure(&t3d, CommMethod::Chained).unwrap();
         let bp = k.measure(&t3d, CommMethod::BufferPacking).unwrap();
         assert!(ch.verified && bp.verified);
@@ -866,7 +806,7 @@ mod tests {
     #[test]
     fn sor_is_overhead_dominated() {
         let t3d = Machine::t3d();
-        let k = SorKernel::paper_instance();
+        let k = Table6Kernel::Sor(SorKernel::paper_instance());
         let ch = k.measure(&t3d, CommMethod::Chained).unwrap();
         let bp = k.measure(&t3d, CommMethod::BufferPacking).unwrap();
         // Chained helps only marginally for contiguous small messages.
@@ -881,7 +821,7 @@ mod tests {
         // appear here.
         let t3d = Machine::t3d();
         let rates = memcomm_machines::microbench::measure_table(&t3d, 4096).unwrap();
-        let k = SorKernel::paper_instance();
+        let k = Table6Kernel::Sor(SorKernel::paper_instance());
         let model = k.model_chained(&rates).unwrap();
         let measured = k.measure(&t3d, CommMethod::Chained).unwrap();
         assert!(model.as_mbps() > 1.8 * measured.per_node.as_mbps());

@@ -14,9 +14,10 @@
 //! * [`mesh`] — a synthetic partitioned irregular 3D mesh standing in for
 //!   the Quake project's alluvial-valley model (Section 6.1.2);
 //! * [`apps`] — the three kernels of Table 6 (2D-FFT transpose, FEM
-//!   boundary exchange, SOR halo shift), measured end to end on the
-//!   simulated T3D/Paragon with buffer-packing, chained, and PVM-style
-//!   communication;
+//!   boundary exchange, SOR halo shift): each struct holds its
+//!   decomposition, and one [`Table6Kernel`] prices any of them end to end
+//!   on the simulated T3D/Paragon with buffer-packing, chained, and
+//!   PVM-style communication;
 //! * [`netrun`] — the same kernels executed on the sharded discrete-event
 //!   network engine, whose emergent congestion factor stands beside the
 //!   analytic one.
@@ -31,6 +32,6 @@ pub mod mesh;
 pub mod netrun;
 pub mod schedule;
 
-pub use apps::{FemKernel, KernelMeasurement, SorKernel, TransposeKernel};
+pub use apps::{FemKernel, KernelMeasurement, SorKernel, Table6Kernel, TransposeKernel};
 pub use distribution::Distribution;
-pub use netrun::{EngineOptions, Table6Kernel};
+pub use netrun::EngineOptions;

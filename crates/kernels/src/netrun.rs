@@ -1,18 +1,15 @@
 //! Running the Table 6 kernels on the event-driven network engine.
 //!
-//! The kernels price their communication step by composing a co-simulated
-//! pairwise exchange with a *congestion factor*. Historically that factor
-//! came only from the closed-form flow analysis
-//! ([`netsim::congestion`](memcomm_netsim::congestion)); this module adds a
+//! A [`Table6Kernel`] prices its communication step by composing a
+//! co-simulated pairwise exchange with a *congestion factor*. The
+//! closed-form flow analysis ([`netsim::congestion`](memcomm_netsim::congestion))
+//! gives one, [`Table6Kernel::analytic_congestion`]; this module adds a
 //! second, independent source: the sharded discrete-event engine
-//! ([`netsim::engine`](memcomm_netsim::engine)) actually executes the
-//! kernel's communication rounds on the full topology and reports the
-//! *emergent* serialization it observed. [`Table6Kernel`] gives both
-//! sources: [`Table6Kernel::analytic_congestion`], and [`run_rounds`] over
-//! [`Table6Kernel::rounds`]; [`Table6Kernel::measure_at`] prices the
-//! exchange at either factor.
-
-use std::collections::HashMap;
+//! ([`netsim::engine`](memcomm_netsim::engine)) executes the kernel's
+//! [`rounds`](Table6Kernel::rounds) on the full topology ([`run_rounds`])
+//! and reports the *emergent* serialization it observed.
+//! [`Table6Kernel::measure_at`] prices the exchange at either factor; the
+//! type lives in [`apps`](crate::apps) and is re-exported here.
 
 use memcomm_commops::collectives::Collective;
 use memcomm_machines::Machine;
@@ -21,11 +18,12 @@ use memcomm_memsim::fault::FaultPlan;
 use memcomm_memsim::nic::NetWord;
 use memcomm_memsim::{SimError, SimResult};
 use memcomm_netsim::adversary::{self, AdversaryConfig};
+use memcomm_netsim::congestion::round_extent;
 use memcomm_netsim::engine::{self, EngineConfig};
 use memcomm_netsim::topology::Topology;
 use memcomm_netsim::traffic::Flow;
 
-use crate::apps::{CommMethod, FemKernel, KernelMeasurement, SorKernel, TransposeKernel};
+pub use crate::apps::Table6Kernel;
 
 /// Knobs of an event-engine run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,7 +141,6 @@ pub fn run_rounds(
     let out = engine::run_schedule(topo, rounds, &cfg)?;
 
     let wt = cfg.link.word_cycles(&NetWord::data(0));
-    let latency = cfg.link.latency_cycles as f64;
     let mut factor = 1.0f64;
     let mut worst_round_cycles = 0;
     let mut words = 0;
@@ -154,19 +151,11 @@ pub fn run_rounds(
         flit_hops += r.flit_hops;
         windows += r.windows;
         worst_round_cycles = worst_round_cycles.max(r.cycles);
-        let mut per_src: HashMap<usize, u64> = HashMap::new();
-        let mut max_hops = 0u64;
-        for f in flows {
-            if f.src == f.dst || f.bytes == 0 {
-                continue;
-            }
-            *per_src.entry(f.src).or_default() += f.bytes.div_ceil(8);
-            max_hops = max_hops.max(topo.distance(f.src, f.dst));
+        let (widest, max_hops) = round_extent(topo, flows);
+        if widest == 0 {
+            continue; // a round that moves nothing imposes no factor
         }
-        let Some(widest) = per_src.values().copied().max() else {
-            continue;
-        };
-        let fill = (max_hops + 2) as f64 * (wt + latency);
+        let fill = cfg.link.pipeline_fill(max_hops);
         let round_factor = ((r.cycles as f64 - fill) / (widest as f64 * wt)).max(1.0);
         factor = factor.max(round_factor);
     }
@@ -221,76 +210,6 @@ pub fn run_collective(
         lower_bound_words: coll.lower_bound_words(topo.len(), words)?,
         run,
     })
-}
-
-/// One of the three Table 6 kernels, ready to price at either congestion
-/// factor.
-#[derive(Debug, Clone)]
-pub enum Table6Kernel {
-    /// The 2D-FFT transpose (all-to-all personalized exchange).
-    Transpose(TransposeKernel),
-    /// The FEM boundary exchange (phased neighbour shifts).
-    Fem(FemKernel),
-    /// The SOR halo shift (two sequential cyclic shifts).
-    Sor(SorKernel),
-}
-
-impl Table6Kernel {
-    /// The kernel's Table 6 row label.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Table6Kernel::Transpose(_) => "Transpose",
-            Table6Kernel::Fem(_) => "FEM",
-            Table6Kernel::Sor(_) => "SOR",
-        }
-    }
-
-    /// The kernel's communication rounds on `topo`.
-    ///
-    /// # Errors
-    ///
-    /// [`memcomm_memsim::SimError::Protocol`] for configurations that do
-    /// not decompose over the topology.
-    pub fn rounds(&self, topo: &Topology) -> SimResult<Vec<Vec<Flow>>> {
-        match self {
-            Table6Kernel::Transpose(k) => k.rounds(topo),
-            Table6Kernel::Fem(k) => k.rounds(topo),
-            Table6Kernel::Sor(k) => k.rounds(topo),
-        }
-    }
-
-    /// The analytic congestion factor on an explicit topology.
-    ///
-    /// # Errors
-    ///
-    /// [`memcomm_memsim::SimError::Protocol`] on invalid decompositions.
-    pub fn analytic_congestion(&self, machine: &Machine, topo: &Topology) -> SimResult<f64> {
-        match self {
-            Table6Kernel::Transpose(k) => k.congestion_on(topo, machine.nodes_per_port),
-            Table6Kernel::Fem(k) => k.congestion_on(topo, machine.nodes_per_port),
-            Table6Kernel::Sor(k) => k.congestion_on(topo, machine.nodes_per_port),
-        }
-    }
-
-    /// Prices the kernel's co-simulated exchange at an explicit node count
-    /// and congestion factor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates exchange simulation failures.
-    pub fn measure_at(
-        &self,
-        machine: &Machine,
-        method: CommMethod,
-        p: u64,
-        congestion: f64,
-    ) -> SimResult<KernelMeasurement> {
-        match self {
-            Table6Kernel::Transpose(k) => k.measure_at(machine, method, p, congestion),
-            Table6Kernel::Fem(k) => k.measure_at(machine, method, congestion),
-            Table6Kernel::Sor(k) => k.measure_at(machine, method, congestion),
-        }
-    }
 }
 
 /// Result of one adversarial engine run: the compiled schedule's size plus

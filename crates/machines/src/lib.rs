@@ -35,4 +35,4 @@ pub mod memo;
 pub mod microbench;
 pub mod reference;
 
-pub use machine::Machine;
+pub use machine::{LibraryProfile, Machine};

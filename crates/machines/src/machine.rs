@@ -257,6 +257,42 @@ impl Machine {
     }
 }
 
+/// A message-passing library's cost profile: what Figure 1's messages and
+/// the Table 6 kernels' rounds pay on top of the data movement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LibraryProfile {
+    /// Library name.
+    pub name: &'static str,
+    /// Constant software cost per message on each side (argument checking,
+    /// buffer management, protocol).
+    pub per_message_cycles: Cycle,
+    /// Whether the library forces store-and-forward copies through system
+    /// buffers on both sides (PVM semantics).
+    pub system_buffering: bool,
+}
+
+impl LibraryProfile {
+    /// A PVM-like portable library: tens of microseconds of per-message
+    /// overhead and mandatory system buffering on both ends.
+    pub fn pvm(machine: &Machine) -> Self {
+        LibraryProfile {
+            name: "PVM",
+            per_message_cycles: (40.0e-6 * machine.clock().hz()) as Cycle,
+            system_buffering: true,
+        }
+    }
+
+    /// The fastest vendor path (`libsma` on the T3D, SUNMOS `libnx` on the
+    /// Paragon): a put with microseconds of overhead and no extra copies.
+    pub fn low_level(machine: &Machine) -> Self {
+        LibraryProfile {
+            name: "low-level",
+            per_message_cycles: (2.0e-6 * machine.clock().hz()) as Cycle,
+            system_buffering: false,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -82,11 +82,11 @@ use std::sync::{Arc, Mutex};
 
 use memcomm_memsim::fault::{FaultConfig, ProtocolConfig};
 use memcomm_memsim::stats::{ExchangeConfig, ExchangeResult, PhaseTimeline, TransferReport};
-use memcomm_memsim::{Cycle, Measurement, NodeParams, SimResult};
+use memcomm_memsim::{Measurement, NodeParams, SimResult};
 use memcomm_model::{AccessPattern, BasicTransfer, Style, Throughput};
 use memcomm_netsim::LinkParams;
 
-use crate::Machine;
+use crate::{LibraryProfile, Machine};
 
 /// One deterministic measurement point, minus the machine: every input
 /// that determines its result, as plain data.
@@ -121,12 +121,8 @@ pub enum Point {
     },
     /// One library message (`commops::measure_message`).
     Message {
-        /// The `commops::LibraryProfile` name.
-        library: &'static str,
-        /// The profile's per-message software cycles.
-        per_message_cycles: Cycle,
-        /// Whether the profile forces system buffering.
-        system_buffering: bool,
+        /// The library's cost profile.
+        profile: LibraryProfile,
         /// Message words.
         words: u64,
     },

@@ -1,15 +1,14 @@
-//! The full annex: deposit **and** remote-load service.
+//! The annex's remote-load service.
 //!
 //! The T3D's fetch/deposit circuitry "handles incoming remote operations
 //! (loads and stores) with their memory accesses on behalf of the
 //! communication system". [`DepositEngine`](crate::engines::DepositEngine)
-//! models the store half in isolation; an [`AnnexEngine`] handles a mixed
-//! incoming stream: data words are deposited, request words
-//! ([`WordKind::Request`]) are served by reading local memory and sending
-//! the value back as an addressed reply. This is the machinery behind
-//! remote *loads* ("get"), which the paper deliberately avoids: "when
-//! withdrawing data, the latency is higher since address information has to
-//! travel first to the node that holds the data."
+//! models the store half; an [`AnnexEngine`] models the load half: it
+//! serves request words ([`WordKind::Request`]) by reading local memory and
+//! sending the value back as an addressed reply. This is the machinery
+//! behind remote *loads* ("get"), which the paper deliberately avoids:
+//! "when withdrawing data, the latency is higher since address information
+//! has to travel first to the node that holds the data."
 
 use crate::clock::Cycle;
 use crate::engines::{DepositParams, Step};
@@ -18,62 +17,36 @@ use crate::mem::Memory;
 use crate::nic::{NetWord, TimedFifo, WordKind};
 use crate::path::{MemPath, Port};
 
-/// Counters of an annex run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnnexStats {
-    /// Data words deposited to memory.
-    pub deposited: u64,
-    /// Remote-load requests served.
-    pub served: u64,
-}
-
-/// An annex serving a mixed incoming stream of deposits and remote-load
-/// requests.
+/// An annex serving an incoming stream of remote-load requests.
 #[derive(Debug)]
 pub struct AnnexEngine {
     /// The engine's local clock.
     pub t: Cycle,
     params: DepositParams,
-    expected_deposits: u64,
     expected_requests: u64,
+    served: u64,
     staged_reply: Option<NetWord>,
-    stats: AnnexStats,
 }
 
 impl AnnexEngine {
-    /// Creates an annex that will deposit `expected_deposits` data words and
-    /// serve `expected_requests` remote loads.
-    pub fn new(params: DepositParams, expected_deposits: u64, expected_requests: u64) -> Self {
+    /// Creates an annex that will serve `expected_requests` remote loads.
+    pub fn new(params: DepositParams, expected_requests: u64) -> Self {
         AnnexEngine {
             t: 0,
             params,
-            expected_deposits,
             expected_requests,
+            served: 0,
             staged_reply: None,
-            stats: AnnexStats::default(),
         }
     }
 
-    /// Progress counters.
-    pub fn stats(&self) -> AnnexStats {
-        self.stats
-    }
-
-    fn is_done(&self) -> bool {
-        self.stats.deposited == self.expected_deposits
-            && self.stats.served == self.expected_requests
-            && self.staged_reply.is_none()
-    }
-
-    /// Advances by one word: flush a staged reply, or consume one incoming
-    /// word (deposit it or serve it).
+    /// Advances by one word: flush a staged reply, or serve one incoming
+    /// request.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Protocol`] when a word is missing the address the
-    /// annex needs (bare data, bare request) or carries protocol control
-    /// traffic the annex cannot interpret — all reachable under fault
-    /// injection.
+    /// Returns [`SimError::Protocol`] for any word but an addressed request
+    /// (a bare request, a data word, protocol control traffic).
     pub fn step(
         &mut self,
         path: &mut MemPath,
@@ -91,41 +64,23 @@ impl AnnexEngine {
                 None => Step::Blocked,
             });
         }
-        if self.is_done() {
+        if self.served == self.expected_requests {
             return Ok(Step::Done);
         }
         let Some((at, word)) = rx.pop(self.t) else {
             return Ok(Step::Blocked);
         };
         self.t = self.t.max(at) + self.params.word_cycles;
-        let protocol_err = |detail: &str, at: Cycle| {
-            Err(SimError::Protocol {
-                detail: detail.to_string(),
-                at,
-            })
+        let (WordKind::Request, Some(remote)) = (word.kind, word.addr) else {
+            return Err(SimError::Protocol {
+                detail: "the annex serves only addressed requests".to_string(),
+                at: self.t,
+            });
         };
-        match word.kind {
-            WordKind::Data => {
-                let Some(addr) = word.addr else {
-                    return protocol_err("annex deposits are always addressed", self.t);
-                };
-                self.t = path.engine_write(self.t, Port::Deposit, addr, 1);
-                mem.write(addr, word.data);
-                self.stats.deposited += 1;
-            }
-            WordKind::Request => {
-                let Some(remote) = word.addr else {
-                    return protocol_err("requests carry the address to read", self.t);
-                };
-                self.t = path.engine_read(self.t, Port::Deposit, remote, 1);
-                let value = mem.read(remote);
-                self.staged_reply = Some(NetWord::addressed(word.data, value));
-                self.stats.served += 1;
-            }
-            WordKind::Control => {
-                return protocol_err("annex cannot interpret control words", self.t);
-            }
-        }
+        self.t = path.engine_read(self.t, Port::Deposit, remote, 1);
+        let value = mem.read(remote);
+        self.staged_reply = Some(NetWord::addressed(word.data, value));
+        self.served += 1;
         Ok(Step::Progressed)
     }
 }
@@ -161,9 +116,8 @@ mod tests {
                 .push(i, NetWord::request(data.addr(i), 0x9000 + i * 8))
                 .unwrap();
         }
-        let mut annex = AnnexEngine::new(node.params().deposit, 0, 8);
+        let mut annex = AnnexEngine::new(node.params().deposit, 8);
         drive(&mut annex, &mut node);
-        assert_eq!(annex.stats().served, 8);
         let replies: Vec<NetWord> =
             std::iter::from_fn(|| node.tx.pop(u64::MAX / 2).map(|(_, w)| w)).collect();
         assert_eq!(replies.len(), 8);
@@ -172,29 +126,6 @@ mod tests {
             assert_eq!(r.addr, Some(0x9000 + i as u64 * 8));
             assert_eq!(r.data, 100 + i as u64);
         }
-    }
-
-    #[test]
-    fn mixed_stream_deposits_and_serves() {
-        let mut node = Node::new(NodeParams::default());
-        let data = node.alloc_walk(AccessPattern::Contiguous, 4, None).unwrap();
-        node.mem.fill(data.region(), [7, 8, 9, 10]);
-        let sink = node.alloc_walk(AccessPattern::Contiguous, 2, None).unwrap();
-        node.rx
-            .push(0, NetWord::addressed(sink.addr(0), 41))
-            .unwrap();
-        node.rx
-            .push(1, NetWord::request(data.addr(2), 0x9000))
-            .unwrap();
-        node.rx
-            .push(2, NetWord::addressed(sink.addr(1), 42))
-            .unwrap();
-        let mut annex = AnnexEngine::new(node.params().deposit, 2, 1);
-        drive(&mut annex, &mut node);
-        assert_eq!(node.mem.read(sink.addr(0)), 41);
-        assert_eq!(node.mem.read(sink.addr(1)), 42);
-        let (_, reply) = node.tx.pop(u64::MAX / 2).unwrap();
-        assert_eq!(reply.data, 9);
     }
 
     #[test]
@@ -208,7 +139,7 @@ mod tests {
         node.rx
             .push(0, NetWord::request(data.addr(0), 0x9000))
             .unwrap();
-        let mut annex = AnnexEngine::new(node.params().deposit, 0, 1);
+        let mut annex = AnnexEngine::new(node.params().deposit, 1);
         let Node {
             path, mem, tx, rx, ..
         } = &mut node;
@@ -223,15 +154,20 @@ mod tests {
 
     #[test]
     fn control_words_are_rejected() {
-        let mut node = Node::new(NodeParams::default());
-        node.rx.push(0, NetWord::control(0xAB)).unwrap();
-        let mut annex = AnnexEngine::new(node.params().deposit, 1, 0);
-        let Node {
-            path, mem, tx, rx, ..
-        } = &mut node;
-        assert!(matches!(
-            annex.step(path, mem, rx, tx),
-            Err(SimError::Protocol { .. })
-        ));
+        for word in [NetWord::control(0xAB), NetWord::addressed(0x40, 41)] {
+            let mut node = Node::new(NodeParams::default());
+            node.rx.push(0, word).unwrap();
+            let mut annex = AnnexEngine::new(node.params().deposit, 1);
+            let Node {
+                path, mem, tx, rx, ..
+            } = &mut node;
+            assert!(
+                matches!(
+                    annex.step(path, mem, rx, tx),
+                    Err(SimError::Protocol { .. })
+                ),
+                "{word:?}"
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@ mod cpu;
 mod deposit;
 mod dma;
 
-pub use annex::{AnnexEngine, AnnexStats};
+pub use annex::AnnexEngine;
 pub use cpu::{Cpu, CpuParams, CpuReceiver, CpuSender, LocalCopier};
 pub use deposit::{DepositEngine, DepositMode, DepositParams};
 pub use dma::{Dma, DmaParams};

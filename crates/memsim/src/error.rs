@@ -49,13 +49,6 @@ pub enum SimError {
         /// Earliest local time among the stuck agents.
         at: Cycle,
     },
-    /// An engine was taken offline by the fault plan.
-    Unavailable {
-        /// The engine that is out.
-        engine: &'static str,
-        /// Its local cycle count when the outage struck.
-        at: Cycle,
-    },
     /// A protocol violation: unexpected word kind, retries exhausted,
     /// checksum failure that could not be recovered.
     Protocol {
@@ -95,9 +88,6 @@ impl fmt::Display for SimError {
             }
             SimError::Deadlock { detail, at } => {
                 write!(f, "co-simulation deadlocked at cycle {at}: {detail}")
-            }
-            SimError::Unavailable { engine, at } => {
-                write!(f, "{engine} unavailable (fault-induced) at cycle {at}")
             }
             SimError::Protocol { detail, at } => {
                 write!(f, "protocol error at cycle {at}: {detail}")

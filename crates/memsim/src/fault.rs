@@ -13,11 +13,10 @@
 //!   corrupted, or delayed by a jitter window;
 //! * **FIFO stalls**: a NIC FIFO slot is back-pressured for a window of
 //!   cycles before accepting a push (see
-//!   [`TimedFifo::set_faults`](crate::nic::TimedFifo::set_faults));
-//! * **engine starvation**: a deposit/annex engine loses cycles to a stall
-//!   window before consuming a word;
-//! * **engine outage**: an engine site is out for the whole run — the
-//!   trigger for graceful degradation to buffer packing.
+//!   [`TimedFifo::set_faults`](crate::nic::TimedFifo::set_faults)); the
+//!   FIFOs are the only stall sites, no engine is stalled directly;
+//! * **engine outage**: the deposit engine is out for the whole run — the
+//!   trigger for graceful degradation to the buffer-packed receive path.
 //!
 //! Plans are *pure deciders*: they never record anything. Counting fired
 //! decisions is the injection site's job (the link step, the FIFO push,
@@ -50,8 +49,6 @@ pub mod site {
     pub const RX_FIFO: u64 = 4;
     /// Receiver-side deposit engine.
     pub const DEPOSIT: u64 = 5;
-    /// Receiver-side annex engine.
-    pub const ANNEX: u64 = 6;
 
     /// First per-node site of the sharded network engine; each node gets a
     /// (tx, rx) pair above this base.
@@ -95,12 +92,12 @@ pub struct FaultConfig {
     /// Seed all decisions derive from.
     pub seed: u64,
     /// Probability that any single fault opportunity fires (per word on a
-    /// link, per push into a FIFO, per word through an engine). `0.0`
-    /// disables word-level faults entirely.
+    /// link, per push into a FIFO). `0.0` disables word-level faults
+    /// entirely.
     pub rate: f64,
     /// Largest extra delay a jittered link word suffers.
     pub max_jitter_cycles: Cycle,
-    /// Largest stall window injected into a FIFO push or an engine word.
+    /// Largest stall window injected into a FIFO push.
     pub max_stall_cycles: Cycle,
     /// Probability that an *engine site* is out for the whole run (decided
     /// once per site, independent of `rate`).
@@ -286,7 +283,7 @@ impl FaultPlan {
     }
 
     /// Stall window (possibly zero) injected before opportunity `index` at
-    /// a FIFO or engine `site`.
+    /// a FIFO `site`.
     pub fn stall_cycles(&self, site: u64, index: u64) -> Cycle {
         let mut rng = self.decider(site, index.wrapping_add(0x5747_A11E));
         if !self.fires(self.cfg.rate, &mut rng) {
@@ -441,7 +438,6 @@ mod tests {
             ..FaultConfig::default()
         });
         assert!(p.engine_unavailable(site::DEPOSIT));
-        assert!(p.engine_unavailable(site::ANNEX));
     }
 
     #[test]

@@ -181,6 +181,24 @@ pub fn link_loads(topo: &Topology, flows: &[Flow]) -> BTreeMap<LinkId, u64> {
         .collect()
 }
 
+/// The extent of one round of flows: the words its widest source injects
+/// and the longest route any of its flows takes, in links. Self-flows and
+/// empty flows move nothing and count for neither, so a round that moves
+/// nothing reads `(0, 0)`.
+///
+/// # Panics
+///
+/// Panics if a flow's source is out of range.
+pub fn round_extent(topo: &Topology, flows: &[Flow]) -> (u64, u64) {
+    let mut words = vec![0u64; topo.len()];
+    let mut max_hops = 0;
+    for f in flows.iter().filter(|f| f.src != f.dst && f.bytes > 0) {
+        words[f.src] += f.bytes.div_ceil(8);
+        max_hops = max_hops.max(topo.distance(f.src, f.dst));
+    }
+    (words.into_iter().max().unwrap_or(0), max_hops)
+}
+
 /// Analyses the congestion of a set of simultaneously active flows.
 ///
 /// `nodes_per_port` captures endpoint sharing (2 on the T3D, 1 on the

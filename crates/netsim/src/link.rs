@@ -53,6 +53,16 @@ impl LinkParams {
         let framed = payload_and_addr + self.header_bytes as f64 / f64::from(self.packet_words);
         framed * self.congestion / self.bytes_per_cycle
     }
+
+    /// The pipeline fill of a round whose longest route is `max_hops`
+    /// links: `max_hops + 2` stages (the links plus injection and
+    /// ejection), each one data word's wire time plus the cut-through
+    /// latency. A round's makespan is this fill plus its widest source's
+    /// serialization.
+    pub fn pipeline_fill(&self, max_hops: u64) -> f64 {
+        let stage = self.word_cycles(&NetWord::data(0)) + self.latency_cycles as f64;
+        (max_hops + 2) as f64 * stage
+    }
 }
 
 /// A directed link between two FIFOs.

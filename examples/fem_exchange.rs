@@ -6,7 +6,7 @@
 //! cargo run --release --example fem_exchange
 //! ```
 
-use memcomm::kernels::apps::{CommMethod, FemKernel};
+use memcomm::kernels::apps::{CommMethod, FemKernel, Table6Kernel};
 use memcomm::kernels::mesh::PartitionedMesh;
 use memcomm::machines::Machine;
 
@@ -70,12 +70,15 @@ fn main() {
 
     // The measured kernel: indexed exchange on the simulated T3D.
     let t3d = Machine::t3d();
-    let kernel = FemKernel::paper_instance();
+    let fem = FemKernel::paper_instance();
+    let kernel = Table6Kernel::Fem(fem.clone());
     println!(
         "\nFEM boundary exchange on the simulated {} ({} words per neighbour, congestion {:.0}):",
         t3d.name,
-        kernel.exchange_words(),
-        kernel.congestion(&t3d).expect("valid decomposition")
+        fem.exchange_words(),
+        kernel
+            .analytic_congestion(&t3d, &t3d.topology)
+            .expect("valid decomposition")
     );
     for method in [
         CommMethod::Pvm,

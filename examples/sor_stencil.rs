@@ -6,7 +6,7 @@
 //! cargo run --release --example sor_stencil
 //! ```
 
-use memcomm::kernels::apps::{CommMethod, SorKernel};
+use memcomm::kernels::apps::{CommMethod, SorKernel, Table6Kernel};
 use memcomm::machines::Machine;
 
 /// One red-black SOR sweep of the 5-point Laplace stencil on an n×n grid
@@ -57,12 +57,15 @@ fn main() {
     // Every iteration of the distributed version exchanges overlap rows
     // with the shift neighbours; the paper measures that step per node.
     let t3d = Machine::t3d();
-    let kernel = SorKernel::paper_instance();
+    let sor = SorKernel::paper_instance();
+    let kernel = Table6Kernel::Sor(sor);
     println!(
         "\nhalo exchange (rows of {} words) on the simulated {} (congestion {:.0}):",
-        kernel.n,
+        sor.n,
         t3d.name,
-        kernel.congestion(&t3d).expect("valid decomposition")
+        kernel
+            .analytic_congestion(&t3d, &t3d.topology)
+            .expect("valid decomposition")
     );
     for method in [
         CommMethod::Pvm,

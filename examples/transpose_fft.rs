@@ -10,7 +10,7 @@
 //! communication step runs on the simulated machine, and the numerical
 //! result is checked against a direct 2D FFT.
 
-use memcomm::kernels::apps::{CommMethod, TransposeKernel};
+use memcomm::kernels::apps::{CommMethod, Table6Kernel, TransposeKernel};
 use memcomm::kernels::fft::{fft, fft_2d, transpose_in_place, Complex};
 use memcomm::kernels::schedule::transpose_schedule;
 use memcomm::machines::Machine;
@@ -71,11 +71,13 @@ fn main() {
     // Now the paper's measurement: the 1024x1024 transpose communication on
     // the simulated 64-node T3D, all three communication methods.
     let t3d = Machine::t3d();
-    let kernel = TransposeKernel::paper_instance();
+    let kernel = Table6Kernel::Transpose(TransposeKernel::paper_instance());
     println!(
         "\ntranspose communication, 1024x1024 complex on the simulated {} (64 nodes, congestion {:.0}):",
         t3d.name,
-        kernel.congestion(&t3d).expect("valid decomposition")
+        kernel
+            .analytic_congestion(&t3d, &t3d.topology)
+            .expect("valid decomposition")
     );
     for method in [
         CommMethod::Pvm,

@@ -32,3 +32,9 @@ pub use memcomm_machines as machines;
 pub use memcomm_memsim as memsim;
 pub use memcomm_model as model;
 pub use memcomm_netsim as netsim;
+
+/// The README's code blocks, compiled as doctests so its API snippet keeps
+/// compiling.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
